@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, CurvintError
+from .errors import ConfigError, CurvintError, DomainError
 from .kappa_trig import cot_k
 from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 from .dynamics import IntegratorConfig, Termination, integrate
@@ -73,17 +73,26 @@ class RunConfig:
     def system_spec(self) -> SystemSpec:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown system kind {self.kind!r}")
-        return SystemSpec(kind=_KINDS[self.kind], kappa=self.kappa,
-                          g=self.g, k_a=self.k_a, k_b=self.k_b,
-                          m=Fraction(self.m_num, self.m_den))
+        if self.m_den == 0:
+            raise ConfigError("m_den must be nonzero")
+        try:
+            return SystemSpec(kind=_KINDS[self.kind], kappa=self.kappa,
+                              g=self.g, k_a=self.k_a, k_b=self.k_b,
+                              m=Fraction(self.m_num, self.m_den))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def initial_state(self) -> PhaseState:
         return PhaseState(self.r0, self.phi0, self.p_r0, self.p_phi0)
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                                max_step=self.max_step,
-                                singularity_margin=self.singularity_margin)
+        try:
+            return IntegratorConfig(
+                rel_tol=self.rel_tol, abs_tol=self.abs_tol,
+                max_step=self.max_step,
+                singularity_margin=self.singularity_margin)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -152,7 +161,10 @@ def _load_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     if getattr(args, "m", None) is not None:
-        frac = Fraction(args.m)
+        try:
+            frac = Fraction(args.m)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad value for --m: {exc}") from exc
         cfg.m_num, cfg.m_den = frac.numerator, frac.denominator
     if getattr(args, "kind", None) is not None:
         cfg.kind = args.kind
@@ -319,6 +331,7 @@ def cmd_dump_config(args) -> int:
     try:
         cfg = _load_config(args)
         cfg.system_spec()
+        cfg.integrator_config()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -87,11 +87,13 @@ def eom(state: PhaseState, spec: SystemSpec) -> tuple[float, float, float, float
     S = sin_k(spec.kappa, state.r)
     if abs(S) < 1e-12:
         raise PoleError(f"radial pole at r = {state.r}", location=state.r)
-    return tuple(_rhs(state.as_tuple(), spec))
+    return tuple(_rhs(np.array(state.as_tuple()), spec))
 
 
 def _rhs(y, spec: SystemSpec):
-    r, phi, p_r, p_phi = y
+    # floats, not numpy scalars: the same values, and the float path of
+    # kappa_trig and the arithmetic below run faster on them
+    r, phi, p_r, p_phi = y.tolist()
     S = sin_k(spec.kappa, r)
     C = cos_k(spec.kappa, r)
     S2 = S * S

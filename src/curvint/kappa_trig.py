@@ -8,9 +8,19 @@ kappa = 0 Euclidean plane, kappa < 0 hyperbolic plane.  The functions
 
 interpolate smoothly through kappa = 0, so every formula built on them is
 valid for all three geometries at once.
+
+kappa is a float, and a non-finite one raises DomainError.  x is a float
+or a numpy array.  A float x is evaluated with `math`, must be finite
+(DomainError otherwise) and raises PoleError at a pole.  An array x is
+evaluated elementwise with numpy in the same formulas and gives nan where
+the float path would raise PoleError; its non-finite elements propagate
+as IEEE arithmetic does.  numpy's sin/cos may differ from math's in the
+last ulp.
 """
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -22,53 +32,82 @@ _SERIES_CUTOFF = 1e-8
 # |cos_k| below this counts as a pole of tan_k.
 _POLE_EPS = 1e-12
 
+_ndarray = np.ndarray   # bound once: the float path tests it on every call
 
-def _check_finite(kappa: float, x: float) -> None:
+
+def _elementary(kappa: float, x):
+    """The module that evaluates x: numpy for an array, else math.
+
+    Raises DomainError for a non-finite kappa or a non-finite float x.
+    """
+    if isinstance(x, _ndarray):
+        if not math.isfinite(kappa):
+            raise DomainError(f"non-finite input: kappa={kappa}")
+        return np
     if not (math.isfinite(kappa) and math.isfinite(x)):
         raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
+    return math
 
 
-def cos_k(kappa: float, x: float) -> float:
+def cos_k(kappa: float, x):
     """Curvature cosine; even in x, dimensionless."""
-    _check_finite(kappa, x)
+    xp = _elementary(kappa, x)
     u = kappa * x * x
-    if abs(u) < _SERIES_CUTOFF:
-        return 1.0 - 0.5 * u
+    series = 1.0 - 0.5 * u
+    if xp is math and abs(u) < _SERIES_CUTOFF:
+        return series
     if kappa > 0.0:
-        return math.cos(math.sqrt(kappa) * x)
-    return math.cosh(math.sqrt(-kappa) * x)
+        closed = xp.cos(math.sqrt(kappa) * x)
+    elif kappa < 0.0:
+        closed = xp.cosh(math.sqrt(-kappa) * x)
+    else:               # an array at kappa = 0: u vanishes everywhere
+        return series
+    if xp is math:
+        return closed
+    return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
 
 
-def sin_k(kappa: float, x: float) -> float:
+def sin_k(kappa: float, x):
     """Curvature sine; odd in x, carries units of length."""
-    _check_finite(kappa, x)
+    xp = _elementary(kappa, x)
     u = kappa * x * x
-    if abs(u) < _SERIES_CUTOFF:
-        return x * (1.0 - u / 6.0)
+    series = x * (1.0 - u / 6.0)
+    if xp is math and abs(u) < _SERIES_CUTOFF:
+        return series
     if kappa > 0.0:
         s = math.sqrt(kappa)
-        return math.sin(s * x) / s
-    s = math.sqrt(-kappa)
-    return math.sinh(s * x) / s
+        closed = xp.sin(s * x) / s
+    elif kappa < 0.0:
+        s = math.sqrt(-kappa)
+        closed = xp.sinh(s * x) / s
+    else:               # an array at kappa = 0: u vanishes everywhere
+        return series
+    if xp is math:
+        return closed
+    return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
 
 
-def tan_k(kappa: float, x: float) -> float:
-    """sin_k / cos_k.  Raises PoleError where cos_k vanishes."""
+def tan_k(kappa: float, x):
+    """sin_k / cos_k.  PoleError (nan for an array) where cos_k vanishes."""
     c = cos_k(kappa, x)
-    if abs(c) < _POLE_EPS:
+    if isinstance(c, _ndarray):
+        c = np.where(abs(c) < _POLE_EPS, np.nan, c)
+    elif abs(c) < _POLE_EPS:
         raise PoleError(
             f"tan_k pole: cos_k({kappa}, {x}) = {c}", location=x)
     return sin_k(kappa, x) / c
 
 
-def cot_k(kappa: float, x: float) -> float:
-    """cos_k / sin_k.  Pole only where sin_k vanishes.
+def cot_k(kappa: float, x):
+    """cos_k / sin_k.  Pole only where sin_k vanishes (nan for an array).
 
     Preferred over 1/tan_k inside potentials: the cos_k zero (equator of
     the sphere) is a regular point of every formula written with 1/Tan.
     """
     s = sin_k(kappa, x)
-    if abs(s) < _POLE_EPS:
+    if isinstance(s, _ndarray):
+        s = np.where(abs(s) < _POLE_EPS, np.nan, s)
+    elif abs(s) < _POLE_EPS:
         raise PoleError(
             f"cot_k pole: sin_k({kappa}, {x}) = {s}", location=x)
     return cos_k(kappa, x) / s

@@ -8,6 +8,14 @@ with F identically zero for free geodesics and the Kepler problem, the
 deformed angular profile F_m for the noncentral Kepler-related family
 (of which the m = 1 member is the classic two-center-like potential),
 and a caller-supplied profile for the generic separable family.
+
+The profile, potential and Hamiltonian take a PhaseState whose fields are
+floats or numpy arrays of one shape (phi alone for the profiles).  Floats
+are evaluated with `math` and raise PoleError / AngularSingularityError at
+a singularity; arrays are evaluated elementwise with numpy in the same
+formulas and give nan there instead (see kappa_trig).  A generic profile's
+callables receive phi as given, so they must accept arrays to be used with
+array states.
 """
 
 import math
@@ -16,11 +24,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import AngularSingularityError, DomainError
 from .kappa_trig import cot_k, sin_k
 
 # |sin(m phi)| below this counts as sitting on the angular singularity.
 _ANGULAR_EPS = 1e-12
+
+_ndarray = np.ndarray
 
 
 class SystemKind(Enum):
@@ -33,7 +45,11 @@ class SystemKind(Enum):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Point of phase space in geodesic polar coordinates."""
+    """Point of phase space in geodesic polar coordinates.
+
+    The fields may also be numpy arrays of one shape: a batch of points for
+    the array path of potential and hamiltonian.
+    """
     r: float
     phi: float
     p_r: float
@@ -91,26 +107,32 @@ class SystemSpec:
                              SystemKind.GENERIC_F)
 
 
-def angular_F_m(phi: float, k_a: float, k_b: float, m: Fraction) -> float:
+def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
     """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
     u = (m.numerator * phi) / m.denominator if isinstance(m, Fraction) \
         else float(m) * phi
-    s = math.sin(u)
-    if abs(s) < _ANGULAR_EPS:
+    xp = np if isinstance(u, _ndarray) else math
+    s = xp.sin(u)
+    if xp is np:
+        s = np.where(abs(s) < _ANGULAR_EPS, np.nan, s)
+    elif abs(s) < _ANGULAR_EPS:
         raise AngularSingularityError(
             f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-    return (k_a + k_b * math.cos(u)) / (s * s)
+    return (k_a + k_b * xp.cos(u)) / (s * s)
 
 
-def angular_F_m_prime(phi: float, k_a: float, k_b: float, m: Fraction) -> float:
+def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
     """d/dphi of angular_F_m."""
     mf = m.numerator / m.denominator if isinstance(m, Fraction) else float(m)
     u = mf * phi
-    s = math.sin(u)
-    if abs(s) < _ANGULAR_EPS:
+    xp = np if isinstance(u, _ndarray) else math
+    s = xp.sin(u)
+    if xp is np:
+        s = np.where(abs(s) < _ANGULAR_EPS, np.nan, s)
+    elif abs(s) < _ANGULAR_EPS:
         raise AngularSingularityError(
             f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-    c = math.cos(u)
+    c = xp.cos(u)
     return -mf * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s)
 
 
@@ -123,7 +145,7 @@ def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
     return (2.0 * (alpha + beta), 2.0 * (beta - alpha))
 
 
-def angular_profile(spec: SystemSpec, phi: float) -> tuple[float, float]:
+def angular_profile(spec: SystemSpec, phi) -> tuple:
     """(F(phi), F'(phi)) for the given system; (0, 0) for central kinds."""
     if spec.kind in (SystemKind.FREE_GEODESIC, SystemKind.KEPLER):
         return (0.0, 0.0)
@@ -137,7 +159,7 @@ def angular_profile(spec: SystemSpec, phi: float) -> tuple[float, float]:
             angular_F_m_prime(phi, spec.k_a, spec.k_b, spec.m))
 
 
-def potential(state: PhaseState, spec: SystemSpec) -> float:
+def potential(state: PhaseState, spec: SystemSpec):
     """U(r, phi) for the given system kind."""
     if spec.kind is SystemKind.FREE_GEODESIC:
         return 0.0
@@ -149,7 +171,7 @@ def potential(state: PhaseState, spec: SystemSpec) -> float:
     return U
 
 
-def hamiltonian(state: PhaseState, spec: SystemSpec) -> float:
+def hamiltonian(state: PhaseState, spec: SystemSpec):
     """Total energy (p_r^2 + p_phi^2/Sin_k^2)/2 + U."""
     S = sin_k(spec.kappa, state.r)
     T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)

@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import CurvintError, StencilError
 from .invariants import lambda_k, m_r, n_phi
-from .systems import PhaseState, SystemSpec, hamiltonian
+from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 from .dynamics import Trajectory
 
 PhaseFunction = Callable[[PhaseState], float]
@@ -143,10 +143,14 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
 
 # --- closed-orbit detection ---
 
-def _phase_distance(y, y0) -> float:
+def _phase_distance(y, y0):
+    """Distance from y0 with phi taken modulo 2*pi.
+
+    y is one phase point, shape (4,), or a column per point, shape (4, n).
+    """
     dphi = (y[1] - y0[1] + math.pi) % (2.0 * math.pi) - math.pi
-    return math.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
-                     + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
+    return np.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
+                   + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
 
 
 def closure_detect(traj: Trajectory, tol: float = 1e-6,
@@ -164,8 +168,7 @@ def closure_detect(traj: Trajectory, tol: float = 1e-6,
     t0 = float(traj.times[0])
     t1 = float(traj.times[-1])
     ts = np.linspace(t0, t1, coarse_points)
-    ys = traj.dense(ts)
-    dists = np.array([_phase_distance(ys[:, i], y0) for i in range(len(ts))])
+    dists = _phase_distance(traj.dense(ts), y0)
     coarse_step = (t1 - t0) / (coarse_points - 1)
     # leave the immediate neighbourhood of t0 before hunting for minima
     typical = np.percentile(dists, 75)
@@ -233,6 +236,69 @@ def euclidean_limit_scan(make_spec: Callable[[float], SystemSpec],
 
 # --- seeded state sampling for verification grids ---
 
+# Candidates per chunk: 1, 4, 16, 64, ..., capped at the tries left.
+_FIRST_CHUNK = 1
+_CHUNK_GROWTH = 4
+# One array call of hamiltonian costs about ten float calls, so chunks
+# smaller than this are decided by the float hamiltonian alone.
+_SCREEN_MIN = 16
+
+# The array hamiltonian may differ from the float one in the last ulps
+# (numpy's sin/cos against math's).  A screened energy within this margin,
+# relative to 1 + |H|, of the acceptance threshold or of the running
+# minimum is re-decided by the float hamiltonian.
+_SCREEN_MARGIN = 1e-9
+
+
+def _draw(rng: np.random.Generator, n: int):
+    """The draws of n candidates: four rng.random() doubles and one
+    rng.integers(2) each, in the order of the per-try loop."""
+    u = np.empty((n, 4))
+    flip = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        rng.random(out=u[i])
+        flip[i] = rng.integers(2)
+    return u.T, flip
+
+
+def _uniform(low: float, high: float, u):
+    """rng.uniform(low, high) from u = rng.random(), to the last bit."""
+    return low + (high - low) * u
+
+
+def _candidates(spec: SystemSpec, u, flip) -> PhaseState:
+    """The candidate states of _draw's draws, as one PhaseState of arrays."""
+    kap = spec.kappa
+    if kap > 0:
+        r = _uniform(0.25, 0.75, u[0]) * (math.pi / math.sqrt(kap))
+    else:
+        r = _uniform(0.6, 2.2, u[0])
+    if spec.has_angular_term:
+        phi = (_uniform(0.3 * math.pi, 0.7 * math.pi, u[1])
+               * spec.m_den / spec.m_num)
+    else:
+        phi = _uniform(0.0, 2.0 * math.pi, u[1])
+    sign = np.array((-1.0, 1.0))[flip]      # rng.choice((-1.0, 1.0))
+    return PhaseState(r, phi, _uniform(-0.35, 0.35, u[2]),
+                      _uniform(0.15, 0.7, u[3]) * sign)
+
+
+def _undecided(screen, threshold: float, best_H: Optional[float]):
+    """Indices of the candidates the float hamiltonian has to decide.
+
+    The others are rejected beyond rounding and, when best_H is given,
+    lie above the running minimum beyond rounding too.  A nan or infinite
+    screen (a singular candidate) settles nothing.
+    """
+    H = np.where(np.isfinite(screen), screen, np.nan)
+    slack = _SCREEN_MARGIN * (1.0 + abs(H))
+    settled = H >= threshold + slack
+    if best_H is not None:
+        prior = np.fmin.accumulate(np.concatenate(([best_H], H)))[:-1]
+        settled &= H - prior > slack
+    return np.flatnonzero(~settled)
+
+
 def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
                          max_tries: int = 2000) -> PhaseState:
     """Random interior phase point, bounded whenever the system admits it.
@@ -241,39 +307,56 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     sample for H < 0.  kappa < 0: the escape energy is -g*sqrt(-kappa);
     for angular profiles stiff enough that no orbit fits under it, fall
     back to low-energy states with inward radial momentum.
+
+    The result, a PhaseState of floats, and the state rng is left in are
+    those of a loop that draws up to max_tries candidates one at a time
+    (one rng.random(4) and one rng.integers(2) each) and decides each with
+    the float hamiltonian.  Candidates are drawn in chunks of growing size
+    and a chunk of _SCREEN_MIN or more is screened with one array call of
+    hamiltonian.  The screen is never trusted with a decision: it only
+    skips candidates it shows, beyond rounding, to be rejected and not the
+    lowest so far, and the float hamiltonian decides the rest, in order.
+    When one is accepted before the end of its chunk, rng is rewound to the
+    start of the chunk and the candidates up to it are drawn again.
     """
     kap = spec.kappa
+    if kap > 0:
+        # every interior state is bounded; keep the energy moderate so
+        # the orbit is representative rather than a near-pole slingshot
+        threshold = 0.65 * (1.0 + abs(spec.g))
+    else:
+        escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
+        threshold = escape - 0.02
     best = None
     best_H = math.inf
-    for _ in range(max_tries):
-        if kap > 0:
-            r_max = math.pi / math.sqrt(kap)
-            r = rng.uniform(0.25, 0.75) * r_max
+    tries = 0
+    chunk = _FIRST_CHUNK
+    while tries < max_tries:
+        n = min(chunk, max_tries - tries)
+        rewind = rng.bit_generator.state
+        batch = _candidates(spec, *_draw(rng, n))
+        if n < _SCREEN_MIN or spec.kind is SystemKind.GENERIC_F:
+            # a generic profile's callables need not accept arrays
+            undecided = range(n)
         else:
-            r = rng.uniform(0.6, 2.2)
-        if spec.has_angular_term:
-            u = rng.uniform(0.3 * math.pi, 0.7 * math.pi)
-            phi = u * spec.m_den / spec.m_num
-        else:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-        p_r = rng.uniform(-0.35, 0.35)
-        p_phi = rng.uniform(0.15, 0.7) * rng.choice((-1.0, 1.0))
-        state = PhaseState(r, phi, p_r, p_phi)
-        try:
-            H = hamiltonian(state, spec)
-        except CurvintError:
-            continue
-        if kap > 0:
-            # every interior state is bounded; keep the energy moderate so
-            # the orbit is representative rather than a near-pole slingshot
-            if H < 0.65 * (1.0 + abs(spec.g)):
+            undecided = _undecided(hamiltonian(batch, spec), threshold,
+                                   best_H if kap <= 0 else None)
+        for j in undecided:
+            state = PhaseState(float(batch.r[j]), float(batch.phi[j]),
+                               float(batch.p_r[j]), float(batch.p_phi[j]))
+            try:
+                H = hamiltonian(state, spec)
+            except CurvintError:
+                continue
+            if H < threshold:
+                if j + 1 < n:
+                    rng.bit_generator.state = rewind
+                    _draw(rng, j + 1)
                 return state
-            continue
-        escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
-        if H < escape - 0.02:
-            return state
-        if H < best_H:
-            best, best_H = state, H
+            if kap <= 0 and H < best_H:
+                best, best_H = state, H
+        tries += n
+        chunk *= _CHUNK_GROWTH
     if best is None:
         raise RuntimeError("could not sample an interior state")
     # no bounded orbit exists under this angular barrier; return the

@@ -5,6 +5,7 @@ import pytest
 
 from curvint.cli import RunConfig, dump_config, main, parse_config
 from curvint.errors import ConfigError
+from curvint.verify import random_bounded_state
 
 PW_SPHERE = """
 # deformed Kepler on the unit sphere
@@ -72,6 +73,13 @@ class TestConfigParsing:
     def test_dump_defaults_round_trip(self):
         assert parse_config(dump_config(RunConfig())) == RunConfig()
 
+    def test_sampled_state_round_trip(self):
+        cfg = RunConfig(kind="pw", kappa=-1.0, k_a=0.8, k_b=0.3)
+        s = random_bounded_state(cfg.system_spec(),
+                                 np.random.default_rng(5))
+        cfg.r0, cfg.phi0, cfg.p_r0, cfg.p_phi0 = s.as_tuple()
+        assert parse_config(dump_config(cfg)) == cfg
+
 
 class TestSimulate:
     def test_circular_orbit(self, tmp_path):
@@ -99,9 +107,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "t.csv")]) == 3
 
-    def test_parse_error_exit_2(self, tmp_path):
-        cfg = write(tmp_path, "bogus = 1\n")
-        assert main(["simulate", "--config", cfg]) == 2
+    @pytest.mark.parametrize("command", ["simulate", "verify",
+                                         "dump-config"])
+    @pytest.mark.parametrize("text, flags", [
+        ("bogus = 1\n", []),
+        ("m_den = 0\n", []),
+        ("", ["--m", "1/0"]),
+        ("", ["--m", "abc"]),
+        ("", ["--kappa", "nan"]),
+        ("", ["--rel-tol", "0"]),
+        ("", ["--rel-tol", "-1"]),
+    ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
+            "rel-tol-0", "rel-tol-negative"])
+    def test_parse_error_exit_2(self, tmp_path, capsys, command, text,
+                                flags):
+        cfg = write(tmp_path, text)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out.csv"), *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_pole_capture_exit_4(self, tmp_path):
         cfg = write(tmp_path, CIRCULAR_KEPLER

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,3 +101,22 @@ class TestIdentities:
         for x in [0.2, 1.0, 2.3]:
             expected = sin_k(1.0, rt * x) / rt
             assert sin_k(kappa, x) == pytest.approx(expected, rel=1e-12)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-9, 0.0, 1e-9, 1.0])
+    @pytest.mark.parametrize("f", [sin_k, cos_k, tan_k, cot_k])
+    def test_matches_float_path(self, f, kappa):
+        # |kappa| x^2 crosses the series cutoff inside [-5, 5] at 1e-9;
+        # 0, pi/2 and pi are the poles at kappa = 1
+        xs = np.concatenate([np.linspace(-5.0, 5.0, 101),
+                             [1e-13, math.pi / 2, math.pi]])
+        got = f(kappa, xs)
+        assert got.shape == xs.shape
+        for x, value in zip(xs, got):
+            try:
+                expected = f(kappa, float(x))
+            except PoleError:
+                assert math.isnan(value), x
+            else:
+                assert abs(value - expected) <= 1e-14 * abs(expected), x

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from curvint import (AngularSingularityError, DomainError, PhaseState,
-                     SystemKind, SystemSpec, angular_F_m, angular_F_m_prime,
-                     hamiltonian, potential, reparam_alpha_beta)
+                     PoleError, SystemKind, SystemSpec, angular_F_m,
+                     angular_F_m_prime, hamiltonian, potential,
+                     reparam_alpha_beta)
 from conftest import kepler_spec, pw_spec, random_interior_states
 
 
@@ -149,3 +150,31 @@ class TestSpecValidation:
     def test_non_finite_curvature_rejected(self):
         with pytest.raises(DomainError):
             pw_spec(kappa=math.nan)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-9, 0.0, 1e-9, 1.0])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_hamiltonian_matches_float_path(self, kind, kappa):
+        m = Fraction(1) if kind is SystemKind.VC else Fraction(3, 2)
+        spec = SystemSpec(kind=kind, kappa=kappa, g=1.0, k_a=0.8, k_b=0.3,
+                          m=m,
+                          generic_F=(lambda p: 0.5 * np.cos(p),
+                                     lambda p: -0.5 * np.sin(p)))
+        states = random_interior_states(spec, 40, seed=5)
+        # the radial pole, and the angular singularity sin(m phi) = 0
+        states += [PhaseState(1e-13, 1.0, 0.1, 0.5),
+                   PhaseState(1.0, math.pi / m, 0.1, 0.5)]
+        if kappa == 1.0:
+            states.append(PhaseState(math.pi - 1e-13, 1.0, 0.1, 0.5))
+        batch = PhaseState(*(np.array(field) for field in
+                             zip(*(s.as_tuple() for s in states))))
+        got = hamiltonian(batch, spec)
+        assert got.shape == (len(states),)
+        for s, value in zip(states, got):
+            try:
+                expected = hamiltonian(s, spec)
+            except (PoleError, AngularSingularityError):
+                assert math.isnan(value), s
+            else:
+                assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected)), s

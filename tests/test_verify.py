@@ -165,3 +165,93 @@ class TestStateSampling:
         for _ in range(10):
             s = random_bounded_state(spec, rng)
             assert hamiltonian(s, spec) < 0.0
+
+
+def per_try_sampler(spec, rng, max_tries=2000):
+    """random_bounded_state as first written, one candidate per try: the
+    oracle of the chunked sampler.  Keep it frozen."""
+    kap = spec.kappa
+    best = None
+    best_H = math.inf
+    for _ in range(max_tries):
+        if kap > 0:
+            r_max = math.pi / math.sqrt(kap)
+            r = rng.uniform(0.25, 0.75) * r_max
+        else:
+            r = rng.uniform(0.6, 2.2)
+        if spec.has_angular_term:
+            u = rng.uniform(0.3 * math.pi, 0.7 * math.pi)
+            phi = u * spec.m_den / spec.m_num
+        else:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+        p_r = rng.uniform(-0.35, 0.35)
+        p_phi = rng.uniform(0.15, 0.7) * rng.choice((-1.0, 1.0))
+        state = PhaseState(r, phi, p_r, p_phi)
+        try:
+            H = hamiltonian(state, spec)
+        except CurvintError:
+            continue
+        if kap > 0:
+            if H < 0.65 * (1.0 + abs(spec.g)):
+                return state
+            continue
+        escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
+        if H < escape - 0.02:
+            return state
+        if H < best_H:
+            best, best_H = state, H
+    if best is None:
+        raise RuntimeError("could not sample an interior state")
+    return PhaseState(best.r, best.phi, -abs(best.p_r), best.p_phi)
+
+
+def sampler_specs():
+    scalar_profile = (lambda p: 0.5 * math.cos(p), lambda p: -0.5 * math.sin(p))
+    for kappa in (-1.0, -0.3, 0.0, 0.4, 1.0):
+        yield f"free-{kappa}", SystemSpec(
+            kind=SystemKind.FREE_GEODESIC, kappa=kappa, g=1.0)
+        yield f"kepler-{kappa}", kepler_spec(kappa=kappa)
+        yield f"vc-{kappa}", SystemSpec(kind=SystemKind.VC, kappa=kappa,
+                                        g=1.0, k_a=0.5, k_b=0.2)
+        for m in ("1", "2", "3", "1/2", "3/2"):
+            yield f"pw-{kappa}-m{m}", pw_spec(kappa=kappa, m=Fraction(m))
+        yield f"generic-{kappa}", SystemSpec(
+            kind=SystemKind.GENERIC_F, kappa=kappa, g=1.0,
+            generic_F=scalar_profile)
+    # every candidate rejected, and every candidate on the radial pole
+    yield "pw-stiff", pw_spec(kappa=1.0, k_a=50.0)
+    yield "kepler-pole", kepler_spec(kappa=1e30)
+
+
+SAMPLER_SPECS = dict(sampler_specs())
+
+
+class TestChunkedSampler:
+    """random_bounded_state against the per-try loop it replaced."""
+
+    @staticmethod
+    def assert_same_draws(spec, seed, max_tries, draws):
+        oracle_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            try:
+                expected = per_try_sampler(spec, oracle_rng, max_tries)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    random_bounded_state(spec, rng, max_tries)
+            else:
+                got = random_bounded_state(spec, rng, max_tries)
+                assert got == expected
+                assert all(type(v) is float for v in got.as_tuple())
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", SAMPLER_SPECS)
+    def test_same_draws_as_per_try_loop(self, name):
+        self.assert_same_draws(SAMPLER_SPECS[name], 11, 2000, 2)
+
+    # 1, 5 and 21 end the first three chunks; 17 ends inside the third
+    # and 40 inside the first screened one
+    @pytest.mark.parametrize("max_tries", [1, 5, 17, 40])
+    def test_same_draws_at_chunk_boundaries(self, max_tries):
+        for spec in SAMPLER_SPECS.values():
+            self.assert_same_draws(spec, max_tries, max_tries, 6)
