@@ -9,9 +9,9 @@ from .errors import (AngularSingularityError, ConfigError, CurvintError,
                      DomainError, NegativeCasimirError, PoleError,
                      StencilError)
 from .kappa_trig import cos_k, cot_k, r_domain, sin_k, tan_k
-from .systems import (PhaseState, SystemKind, SystemSpec, angular_F_m,
-                      angular_F_m_prime, angular_profile, hamiltonian,
-                      potential, reparam_alpha_beta)
+from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
+                      angular_F_m, angular_F_m_prime, angular_profile,
+                      hamiltonian, potential, reparam_alpha_beta)
 from .dynamics import (IntegratorConfig, Termination, Trajectory, eom,
                        integrate)
 from .invariants import (angular_j, evaluators_for, j1, j2, k_constant,

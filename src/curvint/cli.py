@@ -64,11 +64,6 @@ class RunConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     singularity_margin: float = 1e-6
-    verify_drift: bool = True
-    verify_brackets: bool = True
-    verify_rotation: bool = True
-    verify_moduli: bool = True
-    verify_limit: bool = True
 
     def system_spec(self) -> SystemSpec:
         if self.kind not in _KINDS:
@@ -100,13 +95,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _convert(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
-    if ftype in (bool, "bool"):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if ftype in (int, "int"):
         return int(raw)
     if ftype in (float, "float"):
@@ -138,9 +126,7 @@ def dump_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
@@ -187,19 +173,8 @@ def cmd_simulate(args) -> int:
         print(f"singular initial state: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_START
 
-    evals = evaluators_for(spec)
     out = args.out or "trajectory.csv"
-    with open(out, "w") as fh:
-        fh.write("t,r,phi,p_r,p_phi")
-        for name in evals:
-            fh.write("," + name)
-        fh.write("\n")
-        for t, y in zip(traj.times, traj.states):
-            row = ["%.17g" % v for v in (t, *y)]
-            st = PhaseState.from_tuple(y)
-            for fn in evals.values():
-                row.append("%.17g" % fn(st))
-            fh.write(",".join(row) + "\n")
+    traj.write_csv(out, evaluators_for(spec))
     print(f"{traj.termination.value}: {len(traj)} samples -> {out}")
     return _EXIT_BY_TERMINATION[traj.termination]
 
@@ -214,69 +189,61 @@ def _verify_rows(cfg: RunConfig, negative_control: bool):
     traj = integrate(cfg.initial_state(), spec, cfg.t_end,
                      cfg.integrator_config())
 
-    if cfg.verify_drift:
-        for name, fn in evaluators_for(spec).items():
-            rep = drift(traj, name, lambda s, t, fn=fn: fn(s), 1e-8)
-            rows.append(("drift", name, rep.rel_drift, rep.tolerance,
-                         rep.passed))
-        if negative_control:
-            rep = drift(traj, "J2_plus_t",
-                        lambda s, t: j2(s, spec) + t, 1e-8)
-            rows.append(("drift", "J2_plus_t", rep.rel_drift,
-                         rep.tolerance, rep.passed))
+    for name, fn in evaluators_for(spec).items():
+        rep = drift(traj, name, lambda s, t, fn=fn: fn(s), 1e-8)
+        rows.append(("drift", name, rep.rel_drift, rep.tolerance,
+                     rep.passed))
+    if negative_control:
+        rep = drift(traj, "J2_plus_t", lambda s, t: j2(s, spec) + t, 1e-8)
+        rows.append(("drift", "J2_plus_t", rep.rel_drift, rep.tolerance,
+                     rep.passed))
 
     states = [random_bounded_state(spec, rng) for _ in range(20)]
 
-    if cfg.verify_brackets:
-        H = lambda s: hamiltonian(s, spec)
-        named = {"J2~H": lambda s: j2(s, spec)}
-        if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F:
-            named["J3~H"] = lambda s: k_constant(s, spec).real
-            named["J4~H"] = lambda s: k_constant(s, spec).imag
-        else:
-            named["p_phi~H"] = lambda s: s.p_phi
-        if negative_control:
-            named["J2+r~H"] = lambda s: j2(s, spec) + s.r
-        for name, fn in named.items():
-            worst = 0.0
-            for s in states:
-                value, scale = bracket_with_scale(fn, H, s)
-                worst = max(worst, abs(value) / (1.0 + scale))
-            rows.append(("bracket", name, worst, 1e-6, worst <= 1e-6))
+    H = lambda s: hamiltonian(s, spec)
+    named = {"J2~H": lambda s: j2(s, spec)}
+    if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F:
+        named["J3~H"] = lambda s: k_constant(s, spec).real
+        named["J4~H"] = lambda s: k_constant(s, spec).imag
+    else:
+        named["p_phi~H"] = lambda s: s.p_phi
+    if negative_control:
+        named["J2+r~H"] = lambda s: j2(s, spec) + s.r
+    for name, fn in named.items():
+        worst = 0.0
+        for s in states:
+            value, scale = bracket_with_scale(fn, H, s)
+            worst = max(worst, abs(value) / (1.0 + scale))
+        rows.append(("bracket", name, worst, 1e-6, worst <= 1e-6))
 
     if spec.kind in (SystemKind.PW, SystemKind.VC):
-        if cfg.verify_rotation:
-            rep = rotation_check(traj, spec)
-            rows.append(("rotation", "M_r", rep.max_rel_err_m,
-                         rep.tolerance, rep.max_rel_err_m < rep.tolerance))
-            rows.append(("rotation", "N_phi", rep.max_rel_err_n,
-                         rep.tolerance, rep.max_rel_err_n < rep.tolerance))
-        if cfg.verify_moduli:
-            worst_m = worst_n = 0.0
-            for s in states:
-                J2 = j2(s, spec)
-                H0 = hamiltonian(s, spec)
-                lhs_m = abs(m_r(s, spec)) ** 2
-                rhs_m = (2.0 * H0 - spec.kappa * J2) * J2 + spec.g ** 2
-                lhs_n = abs(n_phi(s, spec)) ** 2
-                rhs_n = J2 * J2 - 2.0 * spec.k_a * J2 + spec.k_b ** 2
-                worst_m = max(worst_m,
-                              abs(lhs_m - rhs_m) / (1.0 + abs(rhs_m)))
-                worst_n = max(worst_n,
-                              abs(lhs_n - rhs_n) / (1.0 + abs(rhs_n)))
-            rows.append(("moduli", "|M_r|^2", worst_m, 1e-10,
-                         worst_m <= 1e-10))
-            rows.append(("moduli", "|N_phi|^2", worst_n, 1e-10,
-                         worst_n <= 1e-10))
-        if cfg.verify_limit:
-            def make_spec(kap):
-                return SystemSpec(kind=spec.kind, kappa=kap, g=spec.g,
-                                  k_a=spec.k_a, k_b=spec.k_b, m=spec.m)
-            for rep in euclidean_limit_scan(make_spec, cfg.initial_state()):
-                dev8 = max((d for kap, d in rep.deviations
-                            if abs(kap) < 5e-8), default=0.0)
-                rows.append(("limit", rep.name, dev8,
-                             1e-7 * (1.0 + abs(rep.flat_value)), rep.passed))
+        rep = rotation_check(traj, spec)
+        rows.append(("rotation", "M_r", rep.max_rel_err_m, rep.tolerance,
+                     rep.max_rel_err_m < rep.tolerance))
+        rows.append(("rotation", "N_phi", rep.max_rel_err_n, rep.tolerance,
+                     rep.max_rel_err_n < rep.tolerance))
+        worst_m = worst_n = 0.0
+        for s in states:
+            J2 = j2(s, spec)
+            H0 = hamiltonian(s, spec)
+            lhs_m = abs(m_r(s, spec)) ** 2
+            rhs_m = (2.0 * H0 - spec.kappa * J2) * J2 + spec.g ** 2
+            lhs_n = abs(n_phi(s, spec)) ** 2
+            rhs_n = J2 * J2 - 2.0 * spec.k_a * J2 + spec.k_b ** 2
+            worst_m = max(worst_m, abs(lhs_m - rhs_m) / (1.0 + abs(rhs_m)))
+            worst_n = max(worst_n, abs(lhs_n - rhs_n) / (1.0 + abs(rhs_n)))
+        rows.append(("moduli", "|M_r|^2", worst_m, 1e-10, worst_m <= 1e-10))
+        rows.append(("moduli", "|N_phi|^2", worst_n, 1e-10,
+                     worst_n <= 1e-10))
+
+        def make_spec(kap):
+            return SystemSpec(kind=spec.kind, kappa=kap, g=spec.g,
+                              k_a=spec.k_a, k_b=spec.k_b, m=spec.m)
+        for rep in euclidean_limit_scan(make_spec, cfg.initial_state()):
+            dev8 = max((d for kap, d in rep.deviations
+                        if abs(kap) < 5e-8), default=0.0)
+            rows.append(("limit", rep.name, dev8,
+                         1e-7 * (1.0 + abs(rep.flat_value)), rep.passed))
     return rows
 
 
@@ -316,13 +283,11 @@ def cmd_potential_curve(args) -> int:
         print("require 0 < r-min < r-max < pi", file=sys.stderr)
         return EXIT_CONFIG
     out = args.out or "potential_curve.csv"
-    with open(out, "w") as fh:
-        fh.write("r,U_plus,U_flat,U_minus\n")
-        for r in np.linspace(args.r_min, args.r_max, args.samples):
-            u1 = -args.g * cot_k(1.0, r)
-            u0 = -args.g / r
-            um = -args.g * cot_k(-1.0, r)
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (r, u1, u0, um))
+    r = np.linspace(args.r_min, args.r_max, args.samples)
+    np.savetxt(out, np.column_stack((r, -args.g * cot_k(1.0, r), -args.g / r,
+                                     -args.g * cot_k(-1.0, r))),
+               fmt="%.17g", delimiter=",", header="r,U_plus,U_flat,U_minus",
+               comments="")
     print(f"{args.samples} samples -> {out}")
     return EXIT_OK
 

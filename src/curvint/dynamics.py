@@ -25,11 +25,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import PoleError
-from .kappa_trig import cos_k, sin_k
+from .kappa_trig import cos_k, sin_k, sin_k_off_pole
 from .systems import PhaseState, SystemKind, SystemSpec, angular_profile
-
-_CSV_HEADER = "t,r,phi,p_r,p_phi"
-
 
 class Termination(Enum):
     COMPLETED = "completed"
@@ -70,23 +67,24 @@ class Trajectory:
     def state(self, i: int) -> PhaseState:
         return PhaseState.from_tuple(self.states[i])
 
-    def state_at(self, t: float) -> PhaseState:
-        """Dense-output sample at an arbitrary time inside the span."""
-        return PhaseState.from_tuple(self.dense(t))
-
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, columns: Optional[dict] = None) -> None:
+        """One row per accepted step: t, r, phi, p_r, p_phi, then a column
+        per entry of columns (name -> evaluator, as from evaluators_for),
+        each evaluator called once on the trajectory as a PhaseState of
+        arrays; every value as %.17g."""
+        columns = columns or {}
+        batch = PhaseState(*self.states.T)
+        values = [fn(batch) for fn in columns.values()]
+        row = ",".join(["%.17g"] * (5 + len(values))) + "\n"
         with open(path, "w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for t, y in zip(self.times, self.states):
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                         % (t, y[0], y[1], y[2], y[3]))
+            fh.write(",".join(["t,r,phi,p_r,p_phi", *columns]) + "\n")
+            fh.writelines(row % fields for fields in
+                          zip(self.times, *self.states.T, *values))
 
 
 def eom(state: PhaseState, spec: SystemSpec) -> tuple[float, float, float, float]:
     """Right-hand side of Hamilton's equations at one phase point."""
-    S = sin_k(spec.kappa, state.r)
-    if abs(S) < 1e-12:
-        raise PoleError(f"radial pole at r = {state.r}", location=state.r)
+    sin_k_off_pole(spec.kappa, state.r)     # PoleError at the radial pole
     return tuple(_rhs(np.array(state.as_tuple()), spec))
 
 
@@ -127,18 +125,17 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     radial_guard.direction = -1
     events.append(radial_guard)
 
-    if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F \
-            and (spec.k_a != 0.0 or spec.k_b != 0.0):
-        mf = spec.m_num / spec.m_den
+    if spec.has_F_m:
+        p, q = spec.m_num, spec.m_den
 
         def angular_guard(t, y):
-            s = math.sin(mf * y[1])
+            s = math.sin((p * y[1]) / q)
             return s * s - margin * margin
         angular_guard.terminal = True
         angular_guard.direction = -1
         events.append(angular_guard)
 
-        if abs(math.sin(mf * state0.phi)) < margin:
+        if abs(math.sin((p * state0.phi) / q)) < margin:
             raise PoleError("initial state within margin of the angular "
                             f"singularity (phi = {state0.phi})")
 

@@ -15,102 +15,109 @@ which evolve by pure phase rotation with common rate lambda = sqrt(J2)/Sin_k^2(r
     K = M_r^p * conj(N_phi)^q
 
 is a constant of the motion.  Its real and imaginary parts are the third
-and fourth real integrals (J3, J4).  Complex values use the builtin
-`complex`; integer powers are taken by repeated multiplication, never via
-log/exp branch cuts.
+and fourth real integrals (J3, J4).  Integer powers are taken by repeated
+multiplication, never via log/exp branch cuts.  Like the Hamiltonian, every
+invariant takes a PhaseState of floats or of numpy arrays (a trajectory,
+say); where a float raises (PoleError, AngularSingularityError, or
+NegativeCasimirError at J2 <= 0) an array element is nan instead.
 """
 
 import math
 
+import numpy as np
+
 from .errors import NegativeCasimirError
-from .kappa_trig import cot_k, sin_k
-from .systems import (PhaseState, SystemKind, SystemSpec, angular_profile,
-                      hamiltonian)
+from .kappa_trig import cot_k, sin_k_off_pole
+from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
+                      angular_sin_cos, hamiltonian)
 
 
-def noether_p1(state: PhaseState, spec: SystemSpec) -> float:
+def noether_p1(state: PhaseState, spec: SystemSpec):
     """First Noether momentum; reduces to p_x in the plane."""
+    xp = np if isinstance(state.phi, np.ndarray) else math
     ck = cot_k(spec.kappa, state.r)
-    return (math.cos(state.phi) * state.p_r
-            - ck * math.sin(state.phi) * state.p_phi)
+    return (xp.cos(state.phi) * state.p_r
+            - ck * xp.sin(state.phi) * state.p_phi)
 
 
-def noether_p2(state: PhaseState, spec: SystemSpec) -> float:
+def noether_p2(state: PhaseState, spec: SystemSpec):
     """Second Noether momentum; reduces to p_y in the plane."""
+    xp = np if isinstance(state.phi, np.ndarray) else math
     ck = cot_k(spec.kappa, state.r)
-    return (math.sin(state.phi) * state.p_r
-            + ck * math.cos(state.phi) * state.p_phi)
+    return (xp.sin(state.phi) * state.p_r
+            + ck * xp.cos(state.phi) * state.p_phi)
 
 
-def angular_j(state: PhaseState) -> float:
+def angular_j(state: PhaseState):
     """Angular momentum: canonically just p_phi."""
     return state.p_phi
 
 
-def j1(state: PhaseState, spec: SystemSpec) -> float:
+def j1(state: PhaseState, spec: SystemSpec):
     """First separability integral; equals 2H by construction."""
     return 2.0 * hamiltonian(state, spec)
 
 
-def j2(state: PhaseState, spec: SystemSpec) -> float:
+def j2(state: PhaseState, spec: SystemSpec):
     """Angular-sector Casimir p_phi^2 + 2 F(phi)."""
-    F, _ = angular_profile(spec, state.phi)
-    return state.p_phi ** 2 + 2.0 * F
+    return state.p_phi ** 2 + 2.0 * angular_F(spec, state.phi)
 
 
-def runge_lenz(state: PhaseState, spec: SystemSpec) -> tuple[float, float]:
+def runge_lenz(state: PhaseState, spec: SystemSpec) -> tuple:
     """Curved Runge-Lenz pair (I3, I4) of the Kepler problem."""
+    xp = np if isinstance(state.phi, np.ndarray) else math
     J = angular_j(state)
-    return (noether_p2(state, spec) * J - spec.g * math.cos(state.phi),
-            noether_p1(state, spec) * J + spec.g * math.sin(state.phi))
+    return (noether_p2(state, spec) * J - spec.g * xp.cos(state.phi),
+            noether_p1(state, spec) * J + spec.g * xp.sin(state.phi))
 
 
-def vc_integrals(state: PhaseState, spec: SystemSpec) -> tuple[float, float]:
+def vc_integrals(state: PhaseState, spec: SystemSpec) -> tuple:
     """Quadratic pair (I2, I3) of the m = 1 deformed Kepler system.
 
-    k_a, k_b of the spec play the roles of the k2, k3 coefficients.
+    k_a, k_b of the spec play the roles of the k2, k3 coefficients; I2 = J2.
     """
-    J = angular_j(state)
-    s = math.sin(state.phi)
-    c = math.cos(state.phi)
+    s, c = angular_sin_cos(state.phi, spec.m)
     s2 = s * s
     ck = cot_k(spec.kappa, state.r)
-    i2 = J * J + (2.0 * spec.k_a + 2.0 * spec.k_b * c) / s2
-    i3 = (noether_p2(state, spec) * J - spec.g * c
+    i3 = (noether_p2(state, spec) * angular_j(state) - spec.g * c
           + 2.0 * spec.k_a * ck * (c / s2)
           + spec.k_b * ck * ((1.0 + c * c) / s2))
-    return (i2, i3)
+    # + 0 * I3: an array I2 is nan wherever the float pair raises
+    return (j2(state, spec) + 0.0 * i3, i3)
 
 
-def _sqrt_j2(state: PhaseState, spec: SystemSpec) -> float:
+def _sqrt_j2(state: PhaseState, spec: SystemSpec):
     J2 = j2(state, spec)
+    if isinstance(J2, np.ndarray):
+        return np.sqrt(np.where(J2 > 0.0, J2, np.nan))
     if J2 <= 0.0:
         raise NegativeCasimirError(f"J2 = {J2} <= 0 at {state}")
     return math.sqrt(J2)
 
 
-def m_r(state: PhaseState, spec: SystemSpec) -> complex:
+def m_r(state: PhaseState, spec: SystemSpec):
     """Radial complex factor M_r."""
     sq = _sqrt_j2(state, spec)
-    return complex(state.p_r * sq,
-                   spec.g - sq * sq * cot_k(spec.kappa, state.r))
+    return (state.p_r * sq
+            + 1j * (spec.g - sq * sq * cot_k(spec.kappa, state.r)))
 
 
-def n_phi(state: PhaseState, spec: SystemSpec) -> complex:
+def n_phi(state: PhaseState, spec: SystemSpec):
     """Angular complex factor N_phi."""
     sq = _sqrt_j2(state, spec)
     u = (spec.m_num * state.phi) / spec.m_den
-    return complex(spec.k_b + sq * sq * math.cos(u),
-                   state.p_phi * sq * math.sin(u))
+    xp = np if isinstance(u, np.ndarray) else math
+    return (spec.k_b + sq * sq * xp.cos(u)
+            + 1j * (state.p_phi * sq * xp.sin(u)))
 
 
-def lambda_k(state: PhaseState, spec: SystemSpec) -> float:
+def lambda_k(state: PhaseState, spec: SystemSpec):
     """Common phase-rotation rate sqrt(J2) / Sin_k(r)^2."""
-    S = sin_k(spec.kappa, state.r)
+    S = sin_k_off_pole(spec.kappa, state.r)
     return _sqrt_j2(state, spec) / (S * S)
 
 
-def _ipow(z: complex, n: int) -> complex:
+def _ipow(z, n: int):
     """z**n for n >= 0 by repeated multiplication."""
     out = complex(1.0, 0.0)
     for _ in range(n):
@@ -119,7 +126,7 @@ def _ipow(z: complex, n: int) -> complex:
 
 
 def k_constant(state: PhaseState, spec: SystemSpec,
-               p: int | None = None, q: int | None = None) -> complex:
+               p: int | None = None, q: int | None = None):
     """Higher-order complex constant M_r^p * conj(N_phi)^q for m = p/q.
 
     Defaults to the exponents of spec.m; q = 1 recovers the integer-m

@@ -87,15 +87,24 @@ def sin_k(kappa: float, x):
     return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
 
 
+def _off_pole(v, what: str, kappa: float, x):
+    """v; PoleError (nan in an array) where |v| < _POLE_EPS."""
+    if isinstance(v, _ndarray):
+        return np.where(abs(v) < _POLE_EPS, np.nan, v)
+    if abs(v) < _POLE_EPS:
+        raise PoleError(f"pole: {what}({kappa}, {x}) = {v}", location=x)
+    return v
+
+
 def tan_k(kappa: float, x):
     """sin_k / cos_k.  PoleError (nan for an array) where cos_k vanishes."""
-    c = cos_k(kappa, x)
-    if isinstance(c, _ndarray):
-        c = np.where(abs(c) < _POLE_EPS, np.nan, c)
-    elif abs(c) < _POLE_EPS:
-        raise PoleError(
-            f"tan_k pole: cos_k({kappa}, {x}) = {c}", location=x)
-    return sin_k(kappa, x) / c
+    return sin_k(kappa, x) / _off_pole(cos_k(kappa, x), "cos_k", kappa, x)
+
+
+def sin_k_off_pole(kappa: float, x):
+    """sin_k, with PoleError (nan for an array) where it vanishes: the
+    divisor of every 1/Sin_k factor (r = 0, the antipode of the sphere)."""
+    return _off_pole(sin_k(kappa, x), "sin_k", kappa, x)
 
 
 def cot_k(kappa: float, x):
@@ -104,13 +113,7 @@ def cot_k(kappa: float, x):
     Preferred over 1/tan_k inside potentials: the cos_k zero (equator of
     the sphere) is a regular point of every formula written with 1/Tan.
     """
-    s = sin_k(kappa, x)
-    if isinstance(s, _ndarray):
-        s = np.where(abs(s) < _POLE_EPS, np.nan, s)
-    elif abs(s) < _POLE_EPS:
-        raise PoleError(
-            f"cot_k pole: sin_k({kappa}, {x}) = {s}", location=x)
-    return cos_k(kappa, x) / s
+    return cos_k(kappa, x) / sin_k_off_pole(kappa, x)
 
 
 def r_domain(kappa: float) -> tuple[float, float]:

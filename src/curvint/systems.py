@@ -14,12 +14,12 @@ floats or numpy arrays of one shape (phi alone for the profiles).  Floats
 are evaluated with `math` and raise PoleError / AngularSingularityError at
 a singularity; arrays are evaluated elementwise with numpy in the same
 formulas and give nan there instead (see kappa_trig).  A generic profile's
-callables receive phi as given, so they must accept arrays to be used with
-array states.
+callables are mapped over an array phi element by element, so callables
+written for floats serve array states too.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AngularSingularityError, DomainError
-from .kappa_trig import cot_k, sin_k
+from .kappa_trig import cos_k, sin_k_off_pole
 
 # |sin(m phi)| below this counts as sitting on the angular singularity.
 _ANGULAR_EPS = 1e-12
@@ -47,8 +47,9 @@ class SystemKind(Enum):
 class PhaseState:
     """Point of phase space in geodesic polar coordinates.
 
-    The fields may also be numpy arrays of one shape: a batch of points for
-    the array path of potential and hamiltonian.
+    The fields may also be numpy arrays of one shape: a batch of points,
+    such as a whole trajectory, for the array path of the potential, the
+    Hamiltonian and the invariants.
     """
     r: float
     phi: float
@@ -79,6 +80,8 @@ class SystemSpec:
     # (F, dF/dphi) pair for GENERIC_F
     generic_F: Optional[tuple[Callable[[float], float],
                               Callable[[float], float]]] = None
+    # F is a nonzero F_m, singular at sin(m phi) = 0; stored: the RHS reads it
+    has_F_m: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
@@ -92,6 +95,9 @@ class SystemSpec:
             raise DomainError("the VC system fixes m = 1")
         if self.kind is SystemKind.GENERIC_F and self.generic_F is None:
             raise DomainError("GENERIC_F requires a (F, dF) callable pair")
+        object.__setattr__(self, "has_F_m",
+                           self.kind in (SystemKind.VC, SystemKind.PW)
+                           and (self.k_a != 0.0 or self.k_b != 0.0))
 
     @property
     def m_num(self) -> int:
@@ -107,10 +113,10 @@ class SystemSpec:
                              SystemKind.GENERIC_F)
 
 
-def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
-    """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
-    u = (m.numerator * phi) / m.denominator if isinstance(m, Fraction) \
-        else float(m) * phi
+def angular_sin_cos(phi, m: Fraction):
+    """(sin(m phi), cos(m phi)) with m phi = (p phi)/q; AngularSingularityError
+    (nan for an array) where |sin(m phi)| < _ANGULAR_EPS."""
+    u = (m.numerator * phi) / m.denominator
     xp = np if isinstance(u, _ndarray) else math
     s = xp.sin(u)
     if xp is np:
@@ -118,22 +124,20 @@ def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
     elif abs(s) < _ANGULAR_EPS:
         raise AngularSingularityError(
             f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-    return (k_a + k_b * xp.cos(u)) / (s * s)
+    return s, xp.cos(u)
+
+
+def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
+    """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
+    s, c = angular_sin_cos(phi, m)
+    return (k_a + k_b * c) / (s * s)
 
 
 def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
     """d/dphi of angular_F_m."""
-    mf = m.numerator / m.denominator if isinstance(m, Fraction) else float(m)
-    u = mf * phi
-    xp = np if isinstance(u, _ndarray) else math
-    s = xp.sin(u)
-    if xp is np:
-        s = np.where(abs(s) < _ANGULAR_EPS, np.nan, s)
-    elif abs(s) < _ANGULAR_EPS:
-        raise AngularSingularityError(
-            f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-    c = xp.cos(u)
-    return -mf * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s)
+    s, c = angular_sin_cos(phi, m)
+    return (-(m.numerator / m.denominator)
+            * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
 
 
 def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
@@ -145,15 +149,28 @@ def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
     return (2.0 * (alpha + beta), 2.0 * (beta - alpha))
 
 
+def _elementwise(f, phi):
+    """f(phi); f is mapped over an array phi, so it need not accept arrays."""
+    if isinstance(phi, _ndarray):
+        return np.vectorize(f, otypes=[float])(phi)
+    return f(phi)
+
+
+def angular_F(spec: SystemSpec, phi):
+    """F(phi) for the given system; 0 for central kinds."""
+    if spec.kind is SystemKind.GENERIC_F:
+        return _elementwise(spec.generic_F[0], phi)
+    if not spec.has_F_m:
+        return 0.0
+    return angular_F_m(phi, spec.k_a, spec.k_b, spec.m)
+
+
 def angular_profile(spec: SystemSpec, phi) -> tuple:
     """(F(phi), F'(phi)) for the given system; (0, 0) for central kinds."""
-    if spec.kind in (SystemKind.FREE_GEODESIC, SystemKind.KEPLER):
-        return (0.0, 0.0)
     if spec.kind is SystemKind.GENERIC_F:
         F, dF = spec.generic_F
-        return (F(phi), dF(phi))
-    if spec.k_a == 0.0 and spec.k_b == 0.0:
-        # identically zero profile: no angular singularity exists
+        return (_elementwise(F, phi), _elementwise(dF, phi))
+    if not spec.has_F_m:
         return (0.0, 0.0)
     return (angular_F_m(phi, spec.k_a, spec.k_b, spec.m),
             angular_F_m_prime(phi, spec.k_a, spec.k_b, spec.m))
@@ -163,16 +180,14 @@ def potential(state: PhaseState, spec: SystemSpec):
     """U(r, phi) for the given system kind."""
     if spec.kind is SystemKind.FREE_GEODESIC:
         return 0.0
-    U = -spec.g * cot_k(spec.kappa, state.r)
-    if spec.has_angular_term:
-        S = sin_k(spec.kappa, state.r)
-        F, _ = angular_profile(spec, state.phi)
-        U += F / (S * S)
-    return U
+    S = sin_k_off_pole(spec.kappa, state.r)
+    return (-spec.g * (cos_k(spec.kappa, state.r) / S)
+            + angular_F(spec, state.phi) / (S * S))
 
 
 def hamiltonian(state: PhaseState, spec: SystemSpec):
-    """Total energy (p_r^2 + p_phi^2/Sin_k^2)/2 + U."""
-    S = sin_k(spec.kappa, state.r)
+    """Total energy (p_r^2 + p_phi^2/Sin_k^2)/2 + U; PoleError (nan for an
+    array) where Sin_k(r) vanishes, for every kind."""
+    S = sin_k_off_pole(spec.kappa, state.r)
     T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)
     return T + potential(state, spec)

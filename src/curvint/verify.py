@@ -80,13 +80,21 @@ class DriftReport:
 
 def drift(traj: Trajectory, name: str, fn: Callable[[PhaseState, float], float],
           tolerance: float = 1e-8) -> DriftReport:
-    """Max deviation of fn(state, t) from its initial value along traj."""
+    """Max deviation of fn(state, t) from its initial value along traj.
+
+    fn is called once, on the trajectory as a PhaseState of arrays and the
+    array of times.  It is called again as floats at the first non-finite
+    value, so a singular state raises the float path's error (PoleError,
+    NegativeCasimirError, ...); a value that stays non-finite fails.
+    """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    v0 = fn(traj.state(0), float(traj.times[0]))
-    dev = 0.0
-    for i in range(1, len(traj)):
-        dev = max(dev, abs(fn(traj.state(i), float(traj.times[i])) - v0))
+    values = fn(PhaseState(*traj.states.T), traj.times)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        fn(traj.state(bad[0]), float(traj.times[bad[0]]))
+    v0 = values[0].item()
+    dev = float(np.max(np.abs(values - v0)))
     rel = dev / (1.0 + abs(v0))
     return DriftReport(name=name, initial=v0, max_abs_dev=dev,
                        rel_drift=rel, tolerance=tolerance,
@@ -111,7 +119,8 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
 
     Time derivatives come from central differences over dense output, so
     the check is independent of the analytic equations of motion.
-    flip_sign injects a wrong-sign lambda (negative control).
+    flip_sign injects a wrong-sign lambda (negative control).  The samples
+    are evaluated as arrays, with drift's rule at a non-finite error.
     """
     if traj.dense is None or len(traj) < 3:
         raise ValueError("trajectory too sparse for rotation check")
@@ -121,21 +130,24 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
         raise ValueError("trajectory span too short")
     mf = spec.m_num / spec.m_den
     sgn = -1.0 if flip_sign else 1.0
-    err_m = 0.0
-    err_n = 0.0
-    for t in np.linspace(t0, t1, n_samples):
-        sm = traj.state_at(t - dt)
-        sp = traj.state_at(t + dt)
-        sc = traj.state_at(t)
+
+    def errors(t):
+        sm, sc, sp = (PhaseState(*traj.dense(t + h)) for h in (-dt, 0.0, dt))
         lam = sgn * lambda_k(sc, spec)
         M = m_r(sc, spec)
         N = n_phi(sc, spec)
         dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
         dN = (n_phi(sp, spec) - n_phi(sm, spec)) / (2.0 * dt)
-        scale_m = max(1.0, abs(lam) * abs(M))
-        scale_n = max(1.0, mf * abs(lam) * abs(N))
-        err_m = max(err_m, abs(dM - 1j * lam * M) / scale_m)
-        err_n = max(err_n, abs(dN - 1j * mf * lam * N) / scale_n)
+        return (abs(dM - 1j * lam * M) / np.maximum(1.0, abs(lam) * abs(M)),
+                abs(dN - 1j * mf * lam * N)
+                / np.maximum(1.0, mf * abs(lam) * abs(N)))
+
+    ts = np.linspace(t0, t1, n_samples)
+    err_m, err_n = errors(ts)
+    bad = np.flatnonzero(~np.isfinite(err_m + err_n))
+    if bad.size:
+        errors(float(ts[bad[0]]))
+    err_m, err_n = float(np.max(err_m)), float(np.max(err_n))
     return RotationReport(max_rel_err_m=err_m, max_rel_err_n=err_n,
                           tolerance=tolerance,
                           passed=err_m < tolerance and err_n < tolerance)

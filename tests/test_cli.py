@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvint import PhaseState, evaluators_for
 from curvint.cli import RunConfig, dump_config, main, parse_config
 from curvint.errors import ConfigError
 from curvint.verify import random_bounded_state
@@ -102,10 +103,50 @@ class TestSimulate:
             assert np.max(np.abs(vals - vals[0])) \
                 <= 1e-7 * (1.0 + abs(vals[0]))
 
+    @pytest.mark.parametrize("text", [
+        PW_SPHERE, PW_SPHERE + "kappa = -1.0\nm_num = 3\nm_den = 2\n",
+        CIRCULAR_KEPLER + "kappa = 1.0\np_r0 = 0.1\np_phi0 = 0.7\n",
+        PW_SPHERE + "kind = vc\nm_num = 1\nkappa = 0.0\nphi0 = 1.3\n",
+        CIRCULAR_KEPLER + "kind = free\nkappa = -1.0\np_r0 = 0.3\n",
+    ], ids=["pw-sphere", "pw-hyperbolic", "kepler-sphere", "vc-flat",
+            "free-hyperbolic"])
+    def test_invariant_columns_match_float_evaluators(self, tmp_path, text):
+        out = str(tmp_path / "t.csv")
+        assert main(["simulate", "--config", write(tmp_path, text),
+                     "--out", out]) == 0
+        evals = evaluators_for(parse_config(text).system_spec())
+        header = open(out).readline().strip().split(",")
+        assert header == ["t", "r", "phi", "p_r", "p_phi", *evals]
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert len(data) > 10
+        for row in data:
+            state = PhaseState.from_tuple(row[1:5])
+            for value, fn in zip(row[5:], evals.values()):
+                expected = fn(state)
+                assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected))
+
     def test_singular_start_exit_3(self, tmp_path):
         cfg = write(tmp_path, PW_SPHERE + "phi0 = 0.0\n")
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "t.csv")]) == 3
+
+    def test_negative_casimir_start_verify_exit_3(self, tmp_path):
+        # J2 = 0.25 - 4 < 0: the higher-order columns are undefined
+        cfg = write(tmp_path, PW_SPHERE + "k_a = -2.0\nk_b = 0.0\n"
+                    "m_num = 1\nphi0 = 1.5707963267948966\np_phi0 = 0.5\n"
+                    "t_end = 1.0\n")
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 3
+
+    @pytest.mark.parametrize("key", ["verify_drift", "verify_brackets",
+                                     "verify_rotation", "verify_moduli",
+                                     "verify_limit"])
+    def test_removed_verify_switch_exit_2(self, tmp_path, capsys, key):
+        # every check always runs; the old switches are unknown keys
+        cfg = write(tmp_path, PW_SPHERE + f"{key} = false\n")
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "verify",
                                          "dump-config"])

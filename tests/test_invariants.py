@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from curvint import (NegativeCasimirError, PhaseState, SystemKind,
-                     SystemSpec, angular_j, hamiltonian, integrate, j1, j2,
-                     k_constant, lambda_k, m_r, n_phi, noether_p1,
-                     noether_p2, runge_lenz, vc_integrals)
+from curvint import (CurvintError, NegativeCasimirError, PhaseState,
+                     PoleError, SystemKind, SystemSpec, angular_j,
+                     hamiltonian, integrate, j1, j2, k_constant, lambda_k,
+                     m_r, n_phi, noether_p1, noether_p2, runge_lenz,
+                     vc_integrals)
 from curvint.verify import drift, rotation_check
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -229,3 +231,55 @@ class TestComplexFactors:
             rep = invariant_drift(
                 traj, lambda s, p=part: p(k_constant(s, spec)), 1e-7)
             assert rep.passed, rep
+
+
+class TestArrayPath:
+    """Each invariant on a PhaseState of arrays against its float path."""
+
+    INVARIANTS = {
+        "P1": noether_p1, "P2": noether_p2, "J1": j1, "J2": j2,
+        "I3_kepler": lambda s, spec: runge_lenz(s, spec)[0],
+        "I4_kepler": lambda s, spec: runge_lenz(s, spec)[1],
+        "I2_vc": lambda s, spec: vc_integrals(s, spec)[0],
+        "I3_vc": lambda s, spec: vc_integrals(s, spec)[1],
+        "M_r": m_r, "N_phi": n_phi, "lambda": lambda_k, "K": k_constant,
+    }
+
+    @pytest.mark.parametrize("k_a", [0.8, -0.8])
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-9, 0.0, 1e-9, 1.0])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_matches_float_path(self, kind, kappa, k_a):
+        m = Fraction(1) if kind is SystemKind.VC else Fraction(3, 2)
+        # a scalar-only generic profile: the array path maps it elementwise
+        spec = SystemSpec(kind=kind, kappa=kappa, g=1.0, k_a=k_a, k_b=0.3,
+                          m=m, generic_F=(lambda p: 0.5 * math.cos(p),
+                                          lambda p: -0.5 * math.sin(p)))
+        states = random_interior_states(spec, 40, seed=6)
+        # radial pole, angular singularities, and J2 <= 0 (p_phi = 0 with
+        # a vanishing or attractive profile)
+        states += [PhaseState(1e-13, 1.0, 0.1, 0.5),
+                   PhaseState(0.0, 1.0, 0.1, 0.5),
+                   PhaseState(1.0, math.pi / m, 0.1, 0.5),
+                   PhaseState(1.0, 0.0, 0.1, 0.5),
+                   PhaseState(1.0, 1.0, 0.1, 0.0)]
+        if kappa == 1.0:
+            states += [PhaseState(math.pi - 1e-13, 1.0, 0.1, 0.5),
+                       PhaseState(math.pi, 1.0, 0.1, 0.5)]
+        batch = PhaseState(*(np.array(field) for field in
+                             zip(*(s.as_tuple() for s in states))))
+        raised = set()
+        for name, fn in self.INVARIANTS.items():
+            got = fn(batch, spec)
+            assert np.shape(got) == (len(states),), name
+            for s, value in zip(states, got):
+                try:
+                    expected = fn(s, spec)
+                except CurvintError as exc:
+                    raised.add(type(exc))
+                    assert np.isnan(value), (name, s)
+                else:
+                    assert abs(value - expected) \
+                        <= 1e-14 * (1.0 + abs(expected)), (name, s)
+        assert PoleError in raised
+        if k_a < 0.0 or not spec.has_angular_term:
+            assert NegativeCasimirError in raised

@@ -119,6 +119,17 @@ class TestPotentialAndHamiltonian:
                 U = -1.0 / s.r + F / s.r ** 2
             assert hamiltonian(s, spec) == pytest.approx(T + U, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    @pytest.mark.parametrize("kappa,r", [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0),
+                                         (1.0, math.pi)])
+    def test_radial_pole_raises_pole_error(self, kind, kappa, r):
+        # r = 0 and the antipode: PoleError for every kind, never
+        # ZeroDivisionError or a huge finite energy (the free kind)
+        spec = SystemSpec(kind=kind, kappa=kappa, g=1.0, k_a=0.8, k_b=0.3,
+                          generic_F=(math.cos, math.sin))
+        with pytest.raises(PoleError):
+            hamiltonian(PhaseState(r, 1.0, 0.1, 0.5), spec)
+
     def test_potential_ordering_across_curvatures(self):
         # sphere above plane above hyperbolic on (0, pi/2), attractive g
         for r in np.linspace(0.05, math.pi / 2 - 0.05, 200):
@@ -164,9 +175,11 @@ class TestArrayPath:
         states = random_interior_states(spec, 40, seed=5)
         # the radial pole, and the angular singularity sin(m phi) = 0
         states += [PhaseState(1e-13, 1.0, 0.1, 0.5),
+                   PhaseState(0.0, 1.0, 0.1, 0.5),
                    PhaseState(1.0, math.pi / m, 0.1, 0.5)]
         if kappa == 1.0:
-            states.append(PhaseState(math.pi - 1e-13, 1.0, 0.1, 0.5))
+            states += [PhaseState(math.pi - 1e-13, 1.0, 0.1, 0.5),
+                       PhaseState(math.pi, 1.0, 0.1, 0.5)]
         batch = PhaseState(*(np.array(field) for field in
                              zip(*(s.as_tuple() for s in states))))
         got = hamiltonian(batch, spec)

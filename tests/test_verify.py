@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvint import (CurvintError, PhaseState, StencilError, SystemKind,
-                     SystemSpec, closure_detect, hamiltonian, integrate, j2,
-                     k_constant, euclidean_limit_scan, poisson_bracket_fd,
-                     random_bounded_state, rotation_check, tan_k)
+from curvint import (CurvintError, NegativeCasimirError, PhaseState,
+                     StencilError, SystemKind, SystemSpec, closure_detect,
+                     evaluators_for, hamiltonian, integrate, j2, k_constant,
+                     euclidean_limit_scan, lambda_k, m_r, n_phi,
+                     poisson_bracket_fd, random_bounded_state,
+                     rotation_check, tan_k)
 from curvint.verify import bracket_with_scale, drift
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -100,6 +102,100 @@ class TestRotation:
         traj = integrate(PhaseState(1.1, 1.2, 0.1, 0.5), spec, 10.0)
         assert rotation_check(traj, spec).passed
         assert not rotation_check(traj, spec, flip_sign=True).passed
+
+
+def reference_drift(traj, fn):
+    """(initial value, max deviation) of fn evaluated state by state."""
+    v0 = fn(traj.state(0), float(traj.times[0]))
+    return v0, max(abs(fn(traj.state(i), float(traj.times[i])) - v0)
+                   for i in range(len(traj)))
+
+
+def reference_rotation(traj, spec, n_samples=200, dt=2e-4, flip_sign=False):
+    """rotation_check's two maximum errors, evaluated sample by sample."""
+    mf = spec.m_num / spec.m_den
+    sgn = -1.0 if flip_sign else 1.0
+    err_m = err_n = 0.0
+    for t in np.linspace(float(traj.times[0]) + dt,
+                         float(traj.times[-1]) - dt, n_samples):
+        sm, sc, sp = (PhaseState.from_tuple(traj.dense(t + h))
+                      for h in (-dt, 0.0, dt))
+        lam = sgn * lambda_k(sc, spec)
+        M, N = m_r(sc, spec), n_phi(sc, spec)
+        dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
+        dN = (n_phi(sp, spec) - n_phi(sm, spec)) / (2.0 * dt)
+        err_m = max(err_m, abs(dM - 1j * lam * M)
+                    / max(1.0, abs(lam) * abs(M)))
+        err_n = max(err_n, abs(dN - 1j * mf * lam * N)
+                    / max(1.0, mf * abs(lam) * abs(N)))
+    return err_m, err_n
+
+
+GENERIC = (lambda p: 0.5 * math.cos(p), lambda p: -0.5 * math.sin(p))
+
+
+class TestWholeTrajectory:
+    """drift and rotation_check evaluate a trajectory in one array call."""
+
+    @pytest.mark.parametrize("spec,s0", [
+        (pw_spec(kappa=1.0, m=Fraction(3, 2)),
+         PhaseState(1.1, 0.2 * math.pi, 0.1, 0.5)),
+        (pw_spec(kappa=-1.0, m=Fraction(2)),
+         PhaseState(1.0, 0.45 * math.pi / 2, 0.05, 0.6)),
+        (SystemSpec(kind=SystemKind.VC, kappa=0.0, g=1.0, k_a=0.5, k_b=0.2),
+         PhaseState(1.2, 1.3, 0.1, 0.7)),
+        (kepler_spec(kappa=1.0), PhaseState(0.9, 0.3, 0.1, 0.7)),
+        (SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=-1.0),
+         PhaseState(1.0, 0.2, 0.3, 0.8)),
+        (SystemSpec(kind=SystemKind.GENERIC_F, kappa=0.0, g=1.0,
+                    generic_F=GENERIC), PhaseState(1.1, 0.8, 0.1, 0.55)),
+    ])
+    def test_drift_matches_state_by_state(self, spec, s0):
+        traj = integrate(s0, spec, 20.0)
+        fns = {name: lambda s, t, fn=fn: fn(s)
+               for name, fn in evaluators_for(spec).items()}
+        fns["J2_plus_t"] = lambda s, t: j2(s, spec) + t
+        for name, fn in fns.items():
+            rep = drift(traj, name, fn, 1e-8)
+            v0, dev = reference_drift(traj, fn)
+            bound = 1e-14 * (1.0 + abs(v0))
+            assert abs(rep.initial - v0) <= bound, name
+            assert abs(rep.max_abs_dev - dev) <= bound, (name, rep, dev)
+            assert rep.passed == (name != "J2_plus_t"), rep
+
+    def test_negative_casimir_start_raises(self):
+        spec = pw_spec(k_a=-2.0, k_b=0.0, m=1)
+        traj = integrate(PhaseState(1.0, math.pi / 2, 0.1, 0.5), spec, 1.0)
+        assert len(traj) >= 3
+        with pytest.raises(NegativeCasimirError):
+            drift(traj, "K_re", lambda s, t: k_constant(s, spec).real)
+        with pytest.raises(NegativeCasimirError):
+            rotation_check(traj, spec)
+        # J2 itself is regular there
+        rep = drift(traj, "J2", lambda s, t: j2(s, spec))
+        assert rep.initial == pytest.approx(0.25 - 4.0)
+
+    def test_nan_value_fails_the_report(self):
+        traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(), 5.0)
+        late = traj.times[len(traj) // 2]
+        assert drift(traj, "r", lambda s, t: s.r).passed
+        rep = drift(traj, "r", lambda s, t: np.where(t > late, np.nan, s.r))
+        assert not rep.passed and math.isnan(rep.max_abs_dev)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("m", [Fraction(1), Fraction(2), Fraction(1, 2)])
+    def test_rotation_matches_sample_by_sample(self, kappa, m):
+        # the grid of acceptance criterion 3
+        spec = pw_spec(kappa=kappa, m=m)
+        rng = np.random.default_rng(33)
+        traj = integrate(random_bounded_state(spec, rng), spec, 20.0)
+        for flip in (False, True):
+            rep = rotation_check(traj, spec, tolerance=1e-5, flip_sign=flip)
+            ref_m, ref_n = reference_rotation(traj, spec, flip_sign=flip)
+            assert abs(rep.max_rel_err_m - ref_m) <= 1e-10 * (1.0 + ref_m)
+            assert abs(rep.max_rel_err_n - ref_n) <= 1e-10 * (1.0 + ref_n)
+            assert rep.passed == (ref_m < 1e-5 and ref_n < 1e-5)
+            assert rep.passed is not flip
 
 
 class TestClosure:
