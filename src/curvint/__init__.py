@@ -7,7 +7,7 @@ curvature parameter.
 
 from .errors import (AngularSingularityError, ConfigError, CurvintError,
                      DomainError, NegativeCasimirError, PoleError,
-                     StencilError)
+                     SamplingError, SpanError, StencilError)
 from .kappa_trig import cos_k, cot_k, r_domain, sin_k, tan_k
 from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
                       angular_F_m, angular_F_m_prime, angular_profile,
@@ -17,8 +17,9 @@ from .dynamics import (IntegratorConfig, Termination, Trajectory, eom,
 from .invariants import (angular_j, evaluators_for, j1, j2, k_constant,
                          lambda_k, m_r, n_phi, noether_p1, noether_p2,
                          runge_lenz, vc_integrals)
-from .verify import (DriftReport, bracket_with_scale, closure_detect, drift,
-                     euclidean_limit_scan, poisson_bracket_fd,
-                     random_bounded_state, rotation_check)
+from .verify import (CheckResult, DriftReport, bracket_with_scale,
+                     closure_detect, drift, euclidean_limit_scan,
+                     poisson_bracket_fd, random_bounded_state,
+                     rotation_check, run_suite)
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Subcommands:
 
     simulate         integrate a configured system, write trajectory CSV
                      with invariant columns
-    verify           run the verification suite for the configured system,
-                     write a report CSV, exit 0 iff all checks pass
+    verify           integrate the configured system, run
+                     curvint.verify.run_suite on the trajectory, write a
+                     report CSV, exit 0 iff all checks pass
     potential-curve  emit the three Kepler potential branches as CSV
     dump-config      print the fully-resolved run configuration
 
@@ -13,6 +14,13 @@ Config files are flat `key = value` lines with `#` comments; unknown keys
 are rejected with the offending line number.  CLI flags override file
 values.  The env var CURVINT_SEED seeds the random-state grids used by
 `verify`.
+
+This module only parses, formats and maps exceptions to exit codes, all in
+`main`: 0 success, 1 a verification check failed, 2 config error (also a
+system that leaves no verification-grid state, or a span too short for the
+rotation check), 3 singular initial state, 4/5/6 the trajectory ended early
+at the radial pole / angular singularity / step underflow (`verify` then
+runs no checks).
 """
 
 import argparse
@@ -24,13 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, CurvintError, DomainError
+from .errors import (ConfigError, CurvintError, DomainError, SamplingError,
+                     SpanError)
 from .kappa_trig import cot_k
 from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 from .dynamics import IntegratorConfig, Termination, integrate
-from .invariants import evaluators_for, j2, k_constant, m_r, n_phi
-from .verify import (bracket_with_scale, drift, euclidean_limit_scan,
-                     random_bounded_state, rotation_check)
+from .invariants import evaluators_for
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -154,24 +162,19 @@ def _load_config(args) -> RunConfig:
         cfg.m_num, cfg.m_den = frac.numerator, frac.denominator
     if getattr(args, "kind", None) is not None:
         cfg.kind = args.kind
+    if not math.isfinite(cfg.t_end):
+        raise ConfigError(f"t_end must be finite, got {cfg.t_end}")
     return cfg
 
 
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load_config(args)
-        spec = cfg.system_spec()
-        state0 = cfg.initial_state()
-        hamiltonian(state0, spec)
-        traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CurvintError as exc:
-        print(f"singular initial state: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR_START
+    cfg = _load_config(args)
+    spec = cfg.system_spec()
+    state0 = cfg.initial_state()
+    hamiltonian(state0, spec)
+    traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
 
     out = args.out or "trajectory.csv"
     traj.write_csv(out, evaluators_for(spec))
@@ -179,84 +182,19 @@ def cmd_simulate(args) -> int:
     return _EXIT_BY_TERMINATION[traj.termination]
 
 
-def _verify_rows(cfg: RunConfig, negative_control: bool):
-    """(check, name, value, threshold, pass) rows for the configured kind."""
-    spec = cfg.system_spec()
-    seed = int(os.environ.get("CURVINT_SEED", "0"))
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    traj = integrate(cfg.initial_state(), spec, cfg.t_end,
-                     cfg.integrator_config())
-
-    for name, fn in evaluators_for(spec).items():
-        rep = drift(traj, name, lambda s, t, fn=fn: fn(s), 1e-8)
-        rows.append(("drift", name, rep.rel_drift, rep.tolerance,
-                     rep.passed))
-    if negative_control:
-        rep = drift(traj, "J2_plus_t", lambda s, t: j2(s, spec) + t, 1e-8)
-        rows.append(("drift", "J2_plus_t", rep.rel_drift, rep.tolerance,
-                     rep.passed))
-
-    states = [random_bounded_state(spec, rng) for _ in range(20)]
-
-    H = lambda s: hamiltonian(s, spec)
-    named = {"J2~H": lambda s: j2(s, spec)}
-    if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F:
-        named["J3~H"] = lambda s: k_constant(s, spec).real
-        named["J4~H"] = lambda s: k_constant(s, spec).imag
-    else:
-        named["p_phi~H"] = lambda s: s.p_phi
-    if negative_control:
-        named["J2+r~H"] = lambda s: j2(s, spec) + s.r
-    for name, fn in named.items():
-        worst = 0.0
-        for s in states:
-            value, scale = bracket_with_scale(fn, H, s)
-            worst = max(worst, abs(value) / (1.0 + scale))
-        rows.append(("bracket", name, worst, 1e-6, worst <= 1e-6))
-
-    if spec.kind in (SystemKind.PW, SystemKind.VC):
-        rep = rotation_check(traj, spec)
-        rows.append(("rotation", "M_r", rep.max_rel_err_m, rep.tolerance,
-                     rep.max_rel_err_m < rep.tolerance))
-        rows.append(("rotation", "N_phi", rep.max_rel_err_n, rep.tolerance,
-                     rep.max_rel_err_n < rep.tolerance))
-        worst_m = worst_n = 0.0
-        for s in states:
-            J2 = j2(s, spec)
-            H0 = hamiltonian(s, spec)
-            lhs_m = abs(m_r(s, spec)) ** 2
-            rhs_m = (2.0 * H0 - spec.kappa * J2) * J2 + spec.g ** 2
-            lhs_n = abs(n_phi(s, spec)) ** 2
-            rhs_n = J2 * J2 - 2.0 * spec.k_a * J2 + spec.k_b ** 2
-            worst_m = max(worst_m, abs(lhs_m - rhs_m) / (1.0 + abs(rhs_m)))
-            worst_n = max(worst_n, abs(lhs_n - rhs_n) / (1.0 + abs(rhs_n)))
-        rows.append(("moduli", "|M_r|^2", worst_m, 1e-10, worst_m <= 1e-10))
-        rows.append(("moduli", "|N_phi|^2", worst_n, 1e-10,
-                     worst_n <= 1e-10))
-
-        def make_spec(kap):
-            return SystemSpec(kind=spec.kind, kappa=kap, g=spec.g,
-                              k_a=spec.k_a, k_b=spec.k_b, m=spec.m)
-        for rep in euclidean_limit_scan(make_spec, cfg.initial_state()):
-            dev8 = max((d for kap, d in rep.deviations
-                        if abs(kap) < 5e-8), default=0.0)
-            rows.append(("limit", rep.name, dev8,
-                         1e-7 * (1.0 + abs(rep.flat_value)), rep.passed))
-    return rows
-
-
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args)
-        rows = _verify_rows(cfg, args.negative_control)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CurvintError as exc:
-        print(f"singular initial state: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR_START
+    cfg = _load_config(args)
+    spec = cfg.system_spec()
+    state0 = cfg.initial_state()
+    for fn in evaluators_for(spec).values():
+        fn(state0)
+    traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
+    if traj.termination is not Termination.COMPLETED:
+        print(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
+              f"{cfg.t_end:g}: no checks run", file=sys.stderr)
+        return _EXIT_BY_TERMINATION[traj.termination]
+    rng = np.random.default_rng(int(os.environ.get("CURVINT_SEED", "0")))
+    rows = run_suite(traj, rng, args.negative_control)
 
     lines = ["check,name,value,threshold,pass"]
     for check, name, value, threshold, ok in rows:
@@ -269,7 +207,7 @@ def cmd_verify(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    n_fail = sum(1 for row in rows if not row[4])
+    n_fail = sum(1 for row in rows if not row.passed)
     for check, name, value, threshold, ok in rows:
         status = "ok  " if ok else "FAIL"
         print(f"  {status} {check:10s} {name:12s} {value:.3e} "
@@ -280,8 +218,9 @@ def cmd_verify(args) -> int:
 
 def cmd_potential_curve(args) -> int:
     if not (0.0 < args.r_min < args.r_max < math.pi):
-        print("require 0 < r-min < r-max < pi", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("require 0 < r-min < r-max < pi")
+    if args.samples < 0:
+        raise ConfigError("require samples >= 0")
     out = args.out or "potential_curve.csv"
     r = np.linspace(args.r_min, args.r_max, args.samples)
     np.savetxt(out, np.column_stack((r, -args.g * cot_k(1.0, r), -args.g / r,
@@ -293,13 +232,9 @@ def cmd_potential_curve(args) -> int:
 
 
 def cmd_dump_config(args) -> int:
-    try:
-        cfg = _load_config(args)
-        cfg.system_spec()
-        cfg.integrator_config()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
+    cfg.system_spec()
+    cfg.integrator_config()
     sys.stdout.write(dump_config(cfg))
     return EXIT_OK
 
@@ -353,7 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, SamplingError, SpanError) as exc:
+        # SamplingError, SpanError: the configured system or span leaves
+        # the verification grid or the rotation check nothing to work on
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CurvintError as exc:
+        print(f"singular initial state: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR_START
 
 
 if __name__ == "__main__":

@@ -43,8 +43,10 @@ class IntegratorConfig:
     singularity_margin: float = 1e-6
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
         if not (0.0 < self.singularity_margin < 1.0):
             raise ValueError("singularity_margin must lie in (0, 1)")
 

@@ -29,6 +29,14 @@ class StencilError(CurvintError):
     """A finite-difference stencil hit a pole of the evaluated function."""
 
 
+class SamplingError(CurvintError, RuntimeError):
+    """No admissible phase point within the sampler's try budget."""
+
+
+class SpanError(CurvintError, ValueError):
+    """A trajectory too short or too sparse for the requested check."""
+
+
 class ConfigError(CurvintError):
     """Config file rejected; carries the offending line number."""
 

@@ -86,6 +86,10 @@ class SystemSpec:
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise DomainError(f"non-finite curvature {self.kappa}")
+        for name in ("g", "k_a", "k_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite {name} = {value}")
         m = Fraction(self.m)
         object.__setattr__(self, "m", m)
         if self.kind in (SystemKind.PW, SystemKind.VC):

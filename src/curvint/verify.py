@@ -4,18 +4,19 @@ Everything here cross-checks the analytic layer without reusing it:
 finite-difference Poisson brackets (no analytic derivatives), drift of
 invariants along integrated trajectories, phase-rotation laws of the
 complex factors, Euclidean-limit scans, and phase-space recurrence
-(closed-orbit) detection.
+(closed-orbit) detection.  `run_suite` runs the suite of `curvint verify`
+on one trajectory and returns one CheckResult per check.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import CurvintError, StencilError
-from .invariants import lambda_k, m_r, n_phi
+from .errors import CurvintError, SamplingError, SpanError, StencilError
+from .invariants import evaluators_for, j2, k_constant, lambda_k, m_r, n_phi
 from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 from .dynamics import Trajectory
 
@@ -121,13 +122,17 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
     the check is independent of the analytic equations of motion.
     flip_sign injects a wrong-sign lambda (negative control).  The samples
     are evaluated as arrays, with drift's rule at a non-finite error.
+    SpanError when the trajectory has fewer than 3 steps or spans 2 dt or
+    less.
     """
     if traj.dense is None or len(traj) < 3:
-        raise ValueError("trajectory too sparse for rotation check")
+        raise SpanError(f"trajectory of {len(traj)} steps too sparse for "
+                        f"the rotation check (needs 3)")
     t0 = float(traj.times[0]) + dt
     t1 = float(traj.times[-1]) - dt
     if t1 <= t0:
-        raise ValueError("trajectory span too short")
+        raise SpanError(f"trajectory span {t1 - t0 + 2.0 * dt:g} too short "
+                        f"for the rotation check (needs > {2.0 * dt:g})")
     mf = spec.m_num / spec.m_den
     sgn = -1.0 if flip_sign else 1.0
 
@@ -330,6 +335,7 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     lowest so far, and the float hamiltonian decides the rest, in order.
     When one is accepted before the end of its chunk, rng is rewound to the
     start of the chunk and the candidates up to it are drawn again.
+    SamplingError (a RuntimeError) when no candidate qualifies.
     """
     kap = spec.kappa
     if kap > 0:
@@ -370,7 +376,96 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
         tries += n
         chunk *= _CHUNK_GROWTH
     if best is None:
-        raise RuntimeError("could not sample an interior state")
+        raise SamplingError(f"could not sample an interior state in "
+                            f"{max_tries} tries")
     # no bounded orbit exists under this angular barrier; return the
     # lowest-energy candidate, biased inward so the run stays moderate
     return PhaseState(best.r, best.phi, -abs(best.p_r), best.p_phi)
+
+
+# --- the verification suite ---
+
+class CheckResult(NamedTuple):
+    check: str          # drift, bracket, rotation, moduli or limit
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+
+
+def run_suite(traj: Trajectory, rng: np.random.Generator,
+              negative_control: bool = False) -> list[CheckResult]:
+    """Every check of `curvint verify` on traj, in report order.
+
+    Drift of each evaluators_for(traj.spec) entry along traj; FD brackets
+    with H over 20 random_bounded_state(spec, rng) draws; for PW and VC,
+    the rotation laws along traj, the moduli identities of M_r and N_phi
+    on the 20 states (one array evaluation; a non-finite value fails) and
+    the Euclidean limit at traj's start.  negative_control adds J2 + t to
+    the drifts and J2 + r to the brackets, both of which must fail.
+    Raises SamplingError or SpanError when the grid or traj's span leaves
+    a check nothing to work on, and the float path's CurvintError at a
+    singular state.
+    """
+    spec = traj.spec
+    rows = []
+
+    drifts = {name: lambda s, t, fn=fn: fn(s)
+              for name, fn in evaluators_for(spec).items()}
+    if negative_control:
+        drifts["J2_plus_t"] = lambda s, t: j2(s, spec) + t
+    for name, fn in drifts.items():
+        rep = drift(traj, name, fn, 1e-8)
+        rows.append(CheckResult("drift", name, rep.rel_drift, rep.tolerance,
+                                rep.passed))
+
+    states = [random_bounded_state(spec, rng) for _ in range(20)]
+
+    H = lambda s: hamiltonian(s, spec)
+    named = {"J2~H": lambda s: j2(s, spec)}
+    if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F:
+        named["J3~H"] = lambda s: k_constant(s, spec).real
+        named["J4~H"] = lambda s: k_constant(s, spec).imag
+    else:
+        named["p_phi~H"] = lambda s: s.p_phi
+    if negative_control:
+        named["J2+r~H"] = lambda s: j2(s, spec) + s.r
+    for name, fn in named.items():
+        worst = 0.0
+        for s in states:
+            value, scale = bracket_with_scale(fn, H, s)
+            worst = max(worst, abs(value) / (1.0 + scale))
+        rows.append(CheckResult("bracket", name, worst, 1e-6, worst <= 1e-6))
+
+    if spec.kind not in (SystemKind.PW, SystemKind.VC):
+        return rows
+
+    rot = rotation_check(traj, spec)
+    rows.append(CheckResult("rotation", "M_r", rot.max_rel_err_m,
+                            rot.tolerance, rot.max_rel_err_m < rot.tolerance))
+    rows.append(CheckResult("rotation", "N_phi", rot.max_rel_err_n,
+                            rot.tolerance, rot.max_rel_err_n < rot.tolerance))
+
+    grid = PhaseState(*np.array([s.as_tuple() for s in states]).T)
+    J2 = j2(grid, spec)
+    moduli = {
+        "|M_r|^2": (abs(m_r(grid, spec)) ** 2,
+                    (2.0 * hamiltonian(grid, spec) - spec.kappa * J2) * J2
+                    + spec.g ** 2),
+        "|N_phi|^2": (abs(n_phi(grid, spec)) ** 2,
+                      J2 * J2 - 2.0 * spec.k_a * J2 + spec.k_b ** 2),
+    }
+    for name, (lhs, rhs) in moduli.items():
+        # np.max propagates nan, and nan <= 1e-10 is false
+        worst = float(np.max(abs(lhs - rhs) / (1.0 + abs(rhs))))
+        rows.append(CheckResult("moduli", name, worst, 1e-10,
+                                worst <= 1e-10))
+
+    for lim in euclidean_limit_scan(lambda kap: replace(spec, kappa=kap),
+                                    traj.state(0)):
+        dev8 = max((d for kap, d in lim.deviations if abs(kap) < 5e-8),
+                   default=0.0)
+        rows.append(CheckResult("limit", lim.name, dev8,
+                                1e-7 * (1.0 + abs(lim.flat_value)),
+                                lim.passed))
+    return rows

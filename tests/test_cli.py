@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestSimulate:
         cfg = write(tmp_path, CIRCULAR_KEPLER)
         out = str(tmp_path / "t.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("t,r,phi,p_r,p_phi,H,J2,I3,I4")
         last = [float(v) for v in lines[-1].split(",")]
         assert last[1] == pytest.approx(1.0, abs=1e-8)
@@ -97,7 +98,7 @@ class TestSimulate:
         out = str(tmp_path / "t.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         data = np.loadtxt(out, delimiter=",", skiprows=1)
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].split(",")
         for col in ("K_re", "K_im"):
             vals = data[:, header.index(col)]
             assert np.max(np.abs(vals - vals[0])) \
@@ -115,7 +116,7 @@ class TestSimulate:
         assert main(["simulate", "--config", write(tmp_path, text),
                      "--out", out]) == 0
         evals = evaluators_for(parse_config(text).system_spec())
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].split(",")
         assert header == ["t", "r", "phi", "p_r", "p_phi", *evals]
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert len(data) > 10
@@ -158,8 +159,18 @@ class TestSimulate:
         ("", ["--kappa", "nan"]),
         ("", ["--rel-tol", "0"]),
         ("", ["--rel-tol", "-1"]),
+        ("", ["--rel-tol", "nan"]),
+        ("max_step = 0\n", []),
+        ("max_step = -1\n", []),
+        ("", ["--g", "nan"]),
+        ("", ["--ka", "inf"]),
+        ("", ["--kb", "nan"]),
+        ("", ["--t-end", "nan"]),
+        ("", ["--t-end", "inf"]),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
-            "rel-tol-0", "rel-tol-negative"])
+            "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "max_step-0",
+            "max_step-negative", "g-nan", "ka-inf", "kb-nan", "t_end-nan",
+            "t_end-inf"])
     def test_parse_error_exit_2(self, tmp_path, capsys, command, text,
                                 flags):
         cfg = write(tmp_path, text)
@@ -189,7 +200,7 @@ class TestSimulate:
         for name in ("a.csv", "b.csv"):
             out = str(tmp_path / name)
             main(["simulate", "--config", cfg, "--out", out])
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 
@@ -199,7 +210,7 @@ class TestVerifyCommand:
         cfg = write(tmp_path, PW_SPHERE)
         out = str(tmp_path / "report.csv")
         assert main(["verify", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "check,name,value,threshold,pass"
         assert all(line.endswith("true") for line in lines[1:])
         checks = {line.split(",")[0] for line in lines[1:]}
@@ -213,7 +224,7 @@ class TestVerifyCommand:
         out = str(tmp_path / "report.csv")
         assert main(["verify", "--config", cfg, "--out", out]) == 0
         names = [line.split(",")[1] for line in
-                 open(out).read().splitlines()[1:]]
+                 Path(out).read_text().splitlines()[1:]]
         assert "I3" in names and "I4" in names
 
     def test_negative_control_fails(self, tmp_path):
@@ -222,9 +233,37 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", out,
                      "--negative-control"]) == 1
         rows = [line.split(",") for line in
-                open(out).read().splitlines()[1:]]
+                Path(out).read_text().splitlines()[1:]]
         failed = {r[1] for r in rows if r[4] == "false"}
         assert failed == {"J2_plus_t", "J2+r~H"}
+
+    @pytest.mark.parametrize("text, code, termination", [
+        # regular start; the orbit falls into the attractive angular
+        # singularity, where J2 loses every digit to cancellation
+        (PW_SPHERE + "k_a = -0.3\nk_b = 0.1\nphi0 = 0.7\np_phi0 = 1.5\n"
+         "t_end = 5.0\n", 5, "hit_angular_singularity"),
+        (CIRCULAR_KEPLER + "p_r0 = -1.0\np_phi0 = 0.001\nt_end = 20.0\n",
+         4, "hit_radial_pole"),
+    ], ids=["pw-angular", "kepler-radial"])
+    def test_early_termination_runs_no_checks(self, tmp_path, capsys, text,
+                                              code, termination):
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert f"{termination} at t = " in err
+        assert "no checks run" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        PW_SPHERE + "k_a = 100.0\nphi0 = 0.7\n",     # no grid state
+        PW_SPHERE + "phi0 = 0.7\nt_end = 1e-5\n",     # rotation span
+        PW_SPHERE + "phi0 = 0.7\nt_end = 0.0\n",
+    ], ids=["sampler-exhausted", "span-1e-5", "span-0"])
+    def test_unverifiable_config_exit_2(self, tmp_path, capsys, text):
+        assert main(["verify", "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "report.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestPotentialCurve:
@@ -241,7 +280,11 @@ class TestPotentialCurve:
         row = min(data, key=lambda q: abs(q[0] - r))
         assert row[2] == pytest.approx(-4 / math.pi, abs=0.05)
 
-    def test_bad_range_rejected(self, tmp_path):
-        assert main(["potential-curve", "--r-min", "2.0",
-                     "--r-max", "1.0"]) == 2
-        assert main(["potential-curve", "--r-max", "4.0"]) == 2
+    @pytest.mark.parametrize("flags", [["--r-min", "2.0", "--r-max", "1.0"],
+                                       ["--r-max", "4.0"],
+                                       ["--r-min", "nan"],
+                                       ["--samples", "-1"]])
+    def test_bad_range_rejected(self, tmp_path, capsys, flags):
+        assert main(["potential-curve", "--out",
+                     str(tmp_path / "curve.csv"), *flags]) == 2
+        assert "config error:" in capsys.readouterr().err

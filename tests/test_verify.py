@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvint import (CurvintError, NegativeCasimirError, PhaseState,
-                     StencilError, SystemKind, SystemSpec, closure_detect,
-                     evaluators_for, hamiltonian, integrate, j2, k_constant,
-                     euclidean_limit_scan, lambda_k, m_r, n_phi,
-                     poisson_bracket_fd, random_bounded_state,
-                     rotation_check, tan_k)
+from curvint import (CheckResult, CurvintError, NegativeCasimirError,
+                     PhaseState, StencilError, SystemKind, SystemSpec,
+                     closure_detect, evaluators_for, hamiltonian, integrate,
+                     j2, k_constant, euclidean_limit_scan, lambda_k, m_r,
+                     n_phi, poisson_bracket_fd, random_bounded_state,
+                     rotation_check, run_suite, tan_k)
+from curvint.cli import main, parse_config
 from curvint.verify import bracket_with_scale, drift
 from conftest import kepler_spec, pw_spec, random_interior_states
+from test_cli import PW_SPHERE, write
 
 
 class TestPoissonBracket:
@@ -351,3 +353,105 @@ class TestChunkedSampler:
     def test_same_draws_at_chunk_boundaries(self, max_tries):
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, max_tries, max_tries, 6)
+
+
+def suite_spec(kind, kappa):
+    """The system of each kind that TestRunSuite runs the suite on."""
+    if kind is SystemKind.PW:
+        return pw_spec(kappa=kappa, m=Fraction(3, 2))
+    return SystemSpec(kind=kind, kappa=kappa, g=1.0,
+                      k_a=0.5 if kind is SystemKind.VC else 0.0,
+                      k_b=0.2 if kind is SystemKind.VC else 0.0,
+                      generic_F=GENERIC if kind is SystemKind.GENERIC_F
+                      else None)
+
+
+def expected_checks(kind, negative_control):
+    """run_suite's (check, name) sequence, written out per kind."""
+    drifts = {SystemKind.FREE_GEODESIC: ["H", "J2"],
+              SystemKind.KEPLER: ["H", "J2", "I3", "I4"],
+              SystemKind.VC: ["H", "J2", "I2", "I3", "K_re", "K_im"],
+              SystemKind.PW: ["H", "J2", "K_re", "K_im"],
+              SystemKind.GENERIC_F: ["H", "J2"]}[kind]
+    higher = kind in (SystemKind.PW, SystemKind.VC)
+    rows = [("drift", name) for name in drifts]
+    if negative_control:
+        rows.append(("drift", "J2_plus_t"))
+    rows.append(("bracket", "J2~H"))
+    rows += ([("bracket", "J3~H"), ("bracket", "J4~H")] if higher
+             else [("bracket", "p_phi~H")])
+    if negative_control:
+        rows.append(("bracket", "J2+r~H"))
+    if higher:
+        rows += [("rotation", "M_r"), ("rotation", "N_phi"),
+                 ("moduli", "|M_r|^2"), ("moduli", "|N_phi|^2")]
+        rows += [("limit", name) for name in ("H", "M_r", "N_phi", "lambda")]
+    return rows
+
+
+class TestRunSuite:
+    """verify.run_suite, the library side of `curvint verify`."""
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_check_sequence(self, kind, kappa):
+        spec = suite_spec(kind, kappa)
+        state0 = random_bounded_state(spec, np.random.default_rng(4))
+        traj = integrate(state0, spec, 2.0)
+        for negative_control in (False, True):
+            rows = run_suite(traj, np.random.default_rng(5),
+                             negative_control)
+            assert all(type(row) is CheckResult for row in rows)
+            assert [(row.check, row.name) for row in rows] \
+                == expected_checks(kind, negative_control)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("kind", [SystemKind.PW, SystemKind.VC])
+    def test_moduli_match_per_state_loop(self, kind, kappa):
+        spec = suite_spec(kind, kappa)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        rows = {row.name: row for row in
+                run_suite(integrate(state0, spec, 2.0),
+                          np.random.default_rng(7))
+                if row.check == "moduli"}
+        # run_suite's grid: the first 20 draws of its rng
+        rng = np.random.default_rng(7)
+        worst_m = worst_n = 0.0
+        for _ in range(20):
+            s = random_bounded_state(spec, rng)
+            J2 = j2(s, spec)
+            rhs_m = ((2.0 * hamiltonian(s, spec) - spec.kappa * J2) * J2
+                     + spec.g ** 2)
+            rhs_n = J2 * J2 - 2.0 * spec.k_a * J2 + spec.k_b ** 2
+            worst_m = max(worst_m, abs(abs(m_r(s, spec)) ** 2 - rhs_m)
+                          / (1.0 + abs(rhs_m)))
+            worst_n = max(worst_n, abs(abs(n_phi(s, spec)) ** 2 - rhs_n)
+                          / (1.0 + abs(rhs_n)))
+        for name, worst in (("|M_r|^2", worst_m), ("|N_phi|^2", worst_n)):
+            assert abs(rows[name].value - worst) <= 1e-14
+            assert rows[name].threshold == 1e-10
+            assert rows[name].passed and worst <= 1e-10
+
+    def test_controls_fail_and_the_rest_pass(self):
+        cfg = parse_config(PW_SPHERE)
+        traj = integrate(cfg.initial_state(), cfg.system_spec(), cfg.t_end)
+        rows = run_suite(traj, np.random.default_rng(1),
+                         negative_control=True)
+        assert {row.name for row in rows if not row.passed} \
+            == {"J2_plus_t", "J2+r~H"}
+        assert all(row.passed for row in run_suite(
+            traj, np.random.default_rng(1)))
+
+    def test_cli_report_formats_run_suite(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CURVINT_SEED", "3")
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", write(tmp_path, PW_SPHERE),
+                     "--out", str(out), "--negative-control"]) == 1
+        cfg = parse_config(PW_SPHERE)
+        traj = integrate(cfg.initial_state(), cfg.system_spec(), cfg.t_end)
+        rows = run_suite(traj, np.random.default_rng(3),
+                         negative_control=True)
+        assert out.read_text().splitlines()[1:] == [
+            "%s,%s,%.17g,%.17g,%s" % (check, name, value, threshold,
+                                      "true" if passed else "false")
+            for check, name, value, threshold, passed in rows]
