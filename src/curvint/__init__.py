@@ -19,7 +19,6 @@ from .invariants import (angular_j, evaluators_for, j1, j2, k_constant,
                          runge_lenz, vc_integrals)
 from .verify import (CheckResult, DriftReport, bracket_with_scale,
                      closure_detect, drift, euclidean_limit_scan,
-                     poisson_bracket_fd, random_bounded_state,
-                     rotation_check, run_suite)
+                     random_bounded_state, rotation_check, run_suite)
 
 __version__ = "0.1.0"

@@ -142,8 +142,12 @@ def dump_config(cfg: RunConfig) -> str:
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read the config file: {exc}") from exc
+        cfg = parse_config(text)
     else:
         cfg = RunConfig()
     overrides = {
@@ -184,6 +188,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    raw_seed = os.environ.get("CURVINT_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"CURVINT_SEED must be a non-negative integer, "
+                          f"got {raw_seed!r}")
     spec = cfg.system_spec()
     state0 = cfg.initial_state()
     for fn in evaluators_for(spec).values():
@@ -193,7 +205,7 @@ def cmd_verify(args) -> int:
         print(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
               f"{cfg.t_end:g}: no checks run", file=sys.stderr)
         return _EXIT_BY_TERMINATION[traj.termination]
-    rng = np.random.default_rng(int(os.environ.get("CURVINT_SEED", "0")))
+    rng = np.random.default_rng(seed)
     rows = run_suite(traj, rng, args.negative_control)
 
     lines = ["check,name,value,threshold,pass"]

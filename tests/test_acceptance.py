@@ -188,10 +188,8 @@ def test_criterion_8_closure_on_sphere():
 
 def test_criterion_9_euclidean_limit():
     """O(kappa) convergence of H, M_r, N_phi, lambda to the flat values."""
-    def make_spec(kappa):
-        return pw_spec(kappa=kappa, m=Fraction(2))
     state = PhaseState(1.1, 0.6, 0.2, 0.9)
-    reports = euclidean_limit_scan(make_spec, state)
+    reports = euclidean_limit_scan(pw_spec(m=Fraction(2)), state)
     worst = 0.0
     for rep in reports:
         assert rep.passed, rep

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvint import PhaseState, evaluators_for
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from curvint import PhaseState, cli, evaluators_for
 from curvint.cli import RunConfig, dump_config, main, parse_config
 from curvint.errors import ConfigError
 from curvint.verify import random_bounded_state
@@ -178,6 +180,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "out.csv"), *flags]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify",
+                                         "dump-config"])
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, command, name):
+        assert main([command, "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_pole_capture_exit_4(self, tmp_path):
         cfg = write(tmp_path, CIRCULAR_KEPLER
                     + "p_phi0 = 0.0\np_r0 = -0.5\n")
@@ -237,6 +247,15 @@ class TestVerifyCommand:
         failed = {r[1] for r in rows if r[4] == "false"}
         assert failed == {"J2_plus_t", "J2+r~H"}
 
+    @pytest.mark.parametrize("seed", ["abc", "-1", ""])
+    def test_bad_seed_exit_2_before_integrating(self, tmp_path, capsys,
+                                                monkeypatch, seed):
+        monkeypatch.setenv("CURVINT_SEED", seed)
+        monkeypatch.setattr(cli, "integrate", None)    # never reached
+        assert main(["verify", "--config", write(tmp_path, PW_SPHERE),
+                     "--out", str(tmp_path / "report.csv")]) == 2
+        assert "config error: CURVINT_SEED" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, code, termination", [
         # regular start; the orbit falls into the attractive angular
         # singularity, where J2 loses every digit to cancellation
@@ -288,3 +307,29 @@ class TestPotentialCurve:
         assert main(["potential-curve", "--out",
                      str(tmp_path / "curve.csv"), *flags]) == 2
         assert "config error:" in capsys.readouterr().err
+
+
+# lines of config text: arbitrary, or a known key with a value that is
+# arbitrary, numeric or a system kind
+CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format,
+              st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+              st.one_of(st.text(max_size=12),
+                        st.floats().map(repr),
+                        st.integers(-10 ** 6, 10 ** 6).map(str),
+                        st.sampled_from(["free", "kepler", "vc", "pw",
+                                         "generic"]))))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(CONFIG_LINES, max_size=8))
+def test_any_config_text_exits_0_or_2(tmp_path, capsys, lines):
+    # no exception may escape main: any config either resolves or is
+    # rejected as a config error
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+    code = main(["dump-config", "--config", str(path)])
+    assert code in (0, 2)
+    assert ("config error:" in capsys.readouterr().err) == (code == 2)

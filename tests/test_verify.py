@@ -8,33 +8,57 @@ from curvint import (CheckResult, CurvintError, NegativeCasimirError,
                      PhaseState, StencilError, SystemKind, SystemSpec,
                      closure_detect, evaluators_for, hamiltonian, integrate,
                      j2, k_constant, euclidean_limit_scan, lambda_k, m_r,
-                     n_phi, poisson_bracket_fd, random_bounded_state,
-                     rotation_check, run_suite, tan_k)
+                     n_phi, random_bounded_state, rotation_check,
+                     run_suite, tan_k)
+from curvint import verify
 from curvint.cli import main, parse_config
-from curvint.verify import bracket_with_scale, drift
+from curvint.verify import LimitScanReport, bracket_with_scale, drift
 from conftest import kepler_spec, pw_spec, random_interior_states
 from test_cli import PW_SPHERE, write
+
+
+def reference_bracket(f, g, state, h=1e-5):
+    """bracket_with_scale as first written, one point and one float call
+    per stencil point: the oracle of the grid stencil.  Keep it frozen."""
+    def partials(fn):
+        y = list(state.as_tuple())
+        grad = []
+        for i in range(4):
+            hi = h * (1.0 + abs(y[i]))
+            yp = y.copy()
+            ym = y.copy()
+            yp[i] += hi
+            ym[i] -= hi
+            grad.append((fn(PhaseState.from_tuple(yp))
+                         - fn(PhaseState.from_tuple(ym))) / (2.0 * hi))
+        return grad
+    fr, fphi, fpr, fpphi = partials(f)
+    gr, gphi, gpr, gpphi = partials(g)
+    terms = (fr * gpr, -fpr * gr, fphi * gpphi, -fpphi * gphi)
+    return (sum(terms), sum(abs(t) for t in terms))
 
 
 class TestPoissonBracket:
     def test_canonical_pair(self):
         s = PhaseState(1.3, 0.7, 0.4, 0.9)
-        pb = poisson_bracket_fd(lambda x: x.r, lambda x: x.p_r, s)
+        pb, scale = bracket_with_scale(lambda x: x.r, lambda x: x.p_r, s)
         assert pb == pytest.approx(1.0, abs=1e-10)
+        assert type(pb) is float and type(scale) is float
 
     def test_antisymmetry_exact(self):
         spec = pw_spec(kappa=1.0, m=Fraction(2))
         f = lambda s: j2(s, spec)
         g = lambda s: hamiltonian(s, spec)
         s = PhaseState(1.1, 0.4, 0.2, 0.6)
-        assert poisson_bracket_fd(f, g, s) == -poisson_bracket_fd(g, f, s)
+        assert bracket_with_scale(f, g, s)[0] \
+            == -bracket_with_scale(g, f, s)[0]
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_angular_momentum_central(self, kappa):
         spec = kepler_spec(kappa=kappa)
         H = lambda s: hamiltonian(s, spec)
         for s in random_interior_states(spec, 20, seed=2):
-            pb = poisson_bracket_fd(lambda x: x.p_phi, H, s)
+            pb = bracket_with_scale(lambda x: x.p_phi, H, s)[0]
             assert abs(pb) < 1e-8
 
     def test_h_convergence_second_order(self):
@@ -42,7 +66,7 @@ class TestPoissonBracket:
         s = PhaseState(1.0, 0.5, 1.0, 0.7)
         f = lambda x: x.r ** 3
         g = lambda x: x.p_r ** 3
-        errs = [abs(poisson_bracket_fd(f, g, s, h=h) - 9.0)
+        errs = [abs(bracket_with_scale(f, g, s, h=h)[0] - 9.0)
                 for h in (1e-3, 5e-4)]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
@@ -67,13 +91,31 @@ class TestPoissonBracket:
         value, scale = bracket_with_scale(lambda x: j2(x, spec) + x.r, H, s)
         assert abs(value) > 1e-6 * (1.0 + scale)
 
+    def test_grid_matches_per_state_loop_exactly(self):
+        # pure arithmetic: numpy and floats give the same stencil values,
+        # so only the order of the final sums may differ
+        f = lambda x: x.r * x.r * x.p_phi - x.phi * x.p_r * x.p_r
+        g = lambda x: x.p_r * x.phi * x.phi + x.r * x.p_phi
+        states = random_interior_states(pw_spec(kappa=-1.0), 20, seed=9)
+        grid = PhaseState(*np.array([s.as_tuple() for s in states]).T)
+        values, scales = bracket_with_scale(f, g, grid)
+        assert values.shape == scales.shape == (20,)
+        for value, scale, s in zip(values, scales, states):
+            ref_value, ref_scale = reference_bracket(f, g, s)
+            assert abs(value - ref_value) <= 4e-16 * ref_scale
+            assert abs(scale - ref_scale) <= 4e-16 * ref_scale
+            assert (value, scale) == bracket_with_scale(f, g, s)
+
     def test_stencil_error(self):
+        # the library's convention: raise on floats, nan in an array
         def spiky(s):
+            if isinstance(s.r, np.ndarray):
+                return np.where(s.r > 1.0, np.nan, s.r)
             if s.r > 1.0:
                 raise CurvintError("pole")
             return s.r
         with pytest.raises(StencilError):
-            poisson_bracket_fd(spiky, lambda s: s.p_r,
+            bracket_with_scale(spiky, lambda s: s.p_r,
                                PhaseState(1.0, 0.0, 0.0, 0.0))
 
 
@@ -230,12 +272,9 @@ class TestClosure:
 
 
 class TestEuclideanLimit:
-    def make_spec(self, kappa):
-        return pw_spec(kappa=kappa, m=Fraction(2))
-
     def test_scan_passes(self):
         state = PhaseState(1.1, 0.6, 0.2, 0.9)
-        for rep in euclidean_limit_scan(self.make_spec, state):
+        for rep in euclidean_limit_scan(pw_spec(m=Fraction(2)), state):
             assert rep.passed, rep
             dev8 = max(d for k, d in rep.deviations if abs(k) < 5e-8)
             assert dev8 <= 1e-7 * (1.0 + abs(rep.flat_value))
@@ -431,6 +470,62 @@ class TestRunSuite:
             assert abs(rows[name].value - worst) <= 1e-14
             assert rows[name].threshold == 1e-10
             assert rows[name].passed and worst <= 1e-10
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_brackets_match_per_state_loop(self, kind, kappa):
+        spec = suite_spec(kind, kappa)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        rows = {row.name: row for row in
+                run_suite(integrate(state0, spec, 2.0),
+                          np.random.default_rng(7), negative_control=True)
+                if row.check == "bracket"}
+        # run_suite's grid: the first 20 draws of its rng
+        rng = np.random.default_rng(7)
+        states = [random_bounded_state(spec, rng) for _ in range(20)]
+        grid = PhaseState(*np.array([s.as_tuple() for s in states]).T)
+        H = lambda s: hamiltonian(s, spec)
+        named = {"J2~H": lambda s: j2(s, spec),
+                 "J3~H": lambda s: k_constant(s, spec).real,
+                 "J4~H": lambda s: k_constant(s, spec).imag,
+                 "p_phi~H": lambda s: s.p_phi,
+                 "J2+r~H": lambda s: j2(s, spec) + s.r}
+        assert set(rows) <= set(named)
+        for name, row in rows.items():
+            # numpy's and math's value at a stencil point may differ in the
+            # last ulp (2.2e-16); over the step 2 h (1 + |y|) >= 2e-5 that
+            # moves a partial by ~1e-11 of the function's size (7.9e-12
+            # (1 + scale) seen), so the bound is round-off, not the verdict
+            values, scales = bracket_with_scale(named[name], H, grid)
+            worst = 0.0
+            for value, scale, s in zip(values, scales, states):
+                ref_value, ref_scale = reference_bracket(named[name], H, s)
+                assert abs(value - ref_value) <= 1e-10 * (1.0 + ref_scale)
+                worst = max(worst, abs(ref_value) / (1.0 + ref_scale))
+            assert abs(row.value - worst) <= 1e-10, name
+            assert row.passed == (worst <= 1e-6), name
+        assert not rows["J2+r~H"].passed
+
+    def test_nan_bracket_fails_its_row(self, monkeypatch):
+        spec = kepler_spec(kappa=1.0)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        traj = integrate(state0, spec, 2.0)
+        monkeypatch.setattr(verify, "j2", lambda s, sp: s.r * np.nan)
+        row, = (row for row in run_suite(traj, np.random.default_rng(7))
+                if row.name == "J2~H")
+        assert math.isnan(row.value) and not row.passed
+
+    def test_limit_row_needs_value_within_threshold(self, monkeypatch):
+        # inside the O(kappa) envelope at kappa = 1e-8, above 1e-7 (1 + |f0|)
+        report = LimitScanReport("H", 0.5, ((1e-8, 2e-7), (-1e-8, 2e-7)),
+                                 passed=True)
+        monkeypatch.setattr(verify, "euclidean_limit_scan",
+                            lambda *args: [report])
+        spec = suite_spec(SystemKind.PW, 1.0)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        rows = run_suite(integrate(state0, spec, 2.0),
+                         np.random.default_rng(7))
+        assert rows[-1] == CheckResult("limit", "H", 2e-7, 1.5e-7, False)
 
     def test_controls_fail_and_the_rest_pass(self):
         cfg = parse_config(PW_SPHERE)
