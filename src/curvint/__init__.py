@@ -14,9 +14,9 @@ from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
                       hamiltonian, potential, reparam_alpha_beta)
 from .dynamics import (IntegratorConfig, Termination, Trajectory, eom,
                        integrate)
-from .invariants import (angular_j, evaluators_for, j1, j2, k_constant,
-                         lambda_k, m_r, n_phi, noether_p1, noether_p2,
-                         runge_lenz, vc_integrals)
+from .invariants import (evaluators_for, j2, k_constant, lambda_k, m_r,
+                         n_phi, noether_p1, noether_p2, runge_lenz,
+                         vc_integrals)
 from .verify import (CheckResult, DriftReport, bracket_with_scale,
                      closure_detect, drift, euclidean_limit_scan,
                      random_bounded_state, rotation_check, run_suite)

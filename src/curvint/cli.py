@@ -51,7 +51,8 @@ _EXIT_BY_TERMINATION = {
     Termination.STEP_UNDERFLOW: 6,
 }
 
-_KINDS = {k.value: k for k in SystemKind}
+# GENERIC_F is left out: a config cannot supply its profile callables
+_KINDS = {k.value: k for k in SystemKind if k is not SystemKind.GENERIC_F}
 
 
 @dataclass
@@ -166,8 +167,9 @@ def _load_config(args) -> RunConfig:
         cfg.m_num, cfg.m_den = frac.numerator, frac.denominator
     if getattr(args, "kind", None) is not None:
         cfg.kind = args.kind
-    if not math.isfinite(cfg.t_end):
-        raise ConfigError(f"t_end must be finite, got {cfg.t_end}")
+    for key in ("r0", "phi0", "p_r0", "p_phi0", "t_end"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     return cfg
 
 

@@ -1,8 +1,8 @@
 """Conserved quantities of the curved Kepler-type systems.
 
-Quadratic layer: Noether momenta P1/P2, angular momentum J, the pair
-(J1, J2) of the separable family, the curved Runge-Lenz pair (I3, I4) of
-the Kepler problem, and the (I2, I3) pair of the m = 1 deformation.
+Quadratic layer: Noether momenta P1/P2, the Casimir J2 (its partner J1 is
+2H, the angular momentum p_phi), the curved Runge-Lenz pair (I3, I4) of the
+Kepler problem, and the (I2, I3) pair of the m = 1 deformation.
 
 Higher-order layer: the complex radial and angular factors
 
@@ -48,16 +48,6 @@ def noether_p2(state: PhaseState, spec: SystemSpec):
             + ck * xp.cos(state.phi) * state.p_phi)
 
 
-def angular_j(state: PhaseState):
-    """Angular momentum: canonically just p_phi."""
-    return state.p_phi
-
-
-def j1(state: PhaseState, spec: SystemSpec):
-    """First separability integral; equals 2H by construction."""
-    return 2.0 * hamiltonian(state, spec)
-
-
 def j2(state: PhaseState, spec: SystemSpec):
     """Angular-sector Casimir p_phi^2 + 2 F(phi)."""
     return state.p_phi ** 2 + 2.0 * angular_F(spec, state.phi)
@@ -66,9 +56,10 @@ def j2(state: PhaseState, spec: SystemSpec):
 def runge_lenz(state: PhaseState, spec: SystemSpec) -> tuple:
     """Curved Runge-Lenz pair (I3, I4) of the Kepler problem."""
     xp = np if isinstance(state.phi, np.ndarray) else math
-    J = angular_j(state)
-    return (noether_p2(state, spec) * J - spec.g * xp.cos(state.phi),
-            noether_p1(state, spec) * J + spec.g * xp.sin(state.phi))
+    return (noether_p2(state, spec) * state.p_phi
+            - spec.g * xp.cos(state.phi),
+            noether_p1(state, spec) * state.p_phi
+            + spec.g * xp.sin(state.phi))
 
 
 def vc_integrals(state: PhaseState, spec: SystemSpec) -> tuple:
@@ -79,7 +70,7 @@ def vc_integrals(state: PhaseState, spec: SystemSpec) -> tuple:
     s, c = angular_sin_cos(state.phi, spec.m)
     s2 = s * s
     ck = cot_k(spec.kappa, state.r)
-    i3 = (noether_p2(state, spec) * angular_j(state) - spec.g * c
+    i3 = (noether_p2(state, spec) * state.p_phi - spec.g * c
           + 2.0 * spec.k_a * ck * (c / s2)
           + spec.k_b * ck * ((1.0 + c * c) / s2))
     # + 0 * I3: an array I2 is nan wherever the float pair raises

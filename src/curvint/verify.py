@@ -3,9 +3,9 @@
 Everything here cross-checks the analytic layer without reusing it:
 finite-difference Poisson brackets (no analytic derivatives), drift of
 invariants along integrated trajectories, phase-rotation laws of the
-complex factors, Euclidean-limit scans, and phase-space recurrence
-(closed-orbit) detection.  `run_suite` runs the suite of `curvint verify`
-on one trajectory and returns one CheckResult per check.
+complex factors, Euclidean-limit scans, and closed-orbit detection (the
+factors propose a period, the trajectory's return decides).  `run_suite`
+runs the suite of `curvint verify` on one trajectory, one CheckResult a row.
 """
 
 import math
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CurvintError, SamplingError, SpanError, StencilError
 from .invariants import evaluators_for, j2, k_constant, lambda_k, m_r, n_phi
@@ -108,27 +107,30 @@ class RotationReport:
 
 
 def rotation_check(traj: Trajectory, spec: SystemSpec,
-                   n_samples: int = 200, dt: float = 2e-4,
-                   tolerance: float = 1e-5,
+                   n_samples: int = 200, tolerance: float = 1e-5,
                    flip_sign: bool = False) -> RotationReport:
     """Check dM_r/dt = i*lambda*M_r and dN_phi/dt = i*m*lambda*N_phi.
 
     Time derivatives come from central differences over dense output, so
-    the check is independent of the analytic equations of motion.
-    flip_sign injects a wrong-sign lambda (negative control).  The samples
-    are evaluated as arrays, with drift's rule at a non-finite error.
-    SpanError when the trajectory has fewer than 3 steps or spans 2 dt or
-    less.
+    the check is independent of the analytic equations of motion; their
+    step dt = min(2e-4, 1e-3 / max(1, m) max lambda) turns either factor
+    by at most 1e-3 rad (O(dt^2) truncation near 2e-7).  flip_sign injects
+    a wrong-sign lambda (negative control).  The samples are evaluated as
+    arrays, with drift's rule at a non-finite error.  SpanError when the
+    trajectory has fewer than 3 steps or spans 2 dt or less.
     """
     if traj.dense is None or len(traj) < 3:
         raise SpanError(f"trajectory of {len(traj)} steps too sparse for "
                         f"the rotation check (needs 3)")
+    mf = spec.m_num / spec.m_den
+    lam = lambda_k(PhaseState(*traj.states.T), spec)
+    # a nan lambda (J2 <= 0) leaves dt at 2e-4; the samples then raise
+    dt = min(2e-4, 1e-3 / (max(1.0, mf) * float(np.max(lam))))
     t0 = float(traj.times[0]) + dt
     t1 = float(traj.times[-1]) - dt
     if t1 <= t0:
         raise SpanError(f"trajectory span {t1 - t0 + 2.0 * dt:g} too short "
                         f"for the rotation check (needs > {2.0 * dt:g})")
-    mf = spec.m_num / spec.m_den
     sgn = -1.0 if flip_sign else 1.0
 
     def errors(t):
@@ -155,49 +157,53 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
 
 # --- closed-orbit detection ---
 
-def _phase_distance(y, y0):
-    """Distance from y0 with phi taken modulo 2*pi.
+def _escape_energy(spec: SystemSpec) -> float:
+    """Escape energy: +inf at kappa > 0, else U(r -> inf) = -g sqrt(-kappa)."""
+    return math.inf if spec.kappa > 0 else -spec.g * math.sqrt(-spec.kappa)
 
-    y is one phase point, shape (4,), or a column per point, shape (4, n).
+
+def closure_detect(traj: Trajectory, tol: float = 1e-6) -> Optional[float]:
+    """Smallest period T the complex factorization proposes after which
+    traj is back within tol of its start in phase space (phi mod 2*pi).
+
+    With m = p/q, M_r turns at rate lambda and N_phi at m*lambda, so a
+    bounded orbit closes when arg M_r has turned 2*pi*q and arg N_phi
+    2*pi*p.  Each step's phase change is unwrapped to the value nearest
+    rate * (trapezoid mean of lambda) * step (np.unwrap fails on steps over
+    half a turn), and Newton's method on traj.dense refines the crossing.
+    A factor 0 at the start (M_r on a circular orbit) proposes nothing.
+    None for GENERIC_F (no factorization), at or above the escape energy
+    (the orbit need not return), or when no proposal in the span returns
+    within tol.
     """
-    dphi = (y[1] - y0[1] + math.pi) % (2.0 * math.pi) - math.pi
-    return np.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
-                   + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
-
-
-def closure_detect(traj: Trajectory, tol: float = 1e-6,
-                   coarse_points: int = 20000) -> Optional[float]:
-    """Smallest T > 0 with the phase point back within tol of its start.
-
-    phi is compared modulo 2*pi.  Returns None for unbounded motion or when
-    no recurrence occurs within the trajectory span.
-    """
-    r = traj.states[:, 0]
-    # unbounded: radius still growing at the end of the span
-    if traj.spec.kappa <= 0 and r[-1] > 3.0 * np.median(r):
+    spec = traj.spec
+    if (spec.kind is SystemKind.GENERIC_F
+            or hamiltonian(traj.state(0), spec) >= _escape_energy(spec)):
         return None
-    y0 = traj.states[0]
-    t0 = float(traj.times[0])
-    t1 = float(traj.times[-1])
-    ts = np.linspace(t0, t1, coarse_points)
-    dists = _phase_distance(traj.dense(ts), y0)
-    coarse_step = (t1 - t0) / (coarse_points - 1)
-    # leave the immediate neighbourhood of t0 before hunting for minima
-    typical = np.percentile(dists, 75)
-    start = 1
-    while start < len(ts) and dists[start] < 0.25 * typical:
-        start += 1
-    for i in range(max(start, 1), len(ts) - 1):
-        if dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1] \
-                and dists[i] < 0.25 * typical:
-            res = minimize_scalar(
-                lambda t: _phase_distance(traj.dense(t), y0),
-                bounds=(ts[i] - coarse_step, ts[i] + coarse_step),
-                method="bounded",
-                options={"xatol": 1e-12})
-            if res.fun < tol:
-                return float(res.x) - t0
-    return None
+    batch, t, h = PhaseState(*traj.states.T), traj.times, np.diff(traj.times)
+    lam = lambda_k(batch, spec)
+    periods = []
+    for factor, rate, turns in ((m_r, 1.0, spec.m_den),
+                                (n_phi, spec.m_num / spec.m_den, spec.m_num)):
+        z = factor(batch, spec)
+        step = np.angle(z[1:] * z[:-1].conj())
+        nearest = rate * 0.5 * (lam[1:] + lam[:-1]) * h
+        step += 2.0 * math.pi * np.round((nearest - step) / (2.0 * math.pi))
+        excess = np.cumsum(step) - 2.0 * math.pi * turns
+        crossed = np.flatnonzero(excess >= 0.0)     # nan never crosses
+        if z[0] == 0 or not crossed.size:
+            continue
+        i = crossed[0]
+        T = t[i + 1] - excess[i] / step[i] * h[i]
+        for _ in range(8):      # Newton: d arg z / dt = rate * lambda
+            s = PhaseState.from_tuple(traj.dense(T))
+            T -= (np.angle(factor(s, spec) * z[0].conjugate())
+                  / (rate * lambda_k(s, spec)))
+        y = traj.dense(T) - traj.states[0]
+        y[1] = (y[1] + math.pi) % (2.0 * math.pi) - math.pi   # phi mod 2 pi
+        if math.hypot(*y) < tol:
+            periods.append(float(T - t[0]))
+    return min(periods, default=None)
 
 
 # --- Euclidean limit ---
@@ -327,8 +333,7 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
         # the orbit is representative rather than a near-pole slingshot
         threshold = 0.65 * (1.0 + abs(spec.g))
     else:
-        escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
-        threshold = escape - 0.02
+        threshold = _escape_energy(spec) - 0.02
     best = None
     best_H = math.inf
     tries = 0
@@ -382,10 +387,11 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
     """Every check of `curvint verify` on traj, in report order.
 
     Drift of each evaluators_for(traj.spec) entry along traj; FD brackets
-    with H on a grid of 20 random_bounded_state(spec, rng) draws; for PW
-    and VC, the rotation laws along traj, the moduli identities of M_r and
-    N_phi on the same grid and the Euclidean limit at traj's start (a row
-    passes when the O(kappa) envelope holds and the value is within its
+    with H of J2 and J3, J4 (PW, VC) or p_phi (central kinds only) on a
+    grid of 20 random_bounded_state(spec, rng) draws; for PW and VC, the
+    rotation laws along traj, the moduli identities of M_r and N_phi on
+    the same grid and the Euclidean limit at traj's start (a row passes
+    when the O(kappa) envelope holds and the value is within its
     threshold).  Brackets and moduli are array evaluations over the grid,
     and a non-finite value fails its row.  negative_control adds J2 + t to
     the drifts and J2 + r to the brackets, both of which must fail.
@@ -410,10 +416,10 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
 
     H = lambda s: hamiltonian(s, spec)
     named = {"J2~H": lambda s: j2(s, spec)}
-    if spec.has_angular_term and spec.kind is not SystemKind.GENERIC_F:
+    if spec.kind in (SystemKind.PW, SystemKind.VC):
         named["J3~H"] = lambda s: k_constant(s, spec).real
         named["J4~H"] = lambda s: k_constant(s, spec).imag
-    else:
+    elif not spec.has_angular_term:
         named["p_phi~H"] = lambda s: s.p_phi
     if negative_control:
         named["J2+r~H"] = lambda s: j2(s, spec) + s.r

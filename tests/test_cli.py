@@ -169,16 +169,26 @@ class TestSimulate:
         ("", ["--kb", "nan"]),
         ("", ["--t-end", "nan"]),
         ("", ["--t-end", "inf"]),
+        ("r0 = nan\n", []),
+        ("p_phi0 = inf\n", []),
+        ("kind = generic\n", []),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
             "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "max_step-0",
             "max_step-negative", "g-nan", "ka-inf", "kb-nan", "t_end-nan",
-            "t_end-inf"])
+            "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic"])
     def test_parse_error_exit_2(self, tmp_path, capsys, command, text,
                                 flags):
         cfg = write(tmp_path, text)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "out.csv"), *flags]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_generic_is_no_kind_choice(self, capsys):
+        # a config cannot supply the profile callables of GENERIC_F
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-config", "--kind", "generic"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "verify",
                                          "dump-config"])
@@ -332,4 +342,43 @@ def test_any_config_text_exits_0_or_2(tmp_path, capsys, lines):
     path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
     code = main(["dump-config", "--config", str(path)])
     assert code in (0, 2)
+    assert ("config error:" in capsys.readouterr().err) == (code == 2)
+
+
+# A run of simulate or verify reads a config whose lines all parse, each a
+# key with a value of its type: numbers 0 or of magnitude 1e-3 to 10, and
+# |t_end| <= 0.5, as a large momentum or curvature or a tiny max_step can
+# ask for millions of steps.  dump-config above covers parse errors and
+# the whole float range.
+RUN_NUMBERS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                        st.floats(-10.0, -1e-3))
+
+
+def run_line(key):
+    if key == "kind":
+        values = st.sampled_from(["free", "kepler", "vc", "pw", "generic"])
+    elif key in ("m_num", "m_den"):
+        values = st.integers(-10, 10)
+    else:
+        values = RUN_NUMBERS
+    return values.map(f"{key} = {{}}".format)
+
+
+RUN_LINES = st.sampled_from(sorted(RunConfig.__dataclass_fields__)).flatmap(
+    run_line)
+RUN_T_END = st.floats(-0.5, 0.5)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(RUN_LINES, max_size=8), t_end=RUN_T_END)
+def test_any_config_run_exits_0_to_6(tmp_path, capsys, command, lines,
+                                     t_end):
+    # no exception may escape main; the last line fixes the span
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("\n".join([*lines, f"t_end = {t_end!r}"]))
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code in range(7)
     assert ("config error:" in capsys.readouterr().err) == (code == 2)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from curvint import (CurvintError, NegativeCasimirError, PhaseState,
-                     PoleError, SystemKind, SystemSpec, angular_j,
-                     hamiltonian, integrate, j1, j2, k_constant, lambda_k,
-                     m_r, n_phi, noether_p1, noether_p2, runge_lenz,
-                     vc_integrals)
+                     PoleError, SystemKind, SystemSpec, hamiltonian,
+                     integrate, j2, k_constant, lambda_k, m_r, n_phi,
+                     noether_p1, noether_p2, runge_lenz, vc_integrals)
 from curvint.verify import drift, rotation_check
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -40,7 +39,7 @@ class TestQuadraticLayer:
             assert rep.passed, rep
 
     def test_angular_momentum(self):
-        assert angular_j(PhaseState(1.0, 0.0, 0.0, 2.0)) == 2.0
+        assert PhaseState(1.0, 0.0, 0.0, 2.0).p_phi == 2.0
 
     def test_angular_momentum_flat_cartesian(self):
         # kappa = 0: p_phi equals x v_y - y v_x of the mapped state
@@ -49,7 +48,7 @@ class TestQuadraticLayer:
         v_r, v_phi = s.p_r, s.p_phi / s.r ** 2
         vx = v_r * math.cos(s.phi) - s.r * math.sin(s.phi) * v_phi
         vy = v_r * math.sin(s.phi) + s.r * math.cos(s.phi) * v_phi
-        assert angular_j(s) == pytest.approx(x * vy - y * vx, rel=1e-13)
+        assert s.p_phi == pytest.approx(x * vy - y * vx, rel=1e-13)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_angular_momentum_conserved_central(self, kappa):
@@ -57,13 +56,8 @@ class TestQuadraticLayer:
         s0 = PhaseState(1.0, 0.3, 0.05, 0.7) if kappa >= 0 \
             else PhaseState(0.8, 0.3, 0.05, 0.5)
         traj = integrate(s0, spec, 100.0)
-        rep = invariant_drift(traj, angular_j, 1e-10)
+        rep = invariant_drift(traj, lambda s: s.p_phi, 1e-10)
         assert rep.passed, rep
-
-    def test_j1_is_twice_energy(self):
-        spec = pw_spec(kappa=1.0, m=Fraction(2))
-        for s in random_interior_states(spec, 100, seed=1):
-            assert j1(s, spec) == 2.0 * hamiltonian(s, spec)
 
     def test_j2_hand_value(self, standard_pw_state):
         assert j2(standard_pw_state, STANDARD) == pytest.approx(3.0)
@@ -237,7 +231,7 @@ class TestArrayPath:
     """Each invariant on a PhaseState of arrays against its float path."""
 
     INVARIANTS = {
-        "P1": noether_p1, "P2": noether_p2, "J1": j1, "J2": j2,
+        "P1": noether_p1, "P2": noether_p2, "J2": j2,
         "I3_kepler": lambda s, spec: runge_lenz(s, spec)[0],
         "I4_kepler": lambda s, spec: runge_lenz(s, spec)[1],
         "I2_vc": lambda s, spec: vc_integrals(s, spec)[0],

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from curvint import (CheckResult, CurvintError, NegativeCasimirError,
                      PhaseState, StencilError, SystemKind, SystemSpec,
@@ -147,6 +148,15 @@ class TestRotation:
         assert rotation_check(traj, spec).passed
         assert not rotation_check(traj, spec, flip_sign=True).passed
 
+    def test_fast_pericentre_no_false_failure(self):
+        # N_phi turns at up to 2 lambda = 37 per unit time at pericentre;
+        # a fixed step of 2e-4 read N_phi 1.02e-5 there, FD truncation
+        spec = pw_spec(kappa=0.0, m=Fraction(2))
+        traj = integrate(PhaseState(0.3, 0.7, -2.0, 0.1), spec, 20.0)
+        rep = rotation_check(traj, spec)
+        assert rep.passed and max(rep.max_rel_err_m, rep.max_rel_err_n) < 1e-6
+        assert not rotation_check(traj, spec, flip_sign=True).passed
+
 
 def reference_drift(traj, fn):
     """(initial value, max deviation) of fn evaluated state by state."""
@@ -155,9 +165,11 @@ def reference_drift(traj, fn):
                    for i in range(len(traj)))
 
 
-def reference_rotation(traj, spec, n_samples=200, dt=2e-4, flip_sign=False):
+def reference_rotation(traj, spec, n_samples=200, flip_sign=False):
     """rotation_check's two maximum errors, evaluated sample by sample."""
     mf = spec.m_num / spec.m_den
+    dt = min(2e-4, 1e-3 / max(max(1.0, mf) * lambda_k(traj.state(i), spec)
+                              for i in range(len(traj))))
     sgn = -1.0 if flip_sign else 1.0
     err_m = err_n = 0.0
     for t in np.linspace(float(traj.times[0]) + dt,
@@ -269,6 +281,77 @@ class TestClosure:
         spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=-1.0)
         traj = integrate(PhaseState(1.0, 0.0, 0.5, 0.3), spec, 50.0)
         assert closure_detect(traj) is None
+
+    def test_bounded_hyperbolic_kepler(self):
+        # an eccentric orbit whose last radius exceeds 3 times the median
+        # one, which a boundedness rule on the radius took for escape
+        spec = kepler_spec(kappa=-1.0)
+        s0 = random_bounded_state(spec, np.random.default_rng([2, 0]))
+        traj = integrate(s0, spec, 200.0)
+        T = closure_detect(traj)
+        assert T is not None and closure_mismatch(traj, T) < 1e-6
+        assert T == pytest.approx(radial_period(traj), rel=1e-8)
+
+    @pytest.mark.parametrize("m,q", [(Fraction(1), 1), (Fraction(2), 1),
+                                     (Fraction(1, 2), 2), (Fraction(3, 2), 2)])
+    def test_bounded_hyperbolic_pw(self, m, q):
+        # the same radial motion for every m: J2 depends on phi through
+        # m phi only; the orbit closes after q radial periods
+        spec = pw_spec(kappa=-1.0, m=m, g=2.0, k_a=0.05, k_b=0.01)
+        s0 = PhaseState(1.888, 0.6232 * math.pi / m, 0.0107, 0.3072)
+        assert hamiltonian(s0, spec) < -2.0
+        traj = integrate(s0, spec, 40.0)
+        T = closure_detect(traj)
+        assert T is not None and closure_mismatch(traj, T) < 1e-6
+        assert T == pytest.approx(q * radial_period(traj), rel=1e-8)
+
+    @pytest.mark.parametrize("s0", [PhaseState(1.0, 0.3, 0.4, 0.8),
+                                    PhaseState(0.6, 2.0, -0.5, 0.5),
+                                    PhaseState(2.0, 0.0, 0.1, 0.3)])
+    def test_flat_kepler_period(self, s0):
+        spec = kepler_spec(g=1.5)
+        period = 2.0 * math.pi * 1.5 / (-2.0 * hamiltonian(s0, spec)) ** 1.5
+        T = closure_detect(integrate(s0, spec, 1.5 * period))
+        assert T == pytest.approx(period, rel=1e-8)
+
+    def test_generic_profile_none(self):
+        spec = SystemSpec(kind=SystemKind.GENERIC_F, kappa=1.0, g=1.0,
+                          generic_F=GENERIC)
+        traj = integrate(PhaseState(1.1, 0.8, 0.1, 0.55), spec, 50.0)
+        assert closure_detect(traj) is None
+
+    @pytest.mark.parametrize("kappa,s0", [
+        (0.0, PhaseState(1.0, 0.0, 0.0, math.sqrt(2.0))),   # H = 0
+        (-1.0, PhaseState(1.0, 0.0, 0.0, 1.5)),
+        (-1.0, PhaseState(1.0, 0.0, 0.9, 0.5)),
+    ])
+    def test_escape_energy_none(self, kappa, s0):
+        spec = kepler_spec(kappa=kappa)
+        assert hamiltonian(s0, spec) >= -math.sqrt(-kappa)
+        assert closure_detect(integrate(s0, spec, 50.0)) is None
+
+    def test_span_shorter_than_period_none(self):
+        traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(), 6.0)
+        assert closure_detect(traj) is None
+
+
+def closure_mismatch(traj, T):
+    """Phase-space distance from the start one period T later."""
+    y0 = traj.states[0]
+    y = traj.dense(traj.times[0] + T)
+    dphi = (y[1] - y0[1] + math.pi) % (2 * math.pi) - math.pi
+    return math.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
+                     + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
+
+
+def radial_period(traj):
+    """Time between the first two pericentres, where p_r turns positive,
+    each located by brentq on the dense output."""
+    p_r = traj.states[:, 2]
+    turns = np.flatnonzero((p_r[:-1] < 0.0) & (p_r[1:] >= 0.0))
+    t0, t1 = (brentq(lambda t: traj.dense(t)[2], traj.times[i],
+                     traj.times[i + 1], xtol=1e-14) for i in turns[:2])
+    return t1 - t0
 
 
 class TestEuclideanLimit:
@@ -417,8 +500,10 @@ def expected_checks(kind, negative_control):
     if negative_control:
         rows.append(("drift", "J2_plus_t"))
     rows.append(("bracket", "J2~H"))
-    rows += ([("bracket", "J3~H"), ("bracket", "J4~H")] if higher
-             else [("bracket", "p_phi~H")])
+    if higher:
+        rows += [("bracket", "J3~H"), ("bracket", "J4~H")]
+    elif kind is not SystemKind.GENERIC_F:
+        rows.append(("bracket", "p_phi~H"))
     if negative_control:
         rows.append(("bracket", "J2+r~H"))
     if higher:
@@ -505,6 +590,15 @@ class TestRunSuite:
             assert abs(row.value - worst) <= 1e-10, name
             assert row.passed == (worst <= 1e-6), name
         assert not rows["J2+r~H"].passed
+
+    def test_generic_profile_fails_no_bracket_row(self):
+        # F = 0.5 cos(phi): p_phi is no integral, J2 is
+        spec = suite_spec(SystemKind.GENERIC_F, -1.0)
+        state0 = random_bounded_state(spec, np.random.default_rng(4))
+        rows = [row for row in run_suite(integrate(state0, spec, 2.0),
+                                         np.random.default_rng(5))
+                if row.check == "bracket"]
+        assert rows and all(row.passed for row in rows), rows
 
     def test_nan_bracket_fails_its_row(self, monkeypatch):
         spec = kepler_spec(kappa=1.0)
