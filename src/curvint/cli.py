@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (ConfigError, CurvintError, DomainError, SamplingError,
                      SpanError)
-from .kappa_trig import cot_k
+from .kappa_trig import cot_k, r_domain
 from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 from .dynamics import IntegratorConfig, Termination, integrate
 from .invariants import evaluators_for
@@ -170,6 +170,10 @@ def _load_config(args) -> RunConfig:
     for key in ("r0", "phi0", "p_r0", "p_phi0", "t_end"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
+    r_min, r_max = r_domain(cfg.kappa)
+    if not r_min <= cfg.r0 < r_max:
+        raise ConfigError(f"r0 = {cfg.r0!r} lies outside the radial domain "
+                          f"[{r_min!r}, {r_max!r}) of kappa = {cfg.kappa!r}")
     return cfg
 
 

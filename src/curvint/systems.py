@@ -131,17 +131,25 @@ def angular_sin_cos(phi, m: Fraction):
     return s, xp.cos(u)
 
 
+def _F_m(s, c, k_a: float, k_b: float):
+    """F_m from s = sin(m phi), c = cos(m phi)."""
+    return (k_a + k_b * c) / (s * s)
+
+
+def _F_m_prime(s, c, k_a: float, k_b: float, m: Fraction):
+    """dF_m/dphi from s = sin(m phi), c = cos(m phi)."""
+    return (-(m.numerator / m.denominator)
+            * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
+
+
 def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
     """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
-    s, c = angular_sin_cos(phi, m)
-    return (k_a + k_b * c) / (s * s)
+    return _F_m(*angular_sin_cos(phi, m), k_a, k_b)
 
 
 def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
     """d/dphi of angular_F_m."""
-    s, c = angular_sin_cos(phi, m)
-    return (-(m.numerator / m.denominator)
-            * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
+    return _F_m_prime(*angular_sin_cos(phi, m), k_a, k_b, m)
 
 
 def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
@@ -176,8 +184,9 @@ def angular_profile(spec: SystemSpec, phi) -> tuple:
         return (_elementwise(F, phi), _elementwise(dF, phi))
     if not spec.has_F_m:
         return (0.0, 0.0)
-    return (angular_F_m(phi, spec.k_a, spec.k_b, spec.m),
-            angular_F_m_prime(phi, spec.k_a, spec.k_b, spec.m))
+    s, c = angular_sin_cos(phi, spec.m)    # one sin/cos pair for F and F'
+    return (_F_m(s, c, spec.k_a, spec.k_b),
+            _F_m_prime(s, c, spec.k_a, spec.k_b, spec.m))
 
 
 def potential(state: PhaseState, spec: SystemSpec):

@@ -133,6 +133,20 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "t.csv")]) == 3
 
+    @pytest.mark.parametrize("r0", ["0.0", "1e-9", "3.1415926", "-0.0"])
+    def test_r0_in_domain_within_margin_exit_3(self, tmp_path, capsys, r0):
+        # in [0, pi) of kappa = 1 but within the margin of a pole
+        cfg = write(tmp_path, PW_SPHERE + f"r0 = {r0}\n")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        assert "singular initial state:" in capsys.readouterr().err
+
+    def test_r0_domain_error_names_the_domain(self, tmp_path, capsys):
+        cfg = write(tmp_path, PW_SPHERE + "r0 = 3.2\n")
+        assert main(["dump-config", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "[0.0, 3.141592653589793)" in err and "r0 = 3.2" in err
+
     def test_negative_casimir_start_verify_exit_3(self, tmp_path):
         # J2 = 0.25 - 4 < 0: the higher-order columns are undefined
         cfg = write(tmp_path, PW_SPHERE + "k_a = -2.0\nk_b = 0.0\n"
@@ -172,10 +186,14 @@ class TestSimulate:
         ("r0 = nan\n", []),
         ("p_phi0 = inf\n", []),
         ("kind = generic\n", []),
+        ("r0 = -1\n", []),
+        ("kappa = 1\nr0 = 4\n", []),
+        ("r0 = 3.2\n", ["--kappa", "1"]),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
             "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "max_step-0",
             "max_step-negative", "g-nan", "ka-inf", "kb-nan", "t_end-nan",
-            "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic"])
+            "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic",
+            "r0-negative", "r0-beyond-antipode", "r0-beyond-antipode-flag"])
     def test_parse_error_exit_2(self, tmp_path, capsys, command, text,
                                 flags):
         cfg = write(tmp_path, text)

@@ -1,11 +1,19 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+import curvint
 from curvint import (IntegratorConfig, PhaseState, PoleError, SystemKind,
-                     SystemSpec, Termination, eom, hamiltonian, integrate, j2)
+                     SystemSpec, Termination, cos_k, eom, hamiltonian,
+                     integrate, j2, sin_k)
+from curvint import _dop853
 from curvint.verify import drift
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -162,3 +170,182 @@ class TestCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:], traj.states)
+
+
+# --- scipy's solve_ivp as the oracle of the in-house DOP853 driver ---
+
+def reference_rhs(t, y, spec):
+    """Hamilton's equations as integrate handed them to scipy: y unpacked
+    with tolist, F and F' each from their own sin/cos of m phi."""
+    r, phi, p_r, p_phi = y.tolist()
+    S = sin_k(spec.kappa, r)
+    C = cos_k(spec.kappa, r)
+    F = dF = 0.0
+    if spec.kind is SystemKind.GENERIC_F:
+        F, dF = spec.generic_F[0](phi), spec.generic_F[1](phi)
+    elif spec.has_F_m:
+        p, q = spec.m_num, spec.m_den
+        s, c = math.sin((p * phi) / q), math.cos((p * phi) / q)
+        F = (spec.k_a + spec.k_b * c) / (s * s)
+        s, c = math.sin((p * phi) / q), math.cos((p * phi) / q)
+        dF = (-(p / q) * (2.0 * spec.k_a * c + spec.k_b * (1.0 + c * c))
+              / (s * s * s))
+    dUdr = 0.0
+    if spec.kind is not SystemKind.FREE_GEODESIC:
+        dUdr = spec.g / (S * S)
+    dUdr -= 2.0 * F * C / (S * S * S)
+    return [p_r, p_phi / (S * S), p_phi * p_phi * C / (S * S * S) - dUdr,
+            -dF / (S * S)]
+
+
+def reference_integrate(state0, spec, t_end, cfg=DEFAULTS):
+    """scipy's DOP853 with dense output and the two terminal guards."""
+    margin = cfg.singularity_margin
+
+    def radial(t, y):
+        return sin_k(spec.kappa, y[0]) - margin
+
+    def angular(t, y):
+        s = math.sin((spec.m_num * y[1]) / spec.m_den)
+        return s * s - margin * margin
+    events = [radial] + ([angular] if spec.has_F_m else [])
+    for event in events:
+        event.terminal, event.direction = True, -1
+    return scipy_solve_ivp(lambda t, y: reference_rhs(t, y, spec),
+                           (0.0, t_end), np.array(state0.as_tuple()),
+                           method="DOP853", rtol=cfg.rel_tol,
+                           atol=cfg.abs_tol, max_step=cfg.max_step,
+                           dense_output=True, events=events)
+
+
+def start_for(spec):
+    s0 = (PhaseState(1.1, 0.8, 0.1, 0.55) if spec.kappa > 0
+          else PhaseState(1.3, 0.9, -0.1, 0.6))
+    if spec.kind is SystemKind.PW and spec.m != 1:  # inside the first cell
+        s0 = PhaseState(s0.r, 0.35 * math.pi / float(spec.m), s0.p_r,
+                        s0.p_phi)
+    return s0
+
+
+ORACLE_CASES = [
+    pytest.param(spec, start_for(spec), 20.0, DEFAULTS,
+                 id=f"{spec.kind.value}-m{spec.m}-kappa{kappa:g}")
+    for kappa in (-1.0, 0.0, 1.0)
+    for spec in all_kind_specs(kappa) + [pw_spec(kappa=kappa, m=2)]
+] + [
+    pytest.param(pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6),
+                 20.0, IntegratorConfig(max_step=0.05), id="max_step"),
+    pytest.param(pw_spec(kappa=-1.0, m=Fraction(3, 2)),
+                 start_for(pw_spec(kappa=-1.0, m=Fraction(3, 2))), 10.0,
+                 IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14),
+                 id="rel_tol-1e-12"),
+    pytest.param(pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6),
+                 -20.0, DEFAULTS, id="backward"),
+    pytest.param(kepler_spec(), PhaseState(1.0, 0.0, 0.0, 1.0), 0.0,
+                 DEFAULTS, id="t_end-0"),
+]
+
+EVENT_CASES = [
+    pytest.param(kepler_spec(), PhaseState(1.0, 0.0, -0.5, 0.0), 50.0,
+                 Termination.HIT_RADIAL_POLE, id="radial"),
+    pytest.param(kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.5, 0.0),
+                 -50.0, Termination.HIT_RADIAL_POLE, id="radial-backward"),
+    pytest.param(SystemSpec(kind=SystemKind.PW, kappa=0.0, g=1.0, k_a=-0.3,
+                            k_b=0.0, m=Fraction(1)),
+                 PhaseState(1.0, 2.5, 0.0, 0.4), 50.0,
+                 Termination.HIT_ANGULAR_SINGULARITY, id="angular"),
+]
+
+
+def assert_dense_matches(traj, sol, seed=0):
+    t_lo, t_hi = sorted((float(traj.times[0]), float(traj.times[-1])))
+    ts = np.random.default_rng(seed).uniform(t_lo, t_hi, 500)
+    ours, ref = traj.dense(ts), sol.sol(ts)
+    assert ours.shape == ref.shape == (4, 500)
+    assert np.all(np.abs(ours - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+    # beyond the span the end steps' polynomials extrapolate; close to it
+    # their round-off stays small
+    times = traj.times
+    for t in (ts[0], times[-1], times[-1] + 0.1 * (times[-1] - times[-2]),
+              times[0] - 0.1 * (times[1] - times[0])):
+        one = traj.dense(t)
+        assert one.shape == (4,)
+        ref = sol.sol(t)
+        assert np.all(np.abs(one - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("spec, s0, t_end, cfg", ORACLE_CASES)
+    def test_accepted_steps_bit_for_bit(self, spec, s0, t_end, cfg):
+        traj = integrate(s0, spec, t_end, cfg)
+        sol = reference_integrate(s0, spec, t_end, cfg)
+        assert sol.status == 0
+        assert traj.termination is Termination.COMPLETED
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        assert_dense_matches(traj, sol)
+
+    @pytest.mark.parametrize("spec, s0, t_end, tag", EVENT_CASES)
+    def test_guard_terminations(self, spec, s0, t_end, tag):
+        traj = integrate(s0, spec, t_end)
+        sol = reference_integrate(s0, spec, t_end)
+        assert sol.status == 1
+        assert traj.termination is tag
+        fired = 0 if tag is Termination.HIT_RADIAL_POLE else 1
+        assert len(sol.t_events[fired]) == 1
+        assert len(traj) == len(sol.t)
+        assert np.array_equal(traj.times[:-1], sol.t[:-1])
+        assert np.array_equal(traj.states[:-1], sol.y.T[:-1])
+        assert abs(traj.times[-1] - sol.t[-1]) <= 1e-12
+        # the state where the guard fired, on scipy's interpolant
+        ref = sol.sol(traj.times[-1])
+        assert np.all(np.abs(traj.states[-1] - ref)
+                      <= 1e-14 * (1.0 + np.abs(ref)))
+        assert_dense_matches(traj, sol)
+
+    def test_tiny_rel_tol_raised_with_a_warning(self):
+        spec, s0 = kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.1, 1.0)
+        cfg = IntegratorConfig(rel_tol=1e-16, abs_tol=1e-16)
+        with pytest.warns(UserWarning, match="too small"):
+            traj = integrate(s0, spec, 2.0, cfg)
+        with pytest.warns(UserWarning, match="too small"):
+            sol = reference_integrate(s0, spec, 2.0, cfg)
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+
+    def test_solver_stats(self):
+        spec, s0 = pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6)
+        traj = integrate(s0, spec, 20.0)
+        stats = traj.stats
+        assert traj.termination is Termination.COMPLETED
+        assert stats.rejected > 0
+        assert stats.accepted == len(traj) - 1
+        assert stats.nfev == 2 + 12 * (stats.accepted + stats.rejected)
+        # scipy also evaluates 3 dense-output stages on every step
+        sol = reference_integrate(s0, spec, 20.0)
+        assert stats.nfev == sol.nfev - 3 * stats.accepted
+        h = np.abs(np.diff(traj.times))
+        assert (stats.h_min, stats.h_max) == (h.min(), h.max())
+
+    def test_tableau_is_scipys(self):
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            ours = getattr(_dop853, name)
+            theirs = getattr(dop853_coefficients, name)
+            assert ours.shape == theirs.shape, name
+            assert np.array_equal(ours, theirs), name
+        assert (_dop853.N_STAGES, _dop853.N_STAGES_EXTENDED,
+                _dop853.INTERPOLATOR_POWER) == (
+            dop853_coefficients.N_STAGES,
+            dop853_coefficients.N_STAGES_EXTENDED,
+            dop853_coefficients.INTERPOLATOR_POWER)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(curvint.__file__).resolve().parents[1])
+    probe = ("import sys, curvint, curvint.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "[]"
