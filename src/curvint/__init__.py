@@ -12,8 +12,7 @@ from .kappa_trig import cos_k, cot_k, r_domain, sin_k, tan_k
 from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
                       angular_F_m, angular_F_m_prime, angular_profile,
                       hamiltonian, potential, reparam_alpha_beta)
-from .dynamics import (IntegratorConfig, Termination, Trajectory, eom,
-                       integrate)
+from .dynamics import IntegratorConfig, Termination, Trajectory, integrate
 from .invariants import (evaluators_for, j2, k_constant, lambda_k, m_r,
                          n_phi, noether_p1, noether_p2, runge_lenz,
                          vc_integrals)

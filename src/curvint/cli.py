@@ -18,12 +18,14 @@ values.  The env var CURVINT_SEED seeds the random-state grids used by
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also a
 system that leaves no verification-grid state, or a span too short for the
-rotation check), 3 singular initial state, 4/5/6 the trajectory ended early
-at the radial pole / angular singularity / step underflow (`verify` then
-runs no checks).
+rotation check), 3 singular initial state, 4/5/6/7 the trajectory ended
+early at the radial pole / angular singularity / step underflow / step limit
+(`verify` then runs no checks).  Every CSV, the `verify` report included,
+goes through one writer.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -49,6 +51,7 @@ _EXIT_BY_TERMINATION = {
     Termination.HIT_RADIAL_POLE: 4,
     Termination.HIT_ANGULAR_SINGULARITY: 5,
     Termination.STEP_UNDERFLOW: 6,
+    Termination.STEP_LIMIT: 7,
 }
 
 # GENERIC_F is left out: a config cannot supply its profile callables
@@ -69,10 +72,10 @@ class RunConfig:
     p_r0: float = 0.0
     p_phi0: float = 1.0
     t_end: float = 10.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    singularity_margin: float = 1e-6
+    rel_tol: float = IntegratorConfig.rel_tol
+    abs_tol: float = IntegratorConfig.abs_tol
+    max_step: float = IntegratorConfig.max_step
+    singularity_margin: float = IntegratorConfig.singularity_margin
 
     def system_spec(self) -> SystemSpec:
         if self.kind not in _KINDS:
@@ -104,9 +107,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _convert(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
-    if ftype in (int, "int"):
+    if ftype is int:
         return int(raw)
-    if ftype in (float, "float"):
+    if ftype is float:
         return float(raw)
     return raw.strip()
 
@@ -177,6 +180,20 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+_FLOAT = "%.17g"
+
+
+def _write_csv(path, columns: dict, rows) -> None:
+    """Write a header of the names in columns (name -> %-format) and one
+    line per row, its fields formatted by columns' formats and joined by
+    commas, to path, or to stdout when path is None."""
+    line = ",".join(columns.values()) + "\n"
+    with (open(path, "w") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in rows)
+
+
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
@@ -187,7 +204,12 @@ def cmd_simulate(args) -> int:
     traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
 
     out = args.out or "trajectory.csv"
-    traj.write_csv(out, evaluators_for(spec))
+    evals = evaluators_for(spec)
+    batch = PhaseState(*traj.states.T)
+    _write_csv(out, dict.fromkeys(["t", "r", "phi", "p_r", "p_phi", *evals],
+                                  _FLOAT),
+               zip(traj.times, *traj.states.T,
+                   *(fn(batch) for fn in evals.values())))
     print(f"{traj.termination.value}: {len(traj)} samples -> {out}")
     return _EXIT_BY_TERMINATION[traj.termination]
 
@@ -214,17 +236,11 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(seed)
     rows = run_suite(traj, rng, args.negative_control)
 
-    lines = ["check,name,value,threshold,pass"]
-    for check, name, value, threshold, ok in rows:
-        lines.append("%s,%s,%.17g,%.17g,%s"
-                     % (check, name, value, threshold,
-                        "true" if ok else "false"))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out or None,
+               {"check": "%s", "name": "%s", "value": _FLOAT,
+                "threshold": _FLOAT, "pass": "%s"},
+               [(*row[:4], "true" if row.passed else "false")
+                for row in rows])
     n_fail = sum(1 for row in rows if not row.passed)
     for check, name, value, threshold, ok in rows:
         status = "ok  " if ok else "FAIL"
@@ -241,10 +257,10 @@ def cmd_potential_curve(args) -> int:
         raise ConfigError("require samples >= 0")
     out = args.out or "potential_curve.csv"
     r = np.linspace(args.r_min, args.r_max, args.samples)
-    np.savetxt(out, np.column_stack((r, -args.g * cot_k(1.0, r), -args.g / r,
-                                     -args.g * cot_k(-1.0, r))),
-               fmt="%.17g", delimiter=",", header="r,U_plus,U_flat,U_minus",
-               comments="")
+    _write_csv(out, dict.fromkeys(["r", "U_plus", "U_flat", "U_minus"],
+                                  _FLOAT),
+               zip(r, -args.g * cot_k(1.0, r), -args.g / r,
+                   -args.g * cot_k(-1.0, r)))
     print(f"{args.samples} samples -> {out}")
     return EXIT_OK
 

@@ -20,9 +20,10 @@ controller, the min-step rule and the clipping at max_step and t_end, so
 the accepted steps are SciPy's bit for bit.  A radial-pole guard and an
 angular-singularity guard are evaluated at the end of every accepted step;
 when one falls to zero, bisection on that step's interpolant finds the
-crossing and the trajectory ends there with a tag instead of running into
-infinities.  The 7th-order dense output is built on its first use,
-for all steps at once, from the stages the stepper kept.
+crossing and the trajectory ends there with the guard's tag instead of
+running into infinities; a run ends with a tag after MAX_STEPS accepted
+steps, too.  The 7th-order dense output is built on its first use, for all
+steps at once, from the stages the stepper kept.
 """
 
 import math
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import _dop853
 from .errors import PoleError
-from .kappa_trig import cos_k, sin_k, sin_k_off_pole
+from .kappa_trig import cos_k, sin_k
 from .systems import PhaseState, SystemKind, SystemSpec, angular_profile
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
@@ -45,6 +46,9 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 8            # -1 / (error estimator order 7 + 1)
 _N_STAGES = _dop853.N_STAGES        # 12, the last one at t + h
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
+# accepted steps before a run ends with STEP_LIMIT: about 175 times the
+# longest run of the tests and the benchmark, and ~640 MB of kept stages
+MAX_STEPS = 1_000_000
 
 
 class Termination(Enum):
@@ -52,6 +56,7 @@ class Termination(Enum):
     HIT_RADIAL_POLE = "hit_radial_pole"
     HIT_ANGULAR_SINGULARITY = "hit_angular_singularity"
     STEP_UNDERFLOW = "step_underflow"
+    STEP_LIMIT = "step_limit"
 
 
 @dataclass(frozen=True)
@@ -167,34 +172,14 @@ class Trajectory:
     states: np.ndarray          # shape (n, 4): r, phi, p_r, p_phi
     termination: Termination
     spec: SystemSpec
-    dense: Optional[DenseOutput] = field(default=None, repr=False)
-    stats: Optional[SolverStats] = None
+    dense: DenseOutput = field(repr=False)
+    stats: SolverStats
 
     def __len__(self) -> int:
         return len(self.times)
 
     def state(self, i: int) -> PhaseState:
         return PhaseState.from_tuple(self.states[i])
-
-    def write_csv(self, path, columns: Optional[dict] = None) -> None:
-        """One row per accepted step: t, r, phi, p_r, p_phi, then a column
-        per entry of columns (name -> evaluator, as from evaluators_for),
-        each evaluator called once on the trajectory as a PhaseState of
-        arrays; every value as %.17g."""
-        columns = columns or {}
-        batch = PhaseState(*self.states.T)
-        values = [fn(batch) for fn in columns.values()]
-        row = ",".join(["%.17g"] * (5 + len(values))) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(["t,r,phi,p_r,p_phi", *columns]) + "\n")
-            fh.writelines(row % fields for fields in
-                          zip(self.times, *self.states.T, *values))
-
-
-def eom(state: PhaseState, spec: SystemSpec) -> tuple[float, float, float, float]:
-    """Right-hand side of Hamilton's equations at one phase point."""
-    sin_k_off_pole(spec.kappa, state.r)     # PoleError at the radial pole
-    return tuple(_rhs(state.as_tuple(), spec))
 
 
 def _rhs(y, spec: SystemSpec):
@@ -234,8 +219,7 @@ class Solution(NamedTuple):
     which the benchmark's tracer (perfbench/tracing.py) reads."""
     t: np.ndarray               # accepted times, from 0 (a guard's root last)
     y: np.ndarray               # (n, 4) states at t
-    status: int                 # 0 reached t_end, 1 a guard fired, -1 underflow
-    guard: Optional[int]        # index of the guard that fired
+    termination: Termination
     stats: SolverStats
     dense: DenseOutput
 
@@ -245,22 +229,30 @@ class Solution(NamedTuple):
 
 
 def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
-              max_step: float = math.inf, guards=()) -> Solution:
+              max_step: float, guards: dict) -> Solution:
     """Integrate y' = fun(y) (autonomous, 4 components) from t = 0 to t_end
     with DOP853; t_end < 0 integrates backwards.
 
-    fun takes and returns a sequence of 4 floats.  Each guard maps the state
-    (4 floats) to a float; the integration ends at the first root, in the
-    direction of time, of a guard that goes from >= 0 to <= 0 over a step.
-    An rtol below 100 EPS is raised to that value with a warning, as SciPy
-    does.
+    fun takes and returns a sequence of 4 floats.  guards maps a Termination
+    to a function of the state (4 floats) that is >= 0 where the state is
+    admissible: PoleError if one is negative at y0.  The integration ends at
+    the first root, in the direction of time, of a guard that goes from >= 0
+    to <= 0 over a step, with that guard's tag; after MAX_STEPS accepted
+    steps short of t_end it ends with STEP_LIMIT.  An rtol below 100 EPS is
+    raised to that value with a warning, as SciPy does.
     """
+    tags, checks = list(guards), list(guards.values())
+    y = np.array(y0, dtype=float)
+    g = [check(y.tolist()) for check in checks]
+    for tag, value in zip(tags, g):
+        if value < 0:
+            raise PoleError(f"initial state {tuple(y.tolist())} within the "
+                            f"margin: {tag.value} guard {value:.3g} < 0")
     if rtol < 100 * EPS:
         warnings.warn(f"rtol = {rtol!r} is too small; using {100 * EPS!r}",
                       stacklevel=3)
         rtol = 100 * EPS
     direction = -1.0 if t_end < 0 else 1.0
-    y = np.array(y0, dtype=float)
     f = np.array(fun(y.tolist()))
     nfev = 1
 
@@ -294,13 +286,12 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
     y_end = y                   # where the last accepted step ended
     ts, ys, hs, stages = [t], [y], [], []
     rejected = 0
-    status = guard_hit = None
-    g = [guard(y) for guard in guards]
+    termination = None
     if t_end == 0.0:
         ts.append(t)
         ys.append(y)
-        status = 0
-    while status is None:
+        termination = Termination.COMPLETED
+    while termination is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
@@ -310,7 +301,7 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
         y0, y1, y2, y3 = y
         while True:
             if h_abs < min_step:
-                status = -1
+                termination = Termination.STEP_UNDERFLOW
                 break
             h = h_abs * direction
             t_new = t + h
@@ -352,7 +343,7 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             step_rejected = True
             rejected += 1
-        if status is not None:
+        if termination is not None:
             break
 
         hs.append(h)
@@ -362,29 +353,29 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
         t_old, t, y = t, t_new, y_new
         y_end = y
         if direction * (t - t_end) >= 0:
-            status = 0
+            termination = Termination.COMPLETED
+        elif len(hs) == MAX_STEPS:
+            termination = Termination.STEP_LIMIT
 
-        if guards:
-            g_new = [guard(y) for guard in guards]
-            fired = [i for i in range(len(guards))
-                     if g[i] >= 0 and g_new[i] <= 0]
-            g = g_new
-            if fired:
-                y_old = np.array(ys[-1])
-                F = _interpolant(fun, np.array([h]), y_old[None],
-                                 np.array([y]), stages[-1][None])[0]
-                nfev += 3
+        g_new = [check(y) for check in checks]
+        fired = [i for i in range(len(checks))
+                 if g[i] >= 0 and g_new[i] <= 0]
+        g = g_new
+        if fired:
+            y_old = np.array(ys[-1])
+            F = _interpolant(fun, np.array([h]), y_old[None],
+                             np.array([y]), stages[-1][None])[0]
+            nfev += 3
 
-                def state_at(t_root):
-                    return _interpolate(F, y_old,
-                                        (t_root - t_old) / h).tolist()
-                roots = [_bisect(lambda tt: guards[i](state_at(tt)),
-                                 t_old, t) for i in fired]
-                first = min(range(len(fired)),
-                            key=lambda k: direction * roots[k])
-                guard_hit, t = fired[first], roots[first]
-                y = state_at(t)
-                status = 1
+            def state_at(t_root):
+                return _interpolate(F, y_old,
+                                    (t_root - t_old) / h).tolist()
+            roots = [_bisect(lambda tt: checks[i](state_at(tt)),
+                             t_old, t) for i in fired]
+            first = min(range(len(fired)),
+                        key=lambda k: direction * roots[k])
+            termination, t = tags[fired[first]], roots[first]
+            y = state_at(t)
         ts.append(t)
         ys.append(y)
 
@@ -393,24 +384,20 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
     stats = SolverStats(nfev=nfev, accepted=len(hs), rejected=rejected,
                         h_min=float(min(sizes, default=math.nan)),
                         h_max=float(max(sizes, default=math.nan)))
-    return Solution(t=times, y=states, status=status,
-                    guard=guard_hit, stats=stats,
+    return Solution(t=times, y=states, termination=termination, stats=stats,
                     dense=DenseOutput(fun, times, states, hs, stages, y_end))
 
 
 def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
               cfg: Optional[IntegratorConfig] = None) -> Trajectory:
-    """Propagate to t_end with local error <= rel_tol*|y| + abs_tol per step."""
+    """Propagate to t_end with local error <= rel_tol*|y| + abs_tol per step;
+    PoleError at a state0 within the margin of a radial or angular pole."""
     cfg = cfg or IntegratorConfig()
     margin = cfg.singularity_margin
 
-    if sin_k(spec.kappa, state0.r) < margin:
-        raise PoleError(f"initial state within margin of the radial pole "
-                        f"(r = {state0.r})", location=state0.r)
-
     def radial_guard(y):
         return sin_k(spec.kappa, y[0]) - margin
-    guards = [radial_guard]
+    guards = {Termination.HIT_RADIAL_POLE: radial_guard}
 
     if spec.has_F_m:
         p, q = spec.m_num, spec.m_den
@@ -418,18 +405,9 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
         def angular_guard(y):
             s = math.sin((p * y[1]) / q)
             return s * s - margin * margin
-        guards.append(angular_guard)
-
-        if abs(math.sin((p * state0.phi) / q)) < margin:
-            raise PoleError("initial state within margin of the angular "
-                            f"singularity (phi = {state0.phi})")
+        guards[Termination.HIT_ANGULAR_SINGULARITY] = angular_guard
 
     sol = solve_ivp(lambda y: _rhs(y, spec), t_end, state0.as_tuple(),
                     cfg.rel_tol, cfg.abs_tol, cfg.max_step, guards)
-    tag = {0: Termination.COMPLETED, -1: Termination.STEP_UNDERFLOW}.get(
-        sol.status)
-    if tag is None:
-        tag = (Termination.HIT_RADIAL_POLE, Termination.HIT_ANGULAR_SINGULARITY
-               )[sol.guard]
-    return Trajectory(times=sol.t, states=sol.y, termination=tag, spec=spec,
-                      dense=sol.dense, stats=sol.stats)
+    return Trajectory(times=sol.t, states=sol.y, termination=sol.termination,
+                      spec=spec, dense=sol.dense, stats=sol.stats)

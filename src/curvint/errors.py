@@ -12,10 +12,6 @@ class DomainError(CurvintError):
 class PoleError(CurvintError):
     """Radial pole: Sin_k(r) or Cos_k(r) vanishes at the evaluation point."""
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
-
 
 class AngularSingularityError(CurvintError):
     """sin(m*phi) vanishes where the angular potential is evaluated."""

@@ -116,20 +116,10 @@ def _ipow(z, n: int):
     return out
 
 
-def k_constant(state: PhaseState, spec: SystemSpec,
-               p: int | None = None, q: int | None = None):
-    """Higher-order complex constant M_r^p * conj(N_phi)^q for m = p/q.
-
-    Defaults to the exponents of spec.m; q = 1 recovers the integer-m
-    product M_r^m conj(N_phi).
-    """
-    if p is None:
-        p = spec.m_num
-    if q is None:
-        q = spec.m_den
-    if p < 1 or q < 1:
-        raise ValueError("exponents must be positive integers")
-    return _ipow(m_r(state, spec), p) * _ipow(n_phi(state, spec).conjugate(), q)
+def k_constant(state: PhaseState, spec: SystemSpec):
+    """Higher-order complex constant M_r^p * conj(N_phi)^q for m = p/q."""
+    return (_ipow(m_r(state, spec), spec.m_num)
+            * _ipow(n_phi(state, spec).conjugate(), spec.m_den))
 
 
 def evaluators_for(spec: SystemSpec) -> dict:

@@ -92,7 +92,7 @@ def _off_pole(v, what: str, kappa: float, x):
     if isinstance(v, _ndarray):
         return np.where(abs(v) < _POLE_EPS, np.nan, v)
     if abs(v) < _POLE_EPS:
-        raise PoleError(f"pole: {what}({kappa}, {x}) = {v}", location=x)
+        raise PoleError(f"pole: {what}({kappa}, {x}) = {v}")
     return v
 
 

@@ -93,7 +93,7 @@ class SystemSpec:
         m = Fraction(self.m)
         object.__setattr__(self, "m", m)
         if self.kind in (SystemKind.PW, SystemKind.VC):
-            if m.numerator < 1 or m.denominator < 1:
+            if m.numerator < 1:
                 raise DomainError(f"m must be a positive rational, got {m}")
         if self.kind is SystemKind.VC and m != 1:
             raise DomainError("the VC system fixes m = 1")

@@ -22,6 +22,15 @@ from .dynamics import Trajectory
 PhaseFunction = Callable[[PhaseState], float]
 
 
+def _float_recheck(values, evaluate) -> None:
+    """evaluate(i) at the flat index i of values' first non-finite entry:
+    as floats, a singular state raises the float path's error there; a
+    value that stays non-finite is left for the caller's verdict to fail."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        evaluate(int(bad[0]))
+
+
 # --- finite-difference Poisson brackets ---
 
 def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
@@ -45,12 +54,11 @@ def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
 
     def gradient(fn):
         values = fn(PhaseState(*points))
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            try:
-                fn(PhaseState.from_tuple(points.reshape(4, -1)[:, bad[0]]))
-            except CurvintError as exc:
-                raise StencilError(f"pole inside stencil: {exc}") from exc
+        try:
+            _float_recheck(values, lambda i: fn(
+                PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
+        except CurvintError as exc:
+            raise StencilError(f"pole inside stencil: {exc}") from exc
         return (values[:4] - values[4:]) / (2.0 * step)
 
     df, dg = gradient(f), gradient(g)
@@ -85,9 +93,8 @@ def drift(traj: Trajectory, name: str, fn: Callable[[PhaseState, float], float],
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     values = fn(PhaseState(*traj.states.T), traj.times)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        fn(traj.state(bad[0]), float(traj.times[bad[0]]))
+    _float_recheck(values,
+                   lambda i: fn(traj.state(i), float(traj.times[i])))
     v0 = values[0].item()
     dev = float(np.max(np.abs(values - v0)))
     rel = dev / (1.0 + abs(v0))
@@ -106,20 +113,24 @@ class RotationReport:
     passed: bool
 
 
+_ROTATION_TOL = 1e-5
+
+
 def rotation_check(traj: Trajectory, spec: SystemSpec,
-                   n_samples: int = 200, tolerance: float = 1e-5,
                    flip_sign: bool = False) -> RotationReport:
     """Check dM_r/dt = i*lambda*M_r and dN_phi/dt = i*m*lambda*N_phi.
 
     Time derivatives come from central differences over dense output, so
     the check is independent of the analytic equations of motion; their
     step dt = min(2e-4, 1e-3 / max(1, m) max lambda) turns either factor
-    by at most 1e-3 rad (O(dt^2) truncation near 2e-7).  flip_sign injects
-    a wrong-sign lambda (negative control).  The samples are evaluated as
-    arrays, with drift's rule at a non-finite error.  SpanError when the
+    by at most 1e-3 rad (O(dt^2) truncation near 2e-7).  Each factor's
+    largest relative error over 200 evenly spaced sample times must stay
+    below 1e-5.  flip_sign injects a wrong-sign lambda (negative control).
+    The samples are evaluated as arrays, with drift's rule at a non-finite
+    error.  SpanError when the
     trajectory has fewer than 3 steps or spans 2 dt or less.
     """
-    if traj.dense is None or len(traj) < 3:
+    if len(traj) < 3:
         raise SpanError(f"trajectory of {len(traj)} steps too sparse for "
                         f"the rotation check (needs 3)")
     mf = spec.m_num / spec.m_den
@@ -144,15 +155,14 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
                 abs(dN - 1j * mf * lam * N)
                 / np.maximum(1.0, mf * abs(lam) * abs(N)))
 
-    ts = np.linspace(t0, t1, n_samples)
+    ts = np.linspace(t0, t1, 200)
     err_m, err_n = errors(ts)
-    bad = np.flatnonzero(~np.isfinite(err_m + err_n))
-    if bad.size:
-        errors(float(ts[bad[0]]))
+    _float_recheck(err_m + err_n, lambda i: errors(float(ts[i])))
     err_m, err_n = float(np.max(err_m)), float(np.max(err_n))
     return RotationReport(max_rel_err_m=err_m, max_rel_err_n=err_n,
-                          tolerance=tolerance,
-                          passed=err_m < tolerance and err_n < tolerance)
+                          tolerance=_ROTATION_TOL,
+                          passed=err_m < _ROTATION_TOL
+                          and err_n < _ROTATION_TOL)
 
 
 # --- closed-orbit detection ---
@@ -213,15 +223,19 @@ class LimitScanReport:
     name: str
     flat_value: float
     deviations: tuple            # ((kappa, |f(kappa) - f(0)|), ...)
+    value: float                 # the largest deviation at |kappa| < 5e-8
+    threshold: float             # 1e-7 (1 + |f(0)|)
     passed: bool
 
 
-def euclidean_limit_scan(spec: SystemSpec, state: PhaseState,
-                         k_range=range(4, 13)) -> list[LimitScanReport]:
+def euclidean_limit_scan(spec: SystemSpec,
+                         state: PhaseState) -> list[LimitScanReport]:
     """Check O(kappa) convergence of H, M_r, N_phi, lambda to flat values.
 
-    The scan evaluates spec with kappa = +-10^-k and compares with
-    kappa = 0; spec's own kappa is not used.
+    The scan evaluates spec with kappa = +-10^-k, k = 4..12, and compares
+    with kappa = 0; spec's own kappa is not used.  A quantity passes when
+    every deviation lies within the O(kappa) envelope and the largest at
+    |kappa| < 5e-8 is within its threshold; a nan deviation fails.
     """
     quantities = {"H": hamiltonian, "M_r": m_r, "N_phi": n_phi,
                   "lambda": lambda_k}
@@ -230,14 +244,19 @@ def euclidean_limit_scan(spec: SystemSpec, state: PhaseState,
     for name, fn in quantities.items():
         f0 = fn(state, flat)
         devs = tuple((kap, abs(fn(state, replace(spec, kappa=kap)) - f0))
-                     for k in k_range for kap in (10.0 ** -k, -(10.0 ** -k)))
-        # linear-in-kappa envelope with a generous constant; nan fails
+                     for k in range(4, 13)
+                     for kap in (10.0 ** -k, -(10.0 ** -k)))
+        # linear-in-kappa envelope with a generous constant
         scale = 1.0 + abs(f0)
-        ok = all(dev <= 100.0 * abs(kap) * scale + 1e-13 for kap, dev in devs)
+        envelope = all(dev <= 100.0 * abs(kap) * scale + 1e-13
+                       for kap, dev in devs)
+        value = max(dev for kap, dev in devs if abs(kap) < 5e-8)
+        threshold = 1e-7 * scale
         reports.append(LimitScanReport(
             name=name,
             flat_value=abs(f0) if isinstance(f0, complex) else f0,
-            deviations=devs, passed=ok))
+            deviations=devs, value=value, threshold=threshold,
+            passed=envelope and value <= threshold))
     return reports
 
 
@@ -453,9 +472,6 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
                                 worst <= 1e-10))
 
     for lim in euclidean_limit_scan(spec, traj.state(0)):
-        dev8 = max((d for kap, d in lim.deviations if abs(kap) < 5e-8),
-                   default=0.0)
-        threshold = 1e-7 * (1.0 + abs(lim.flat_value))
-        rows.append(CheckResult("limit", lim.name, dev8, threshold,
-                                lim.passed and dev8 <= threshold))
+        rows.append(CheckResult("limit", lim.name, lim.value, lim.threshold,
+                                lim.passed))
     return rows

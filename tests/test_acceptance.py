@@ -77,7 +77,7 @@ def test_criterion_3_rotation_laws():
             spec = pw_spec(kappa=kappa, m=m)
             rng = np.random.default_rng(33)
             traj = integrate(random_bounded_state(spec, rng), spec, 20.0)
-            rep = rotation_check(traj, spec, tolerance=1e-5)
+            rep = rotation_check(traj, spec)
             worst = max(worst, rep.max_rel_err_m, rep.max_rel_err_n)
             assert rep.passed, (kappa, m, rep)
     verdict(3, worst < 1e-5, f"rotation laws, worst {worst:.2e} < 1e-5")

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curvint import PhaseState, cli, evaluators_for
+from curvint import PhaseState, cli, cot_k, dynamics, evaluators_for
 from curvint.cli import RunConfig, dump_config, main, parse_config
 from curvint.errors import ConfigError
 from curvint.verify import random_bounded_state
@@ -302,6 +302,16 @@ class TestVerifyCommand:
         assert "no checks run" in err
         assert not out.exists()
 
+    def test_stdout_report_equals_out_file(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("CURVINT_SEED", "2")
+        cfg = write(tmp_path, PW_SPHERE + "t_end = 2.0\n")
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify", "--config", cfg]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     @pytest.mark.parametrize("text", [
         PW_SPHERE + "k_a = 100.0\nphi0 = 0.7\n",     # no grid state
         PW_SPHERE + "phi0 = 0.7\nt_end = 1e-5\n",     # rotation span
@@ -311,6 +321,27 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+
+class TestStepLimit:
+    def test_simulate_writes_the_csv_and_exits_7(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", write(tmp_path, PW_SPHERE),
+                     "--out", str(out)]) == 7
+        assert len(out.read_text().splitlines()) == 1 + 11
+        assert capsys.readouterr().out.startswith("step_limit: 11 samples")
+
+    def test_verify_runs_no_checks_and_exits_7(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", write(tmp_path, PW_SPHERE),
+                     "--out", str(out)]) == 7
+        err = capsys.readouterr().err
+        assert "step_limit at t = " in err and "no checks run" in err
+        assert not out.exists()
 
 
 class TestPotentialCurve:
@@ -326,6 +357,21 @@ class TestPotentialCurve:
         r = math.pi / 4
         row = min(data, key=lambda q: abs(q[0] - r))
         assert row[2] == pytest.approx(-4 / math.pi, abs=0.05)
+
+    @pytest.mark.parametrize("flags, g, r", [
+        ([], 1.0, np.linspace(0.05, 3.0, 200)),
+        (["--samples", "0"], 1.0, np.linspace(0.05, 3.0, 0)),
+        (["--samples", "1", "--g", "-2.5"], -2.5, np.array([0.05])),
+    ], ids=["defaults", "samples-0", "samples-1"])
+    def test_bytes_match_savetxt(self, tmp_path, flags, g, r):
+        out, oracle = tmp_path / "curve.csv", tmp_path / "oracle.csv"
+        assert main(["potential-curve", "--out", str(out), *flags]) == 0
+        # np.savetxt, independent of curvint, is the oracle of the format
+        np.savetxt(oracle, np.column_stack((r, -g * cot_k(1.0, r), -g / r,
+                                            -g * cot_k(-1.0, r))),
+                   fmt="%.17g", delimiter=",",
+                   header="r,U_plus,U_flat,U_minus", comments="")
+        assert out.read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize("flags", [["--r-min", "2.0", "--r-max", "1.0"],
                                        ["--r-max", "4.0"],

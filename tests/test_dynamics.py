@@ -11,9 +11,10 @@ from scipy.integrate._ivp import dop853_coefficients
 
 import curvint
 from curvint import (IntegratorConfig, PhaseState, PoleError, SystemKind,
-                     SystemSpec, Termination, cos_k, eom, hamiltonian,
-                     integrate, j2, sin_k)
-from curvint import _dop853
+                     SystemSpec, Termination, cos_k, hamiltonian, integrate,
+                     j2, sin_k)
+from curvint import _dop853, dynamics
+from curvint.cli import main
 from curvint.verify import drift
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -35,13 +36,13 @@ def all_kind_specs(kappa):
 class TestEquationsOfMotion:
     def test_circular_kepler_balance(self):
         # centrifugal 1/r^3 balances gravity g/r^2 at r = 1
-        rhs = eom(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec())
+        rhs = dynamics._rhs((1.0, 0.0, 0.0, 1.0), kepler_spec())
         assert rhs == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_radial_geodesic(self, kappa):
         spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa)
-        rhs = eom(PhaseState(0.7, 0.3, 0.4, 0.0), spec)
+        rhs = dynamics._rhs((0.7, 0.3, 0.4, 0.0), spec)
         assert rhs == pytest.approx((0.4, 0.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
@@ -60,11 +61,8 @@ class TestEquationsOfMotion:
                            - hamiltonian(PhaseState.from_tuple(ym), spec)) \
                     / (2 * h)
             expected = (grad[2], grad[3], -grad[0], -grad[1])
-            assert eom(s, spec) == pytest.approx(expected, rel=1e-6, abs=1e-6)
-
-    def test_pole_rejected(self):
-        with pytest.raises(PoleError):
-            eom(PhaseState(0.0, 0.0, 0.1, 0.0), kepler_spec())
+            assert dynamics._rhs(s.as_tuple(), spec) == pytest.approx(
+                expected, rel=1e-6, abs=1e-6)
 
 
 class TestIntegrate:
@@ -153,6 +151,19 @@ class TestIntegrate:
         with pytest.raises(PoleError):
             integrate(PhaseState(1.0, 1e-9, 0.0, 0.1), pw_spec(), 1.0)
 
+    def test_step_limit(self, monkeypatch):
+        s0, spec = PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec()
+        full = integrate(s0, spec, 2 * math.pi)
+        steps = len(full) - 1
+        monkeypatch.setattr(dynamics, "MAX_STEPS", steps)
+        assert integrate(s0, spec, 2 * math.pi).termination \
+            is Termination.COMPLETED
+        monkeypatch.setattr(dynamics, "MAX_STEPS", steps - 1)
+        traj = integrate(s0, spec, 2 * math.pi)
+        assert traj.termination is Termination.STEP_LIMIT
+        assert traj.stats.accepted == steps - 1 and len(traj) == steps
+        assert np.array_equal(traj.times, full.times[:-1])
+
     def test_phi_unwrapped(self):
         traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(),
                          6 * math.pi)
@@ -161,15 +172,18 @@ class TestIntegrate:
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(), 1.0)
+        # curvint simulate writes every value as %.17g: it reads back exactly
         path = tmp_path / "traj.csv"
-        traj.write_csv(path)
+        assert main(["simulate", "--kind", "free", "--t-end", "1.0",
+                     "--out", str(path)]) == 0
+        traj = integrate(PhaseState(1.0, math.pi / 2, 0.0, 1.0),
+                         SystemSpec(kind=SystemKind.FREE_GEODESIC), 1.0)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,r,phi,p_r,p_phi"
+        assert lines[0] == "t,r,phi,p_r,p_phi,H,J2"
         assert len(lines) == len(traj) + 1
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], traj.times)
-        assert np.array_equal(data[:, 1:], traj.states)
+        assert np.array_equal(data[:, 1:5], traj.states)
 
 
 # --- scipy's solve_ivp as the oracle of the in-house DOP853 driver ---

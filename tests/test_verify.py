@@ -13,7 +13,7 @@ from curvint import (CheckResult, CurvintError, NegativeCasimirError,
                      run_suite, tan_k)
 from curvint import verify
 from curvint.cli import main, parse_config
-from curvint.verify import LimitScanReport, bracket_with_scale, drift
+from curvint.verify import bracket_with_scale, drift
 from conftest import kepler_spec, pw_spec, random_interior_states
 from test_cli import PW_SPHERE, write
 
@@ -246,7 +246,7 @@ class TestWholeTrajectory:
         rng = np.random.default_rng(33)
         traj = integrate(random_bounded_state(spec, rng), spec, 20.0)
         for flip in (False, True):
-            rep = rotation_check(traj, spec, tolerance=1e-5, flip_sign=flip)
+            rep = rotation_check(traj, spec, flip_sign=flip)
             ref_m, ref_n = reference_rotation(traj, spec, flip_sign=flip)
             assert abs(rep.max_rel_err_m - ref_m) <= 1e-10 * (1.0 + ref_m)
             assert abs(rep.max_rel_err_n - ref_n) <= 1e-10 * (1.0 + ref_n)
@@ -610,16 +610,28 @@ class TestRunSuite:
         assert math.isnan(row.value) and not row.passed
 
     def test_limit_row_needs_value_within_threshold(self, monkeypatch):
-        # inside the O(kappa) envelope at kappa = 1e-8, above 1e-7 (1 + |f0|)
-        report = LimitScanReport("H", 0.5, ((1e-8, 2e-7), (-1e-8, 2e-7)),
-                                 passed=True)
-        monkeypatch.setattr(verify, "euclidean_limit_scan",
-                            lambda *args: [report])
+        # H = 0.5 + 20 |kappa| lies inside the O(kappa) envelope, 150 |kappa|,
+        # but deviates by 2e-7 at kappa = 1e-8, above 1e-7 (1 + |f0|)
+        spec = suite_spec(SystemKind.PW, 1.0)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        monkeypatch.setattr(verify, "hamiltonian",
+                            lambda s, sp: 0.5 + 20.0 * abs(sp.kappa))
+        lim = euclidean_limit_scan(spec, state0)[0]
+        assert lim.name == "H" and lim.flat_value == 0.5
+        assert all(dev <= 150.0 * abs(kap) for kap, dev in lim.deviations)
+        assert lim.value == pytest.approx(2e-7, rel=1e-6)
+        assert lim.threshold == pytest.approx(1.5e-7, rel=1e-15)
+        assert not lim.passed
+
+    def test_limit_rows_copy_the_scan(self):
         spec = suite_spec(SystemKind.PW, 1.0)
         state0 = random_bounded_state(spec, np.random.default_rng(6))
         rows = run_suite(integrate(state0, spec, 2.0),
                          np.random.default_rng(7))
-        assert rows[-1] == CheckResult("limit", "H", 2e-7, 1.5e-7, False)
+        assert rows[-4:] == [
+            CheckResult("limit", lim.name, lim.value, lim.threshold,
+                        lim.passed)
+            for lim in euclidean_limit_scan(spec, state0)]
 
     def test_controls_fail_and_the_rest_pass(self):
         cfg = parse_config(PW_SPHERE)
