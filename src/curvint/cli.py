@@ -16,12 +16,12 @@ values.  The env var CURVINT_SEED seeds the random-state grids used by
 `verify`.
 
 This module only parses, formats and maps exceptions to exit codes, all in
-`main`: 0 success, 1 a verification check failed, 2 config error (also a
-system that leaves no verification-grid state, or a span too short for the
-rotation check), 3 singular initial state, 4/5/6/7 the trajectory ended
-early at the radial pole / angular singularity / step underflow / step limit
-(`verify` then runs no checks).  Every CSV, the `verify` report included,
-goes through one writer.
+`main`: 0 success, 1 a verification check failed, 2 config error (also an
+--out path that cannot be opened, a system that leaves no verification-grid
+state, or a span too short for the rotation check), 3 singular initial
+state, 4/5/6/7 the trajectory ended early at the radial pole / angular
+singularity / step underflow / step limit (`verify` then runs no checks).
+Every CSV, the `verify` report included, goes through one writer.
 """
 
 import argparse
@@ -186,10 +186,15 @@ _FLOAT = "%.17g"
 def _write_csv(path, columns: dict, rows) -> None:
     """Write a header of the names in columns (name -> %-format) and one
     line per row, its fields formatted by columns' formats and joined by
-    commas, to path, or to stdout when path is None."""
+    commas, to path, or to stdout when path is None.  ConfigError when path
+    cannot be opened for writing."""
     line = ",".join(columns.values()) + "\n"
-    with (open(path, "w") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    try:
+        out = (open(path, "w") if path is not None
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with out as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(line % row for row in rows)
 

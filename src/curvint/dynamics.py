@@ -9,7 +9,13 @@ and C = Cos_k(r):
     dp_phi/dt = -F'(phi) / S^2
 
 (d/dr of 1/Tan_k(r) is -1/S^2 for every curvature, by the Pythagorean
-identity C^2 + kappa S^2 = 1.)
+identity C^2 + kappa S^2 = 1.)  `_rhs_for(spec)` writes them once, as a
+function of y made per integration: the kind, the branch of kappa and
+sqrt|kappa|, g and the profile's p, q, k_a and k_b are decided before the
+first step, so each of DOP853's 12 evaluations per step does only the
+arithmetic.  Its float variant drives the stepper; its array variant, the
+same body with (S, C) and (F, F') evaluated by numpy, serves the dense
+output and the interpolant a guard crossing is located on.
 
 `solve_ivp` integrates them with DOP853, the explicit Runge-Kutta method
 of order 8 with error estimators of orders 5 and 3 (Hairer, Norsett and
@@ -36,8 +42,9 @@ import numpy as np
 
 from . import _dop853
 from .errors import PoleError
-from .kappa_trig import cos_k, sin_k
-from .systems import PhaseState, SystemKind, SystemSpec, angular_profile
+from .kappa_trig import cos_k, sin_cos_k_for, sin_k
+from .systems import (PhaseState, SystemKind, SystemSpec,
+                      angular_profile_for)
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
 # step-size controller: new |h| = old |h| * SAFETY * err^(-1/8), the factor
@@ -182,23 +189,34 @@ class Trajectory:
         return PhaseState.from_tuple(self.states[i])
 
 
-def _rhs(y, spec: SystemSpec):
-    """Hamilton's equations at y = (r, phi, p_r, p_phi): four floats (the
-    stepper), or four arrays (the dense output's extra stages)."""
-    r, phi, p_r, p_phi = y
-    S = sin_k(spec.kappa, r)
-    C = cos_k(spec.kappa, r)
-    S2 = S * S
-    S3 = S2 * S
-    F, dF = angular_profile(spec, phi)
-    dUdr = 0.0
-    if spec.kind is not SystemKind.FREE_GEODESIC:
-        dUdr = spec.g / S2
-    dUdr -= 2.0 * F * C / S3
-    return [p_r,
-            p_phi / S2,
-            p_phi * p_phi * C / S3 - dUdr,
-            -dF / S2]
+def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
+    """Hamilton's equations of spec as a function of y = (r, phi, p_r,
+    p_phi): four floats (the stepper), or with array four arrays (the dense
+    output's extra stages; nan where the float function raises).  Every
+    choice that depends on spec is made here, once per integration; the two
+    variants differ only in how they evaluate (S, C) and (F, F')."""
+    if array:
+        kappa = spec.kappa
+
+        def sin_cos(r):
+            return sin_k(kappa, r), cos_k(kappa, r)
+    else:
+        sin_cos = sin_cos_k_for(spec.kappa)
+    profile = angular_profile_for(spec, array)
+    g = 0.0 if spec.kind is SystemKind.FREE_GEODESIC else spec.g  # no pull
+
+    def rhs(y):
+        r, phi, p_r, p_phi = y
+        S, C = sin_cos(r)
+        S2 = S * S
+        S3 = S2 * S
+        F, dF = profile(phi)
+        dUdr = g / S2 - 2.0 * F * C / S3
+        return [p_r,
+                p_phi / S2,
+                p_phi * p_phi * C / S3 - dUdr,
+                -dF / S2]
+    return rhs
 
 
 def _bisect(f, a, b):
@@ -228,14 +246,17 @@ class Solution(NamedTuple):
         return self.stats.nfev
 
 
-def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
-              max_step: float, guards: dict) -> Solution:
+def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
+              rtol: float, atol: float, max_step: float,
+              guards: dict) -> Solution:
     """Integrate y' = fun(y) (autonomous, 4 components) from t = 0 to t_end
     with DOP853; t_end < 0 integrates backwards.
 
-    fun takes and returns a sequence of 4 floats.  guards maps a Termination
-    to a function of the state (4 floats) that is >= 0 where the state is
-    admissible: PoleError if one is negative at y0.  The integration ends at
+    fun takes and returns a sequence of 4 floats; fun_array is the same
+    function of a (4, n) array, for the dense output and the interpolant a
+    guard's root is located on.  guards maps a Termination to a function of
+    the state (4 floats) that is >= 0 where the state is admissible:
+    PoleError if one is negative at y0.  The integration ends at
     the first root, in the direction of time, of a guard that goes from >= 0
     to <= 0 over a step, with that guard's tag; after MAX_STEPS accepted
     steps short of t_end it ends with STEP_LIMIT.  An rtol below 100 EPS is
@@ -363,7 +384,7 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
         g = g_new
         if fired:
             y_old = np.array(ys[-1])
-            F = _interpolant(fun, np.array([h]), y_old[None],
+            F = _interpolant(fun_array, np.array([h]), y_old[None],
                              np.array([y]), stages[-1][None])[0]
             nfev += 3
 
@@ -385,7 +406,8 @@ def solve_ivp(fun: Callable, t_end: float, y0, rtol: float, atol: float,
                         h_min=float(min(sizes, default=math.nan)),
                         h_max=float(max(sizes, default=math.nan)))
     return Solution(t=times, y=states, termination=termination, stats=stats,
-                    dense=DenseOutput(fun, times, states, hs, stages, y_end))
+                    dense=DenseOutput(fun_array, times, states, hs, stages,
+                                      y_end))
 
 
 def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
@@ -407,7 +429,8 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
             return s * s - margin * margin
         guards[Termination.HIT_ANGULAR_SINGULARITY] = angular_guard
 
-    sol = solve_ivp(lambda y: _rhs(y, spec), t_end, state0.as_tuple(),
-                    cfg.rel_tol, cfg.abs_tol, cfg.max_step, guards)
+    sol = solve_ivp(_rhs_for(spec), _rhs_for(spec, array=True), t_end,
+                    state0.as_tuple(), cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+                    guards)
     return Trajectory(times=sol.t, states=sol.y, termination=sol.termination,
                       spec=spec, dense=sol.dense, stats=sol.stats)

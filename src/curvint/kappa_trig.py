@@ -15,7 +15,8 @@ or a numpy array.  A float x is evaluated with `math`, must be finite
 evaluated elementwise with numpy in the same formulas and gives nan where
 the float path would raise PoleError; its non-finite elements propagate
 as IEEE arithmetic does.  numpy's sin/cos may differ from math's in the
-last ulp.
+last ulp.  `sin_cos_k_for(kappa)` gives the pair (sin_k, cos_k) of a float
+with kappa's branch chosen once, for the integrator's inner loop.
 """
 
 import math
@@ -85,6 +86,36 @@ def sin_k(kappa: float, x):
     if xp is math:
         return closed
     return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
+
+
+def sin_cos_k_for(kappa: float):
+    """The function r -> (sin_k(kappa, r), cos_k(kappa, r)) of a float r,
+    with the choices that depend on kappa made once: the same bits as
+    sin_k and cos_k (series below _SERIES_CUTOFF), DomainError for a
+    non-finite r.  For the inner loop of an integrator."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"non-finite input: kappa={kappa}")
+    isfinite = math.isfinite
+    if kappa > 0.0:
+        s, trig_sin, trig_cos = math.sqrt(kappa), math.sin, math.cos
+    elif kappa < 0.0:
+        s, trig_sin, trig_cos = math.sqrt(-kappa), math.sinh, math.cosh
+    else:
+        def sin_cos_flat(r):
+            if not isfinite(r):
+                raise DomainError(f"non-finite input: kappa={kappa}, x={r}")
+            return r, 1.0       # the series at u = 0, bit for bit
+        return sin_cos_flat
+
+    def sin_cos(r):
+        u = kappa * r * r
+        if abs(u) < _SERIES_CUTOFF:
+            return r * (1.0 - u / 6.0), 1.0 - 0.5 * u
+        if not isfinite(r):
+            raise DomainError(f"non-finite input: kappa={kappa}, x={r}")
+        x = s * r
+        return trig_sin(x) / s, trig_cos(x)
+    return sin_cos
 
 
 def _off_pole(v, what: str, kappa: float, x):

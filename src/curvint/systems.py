@@ -80,7 +80,8 @@ class SystemSpec:
     # (F, dF/dphi) pair for GENERIC_F
     generic_F: Optional[tuple[Callable[[float], float],
                               Callable[[float], float]]] = None
-    # F is a nonzero F_m, singular at sin(m phi) = 0; stored: the RHS reads it
+    # F is a nonzero F_m, singular at sin(m phi) = 0; stored, since every
+    # float potential reads it
     has_F_m: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,10 +137,9 @@ def _F_m(s, c, k_a: float, k_b: float):
     return (k_a + k_b * c) / (s * s)
 
 
-def _F_m_prime(s, c, k_a: float, k_b: float, m: Fraction):
-    """dF_m/dphi from s = sin(m phi), c = cos(m phi)."""
-    return (-(m.numerator / m.denominator)
-            * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
+def _F_m_prime(s, c, k_a: float, k_b: float, rate: float):
+    """dF_m/dphi from s = sin(m phi), c = cos(m phi); rate = float(m)."""
+    return -rate * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s)
 
 
 def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
@@ -149,7 +149,8 @@ def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
 
 def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
     """d/dphi of angular_F_m."""
-    return _F_m_prime(*angular_sin_cos(phi, m), k_a, k_b, m)
+    return _F_m_prime(*angular_sin_cos(phi, m), k_a, k_b,
+                      m.numerator / m.denominator)
 
 
 def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
@@ -177,16 +178,39 @@ def angular_F(spec: SystemSpec, phi):
     return angular_F_m(phi, spec.k_a, spec.k_b, spec.m)
 
 
-def angular_profile(spec: SystemSpec, phi) -> tuple:
-    """(F(phi), F'(phi)) for the given system; (0, 0) for central kinds."""
+def angular_profile_for(spec: SystemSpec, array: bool = False):
+    """The function phi -> (F(phi), F'(phi)) of the given system, (0, 0) for
+    central kinds; of a float phi, or with array of an array phi (nan where
+    the float function raises AngularSingularityError).  Every choice that
+    depends on spec is made here, once: the right-hand side of the equations
+    of motion calls the result on every evaluation."""
     if spec.kind is SystemKind.GENERIC_F:
         F, dF = spec.generic_F
-        return (_elementwise(F, phi), _elementwise(dF, phi))
+        if array:
+            return lambda phi: (_elementwise(F, phi), _elementwise(dF, phi))
+        return lambda phi: (F(phi), dF(phi))
     if not spec.has_F_m:
-        return (0.0, 0.0)
-    s, c = angular_sin_cos(phi, spec.m)    # one sin/cos pair for F and F'
-    return (_F_m(s, c, spec.k_a, spec.k_b),
-            _F_m_prime(s, c, spec.k_a, spec.k_b, spec.m))
+        return lambda phi: (0.0, 0.0)
+    m, k_a, k_b = spec.m, spec.k_a, spec.k_b
+    p, q, rate = m.numerator, m.denominator, m.numerator / m.denominator
+    if array:
+        def sin_cos(phi):
+            return angular_sin_cos(phi, m)
+    else:
+        sin, cos = math.sin, math.cos
+
+        def sin_cos(phi):       # angular_sin_cos of a float phi
+            u = (p * phi) / q
+            s = sin(u)
+            if abs(s) < _ANGULAR_EPS:
+                raise AngularSingularityError(
+                    f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
+            return s, cos(u)
+
+    def profile(phi):
+        s, c = sin_cos(phi)     # one sin/cos pair for F and F'
+        return _F_m(s, c, k_a, k_b), _F_m_prime(s, c, k_a, k_b, rate)
+    return profile
 
 
 def potential(state: PhaseState, spec: SystemSpec):

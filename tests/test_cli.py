@@ -216,6 +216,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "0.1"],
+        ["verify", "--t-end", "1.0"],
+        ["potential-curve", "--samples", "3"],
+    ], ids=["simulate", "verify", "potential-curve"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing-dir" / "x.csv")
+        assert main(argv + ["--out", out]) == 2
+        assert f"config error: cannot write {out}: " \
+            in capsys.readouterr().err
+
     def test_pole_capture_exit_4(self, tmp_path):
         cfg = write(tmp_path, CIRCULAR_KEPLER
                     + "p_phi0 = 0.0\np_r0 = -0.5\n")

@@ -10,10 +10,11 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 import curvint
-from curvint import (IntegratorConfig, PhaseState, PoleError, SystemKind,
-                     SystemSpec, Termination, cos_k, hamiltonian, integrate,
-                     j2, sin_k)
+from curvint import (AngularSingularityError, DomainError, IntegratorConfig,
+                     PhaseState, PoleError, SystemKind, SystemSpec,
+                     Termination, cos_k, hamiltonian, integrate, j2, sin_k)
 from curvint import _dop853, dynamics
+from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
 from curvint.cli import main
 from curvint.verify import drift
 from conftest import kepler_spec, pw_spec, random_interior_states
@@ -36,13 +37,13 @@ def all_kind_specs(kappa):
 class TestEquationsOfMotion:
     def test_circular_kepler_balance(self):
         # centrifugal 1/r^3 balances gravity g/r^2 at r = 1
-        rhs = dynamics._rhs((1.0, 0.0, 0.0, 1.0), kepler_spec())
+        rhs = dynamics._rhs_for(kepler_spec())((1.0, 0.0, 0.0, 1.0))
         assert rhs == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_radial_geodesic(self, kappa):
         spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa)
-        rhs = dynamics._rhs((0.7, 0.3, 0.4, 0.0), spec)
+        rhs = dynamics._rhs_for(spec)((0.7, 0.3, 0.4, 0.0))
         assert rhs == pytest.approx((0.4, 0.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
@@ -50,6 +51,7 @@ class TestEquationsOfMotion:
         # independent oracle: canonical equations from central differences
         spec = pw_spec(kappa=kappa, m=Fraction(2))
         h = 1e-6
+        rhs = dynamics._rhs_for(spec)
         for s in random_interior_states(spec, 35, seed=9):
             y = np.array(s.as_tuple())
             grad = np.empty(4)
@@ -61,7 +63,7 @@ class TestEquationsOfMotion:
                            - hamiltonian(PhaseState.from_tuple(ym), spec)) \
                     / (2 * h)
             expected = (grad[2], grad[3], -grad[0], -grad[1])
-            assert dynamics._rhs(s.as_tuple(), spec) == pytest.approx(
+            assert rhs(s.as_tuple()) == pytest.approx(
                 expected, rel=1e-6, abs=1e-6)
 
 
@@ -352,6 +354,99 @@ class TestScipyOracle:
             dop853_coefficients.N_STAGES,
             dop853_coefficients.N_STAGES_EXTENDED,
             dop853_coefficients.INTERPOLATOR_POWER)
+
+
+# --- the per-spec right-hand side against the frozen reference ---
+
+RHS_KAPPAS = (-1.0, -1e-9, 0.0, 1e-9, 1.0)
+
+
+def bits(values):
+    """The IEEE bytes of a sequence of floats (so -0.0 differs from 0.0)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def rhs_states(spec):
+    """Interior states plus r below the series cutoff, r beyond it at a
+    tiny curvature, and a negative r."""
+    states = [s.as_tuple() for s in random_interior_states(spec, 12, seed=3)]
+    phi = 0.35 * math.pi / float(spec.m)
+    states += [(1e-5, phi, 0.3, 0.7), (-0.4, phi, -0.2, 0.5)]
+    if abs(spec.kappa) < 1e-6:
+        states += [(0.9 * math.sqrt(_SERIES_CUTOFF / 1e-9), phi, 0.1, 0.4),
+                   (1.1 * math.sqrt(_SERIES_CUTOFF / 1e-9), phi, 0.1, 0.4)]
+    return states
+
+
+class TestRhsFactory:
+    @pytest.mark.parametrize("kappa", RHS_KAPPAS)
+    def test_float_matches_reference_bit_for_bit(self, kappa):
+        for spec in all_kind_specs(kappa):
+            rhs = dynamics._rhs_for(spec)
+            rhs_array = dynamics._rhs_for(spec, array=True)
+            states = rhs_states(spec)
+            columns = np.array(rhs_array(np.array(states).T)).T
+            for y, column in zip(states, columns):
+                got = rhs(y)
+                assert bits(got) == bits(
+                    reference_rhs(0.0, np.array(y), spec)), (spec, y)
+                # numpy's sin/sinh may differ from math's in the last ulp
+                assert np.all(np.abs(column - got)
+                              <= 1e-14 * (1.0 + np.abs(got))), (spec, y)
+
+    @pytest.mark.parametrize("kappa", RHS_KAPPAS)
+    def test_non_finite_r_raises_domain_error(self, kappa):
+        for spec in all_kind_specs(kappa):
+            states = [(r, 0.35 * math.pi / float(spec.m), 0.1, 0.5)
+                      for r in (math.nan, math.inf, -math.inf)]
+            rhs = dynamics._rhs_for(spec)
+            for y in states:
+                with pytest.raises(DomainError):
+                    rhs(y)
+            # an array r = nan gives nan; an infinite one propagates as IEEE
+            # arithmetic does (kappa_trig)
+            with np.errstate(invalid="ignore"):
+                out = dynamics._rhs_for(spec, array=True)(np.array(states).T)
+            assert all(math.isnan(out[i][0]) for i in (1, 2, 3))
+
+    @pytest.mark.parametrize("kappa", RHS_KAPPAS)
+    def test_angular_singularity_raises(self, kappa):
+        specs = [s for s in all_kind_specs(kappa) + [pw_spec(kappa=kappa)]
+                 if s.has_F_m]
+        assert len(specs) == 3
+        for spec in specs:
+            # sin(m phi) = 0 at phi = 0 and at phi = pi / m
+            states = [(0.7, phi, 0.1, 0.5)
+                      for phi in (0.0, math.pi * spec.m_den / spec.m_num)]
+            rhs = dynamics._rhs_for(spec)
+            for y in states:
+                with pytest.raises(AngularSingularityError):
+                    rhs(y)
+            out = dynamics._rhs_for(spec, array=True)(np.array(states).T)
+            assert np.all(np.isnan(out[2])) and np.all(np.isnan(out[3]))
+            assert np.all(np.isfinite(out[1]))
+
+    @pytest.mark.parametrize("kappa", [-4.0, -1.0, -1e-9, -0.0, 0.0, 1e-9,
+                                       1.0, 4.0])
+    def test_sin_cos_k_for_matches_sin_k_cos_k(self, kappa):
+        sin_cos = sin_cos_k_for(kappa)
+        rs = [0.0, -0.0, 1e-300, 1e-5, -1e-5, 0.3, -1.7]
+        rs += list(np.random.default_rng(5).uniform(0.0, 3.0, 50))
+        if kappa != 0.0:        # both sides of the series cutoff
+            r_cut = math.sqrt(_SERIES_CUTOFF / abs(kappa))
+            rs += [r_cut * (1 + k * 1e-15) for k in range(-4, 5)]
+            rs += [math.nextafter(r_cut, 0.0), math.nextafter(r_cut, 10.0)]
+        for r in rs:
+            r = float(r)
+            assert bits(sin_cos(r)) == bits((sin_k(kappa, r),
+                                             cos_k(kappa, r))), r
+        for r in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                sin_cos(r)
+
+    def test_sin_cos_k_for_rejects_non_finite_kappa(self):
+        with pytest.raises(DomainError):
+            sin_cos_k_for(math.nan)
 
 
 def test_import_loads_no_scipy():

@@ -145,8 +145,10 @@ class TestRotation:
     def test_sign_flip_fails(self):
         spec = pw_spec(kappa=0.0, m=Fraction(1))
         traj = integrate(PhaseState(1.1, 1.2, 0.1, 0.5), spec, 10.0)
-        assert rotation_check(traj, spec).passed
-        assert not rotation_check(traj, spec, flip_sign=True).passed
+        good = rotation_check(traj, spec)
+        bad = rotation_check(traj, spec, flip_sign=True)
+        assert good.passed_m and good.passed_n and good.passed
+        assert not bad.passed_m and not bad.passed_n and not bad.passed
 
     def test_fast_pericentre_no_false_failure(self):
         # N_phi turns at up to 2 lambda = 37 per unit time at pericentre;
@@ -632,6 +634,25 @@ class TestRunSuite:
             CheckResult("limit", lim.name, lim.value, lim.threshold,
                         lim.passed)
             for lim in euclidean_limit_scan(spec, state0)]
+
+    @pytest.mark.parametrize("passed_m, passed_n", [(True, False),
+                                                     (False, True)])
+    def test_rotation_rows_copy_the_check(self, monkeypatch, passed_m,
+                                          passed_n):
+        # the verdicts disagree with the errors on purpose: run_suite must
+        # copy rotation_check's per-law verdicts, not decide them again
+        report = verify.RotationReport(max_rel_err_m=0.5, max_rel_err_n=0.5,
+                                       tolerance=1.0, passed_m=passed_m,
+                                       passed_n=passed_n)
+        monkeypatch.setattr(verify, "rotation_check", lambda t, s: report)
+        spec = suite_spec(SystemKind.PW, 1.0)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        rows = run_suite(integrate(state0, spec, 2.0),
+                         np.random.default_rng(7))
+        assert [row for row in rows if row.check == "rotation"] == [
+            CheckResult("rotation", "M_r", 0.5, 1.0, passed_m),
+            CheckResult("rotation", "N_phi", 0.5, 1.0, passed_n)]
+        assert not report.passed
 
     def test_controls_fail_and_the_rest_pass(self):
         cfg = parse_config(PW_SPHERE)
