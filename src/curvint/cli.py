@@ -17,10 +17,11 @@ values.  The env var CURVINT_SEED seeds the random-state grids used by
 
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also an
---out path that cannot be opened, a system that leaves no verification-grid
-state, or a span too short for the rotation check), 3 singular initial
-state, 4/5/6/7 the trajectory ended early at the radial pole / angular
-singularity / step underflow / step limit (`verify` then runs no checks).
+--out path that cannot be opened, a start whose values overflow the float
+range, a system that leaves no verification-grid state, or a span too
+short for the rotation check), 3 singular initial state, 4/5/6/7 the
+trajectory ended early at the radial pole / angular singularity / step
+underflow / step limit (`verify` then runs no checks).
 Every CSV, the `verify` report included, goes through one writer.
 """
 
@@ -328,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, SamplingError, SpanError) as exc:
-        # SamplingError, SpanError: the configured system or span leaves
-        # the verification grid or the rotation check nothing to work on
+        with np.errstate(all="ignore"):     # inf and nan are output values
+            return args.func(args)
+    except (ConfigError, DomainError, SamplingError, SpanError) as exc:
+        # a start beyond the float range, no verification-grid state, or
+        # a span too short for the rotation check
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CurvintError as exc:

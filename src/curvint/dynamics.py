@@ -9,12 +9,10 @@ and C = Cos_k(r):
     dp_phi/dt = -F'(phi) / S^2
 
 (d/dr of 1/Tan_k(r) is -1/S^2 for every curvature, by the Pythagorean
-identity C^2 + kappa S^2 = 1.)  `_rhs_for(spec)` writes them once, as a
-function of y made per integration: the kind, the branch of kappa and
-sqrt|kappa|, g and the profile's p, q, k_a and k_b are decided before the
-first step, so each of DOP853's 12 evaluations per step does only the
-arithmetic.  Its float variant drives the stepper; its array variant, the
-same body with (S, C) and (F, F') evaluated by numpy, serves the dense
+identity C^2 + kappa S^2 = 1.)  `_rhs_for(spec, array)` writes them once
+per integration, with (S, C) from kappa_trig.sin_cos_k_for and (F, F')
+from systems.angular_profile_for: a function of 4 floats for the stepper,
+or of 4 arrays (nan or inf where the float one raises) for the dense
 output and the interpolant a guard crossing is located on.
 
 `solve_ivp` integrates them with DOP853, the explicit Runge-Kutta method
@@ -41,10 +39,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import _dop853
-from .errors import PoleError
-from .kappa_trig import cos_k, sin_cos_k_for, sin_k
+from .errors import CurvintError, PoleError
+from .kappa_trig import sin_cos_k_for, sin_k
 from .systems import (PhaseState, SystemKind, SystemSpec,
-                      angular_profile_for)
+                      angular_profile_for, angular_sin_cos_for)
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
 # step-size controller: new |h| = old |h| * SAFETY * err^(-1/8), the factor
@@ -53,6 +51,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 8            # -1 / (error estimator order 7 + 1)
 _N_STAGES = _dop853.N_STAGES        # 12, the last one at t + h
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
+_RAISES = (CurvintError, ArithmeticError, ValueError)  # array RHS: nan, inf
 # accepted steps before a run ends with STEP_LIMIT: about 175 times the
 # longest run of the tests and the benchmark, and ~640 MB of kept stages
 MAX_STEPS = 1_000_000
@@ -191,17 +190,9 @@ class Trajectory:
 
 def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     """Hamilton's equations of spec as a function of y = (r, phi, p_r,
-    p_phi): four floats (the stepper), or with array four arrays (the dense
-    output's extra stages; nan where the float function raises).  Every
-    choice that depends on spec is made here, once per integration; the two
-    variants differ only in how they evaluate (S, C) and (F, F')."""
-    if array:
-        kappa = spec.kappa
-
-        def sin_cos(r):
-            return sin_k(kappa, r), cos_k(kappa, r)
-    else:
-        sin_cos = sin_cos_k_for(spec.kappa)
+    p_phi), four floats or with array four arrays, with every choice that
+    depends on spec made here, once per integration."""
+    sin_cos = sin_cos_k_for(spec.kappa, array)
     profile = angular_profile_for(spec, array)
     g = 0.0 if spec.kind is SystemKind.FREE_GEODESIC else spec.g  # no pull
 
@@ -212,10 +203,7 @@ def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
         S3 = S2 * S
         F, dF = profile(phi)
         dUdr = g / S2 - 2.0 * F * C / S3
-        return [p_r,
-                p_phi / S2,
-                p_phi * p_phi * C / S3 - dUdr,
-                -dF / S2]
+        return [p_r, p_phi / S2, p_phi * p_phi * C / S3 - dUdr, -dF / S2]
     return rhs
 
 
@@ -254,13 +242,15 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
     fun takes and returns a sequence of 4 floats; fun_array is the same
     function of a (4, n) array, for the dense output and the interpolant a
-    guard's root is located on.  guards maps a Termination to a function of
-    the state (4 floats) that is >= 0 where the state is admissible:
-    PoleError if one is negative at y0.  The integration ends at
-    the first root, in the direction of time, of a guard that goes from >= 0
-    to <= 0 over a step, with that guard's tag; after MAX_STEPS accepted
-    steps short of t_end it ends with STEP_LIMIT.  An rtol below 100 EPS is
-    raised to that value with a warning, as SciPy does.
+    guard's root is located on.  A step with a stage that fun cannot
+    evaluate is rejected, as SciPy rejects it on fun_array's nan error
+    norm.  guards maps a Termination to a function of the state (4 floats)
+    that is >= 0 where the state is admissible: PoleError if one is
+    negative at y0.  The integration ends at the first root, in the
+    direction of time, of a guard that goes from >= 0 to <= 0 over a step,
+    with that guard's tag; after MAX_STEPS accepted steps short of t_end it
+    ends with STEP_LIMIT.  An rtol below 100 EPS is raised to that value
+    with a warning, as SciPy does.
     """
     tags, checks = list(guards), list(guards.values())
     y = np.array(y0, dtype=float)
@@ -287,7 +277,11 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         d1 = np.linalg.norm(f / scale) / 2.0
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = np.array(fun((y + h0 * direction * f).tolist()))
+        y1 = y + h0 * direction * f
+        try:
+            f1 = np.array(fun(y1.tolist()))
+        except _RAISES:         # the nan or inf SciPy's norm sees
+            f1 = np.array(fun_array(y1[:, None]))[:, 0]
         nfev += 1
         d2 = np.linalg.norm((f1 - f) / scale) / 2.0 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -331,27 +325,30 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
             h = t_new - t
             h_abs = abs(h)
 
-            for s in range(1, _N_STAGES):
-                d0, d1, d2, d3 = dot(KT[s], A[s]).tolist()
-                K[s] = fun([y0 + d0 * h, y1 + d1 * h, y2 + d2 * h,
-                            y3 + d3 * h])
-            d0, d1, d2, d3 = dot(KT[_N_STAGES], B).tolist()
-            y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
-            K[_N_STAGES] = fun(y_new)
             nfev += _N_STAGES
-
-            scale = np.array([atol + max(abs(a), abs(b)) * rtol
-                              for a, b in zip(y, y_new)])
-            err5 = dot(KT[_N_STAGES + 1], E5) / scale
-            err3 = dot(KT[_N_STAGES + 1], E3) / scale
-            # np.linalg.norm(x) ** 2, which is sqrt(x.dot(x)) ** 2
-            err5_2 = math.sqrt(err5.dot(err5)) ** 2
-            err3_2 = math.sqrt(err3.dot(err3)) ** 2
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
+            try:
+                for s in range(1, _N_STAGES):
+                    d0, d1, d2, d3 = dot(KT[s], A[s]).tolist()
+                    K[s] = fun([y0 + d0 * h, y1 + d1 * h, y2 + d2 * h,
+                                y3 + d3 * h])
+                d0, d1, d2, d3 = dot(KT[_N_STAGES], B).tolist()
+                y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
+                K[_N_STAGES] = fun(y_new)
+            except _RAISES:     # SciPy's error norm is nan: rejected
+                error_norm = math.nan
             else:
-                error_norm = (h_abs * err5_2
-                              / math.sqrt((err5_2 + 0.01 * err3_2) * 4))
+                scale = np.array([atol + max(abs(a), abs(b)) * rtol
+                                  for a, b in zip(y, y_new)])
+                err5 = dot(KT[_N_STAGES + 1], E5) / scale
+                err3 = dot(KT[_N_STAGES + 1], E3) / scale
+                # np.linalg.norm(x) ** 2, which is sqrt(x.dot(x)) ** 2
+                err5_2 = math.sqrt(err5.dot(err5)) ** 2
+                err3_2 = math.sqrt(err3.dot(err3)) ** 2
+                if err5_2 == 0 and err3_2 == 0:
+                    error_norm = 0.0
+                else:
+                    error_norm = (h_abs * err5_2
+                                  / math.sqrt((err5_2 + 0.01 * err3_2) * 4))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -422,15 +419,16 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     guards = {Termination.HIT_RADIAL_POLE: radial_guard}
 
     if spec.has_F_m:
-        p, q = spec.m_num, spec.m_den
+        sin_cos = angular_sin_cos_for(spec.m, eps=0.0)
 
         def angular_guard(y):
-            s = math.sin((p * y[1]) / q)
+            s = sin_cos(y[1])[0]
             return s * s - margin * margin
         guards[Termination.HIT_ANGULAR_SINGULARITY] = angular_guard
 
-    sol = solve_ivp(_rhs_for(spec), _rhs_for(spec, array=True), t_end,
-                    state0.as_tuple(), cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-                    guards)
+    with np.errstate(all="ignore"):     # non-finite stages are rejected
+        sol = solve_ivp(_rhs_for(spec), _rhs_for(spec, array=True), t_end,
+                        state0.as_tuple(), cfg.rel_tol, cfg.abs_tol,
+                        cfg.max_step, guards)
     return Trajectory(times=sol.t, states=sol.y, termination=sol.termination,
                       spec=spec, dense=sol.dense, stats=sol.stats)

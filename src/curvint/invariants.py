@@ -16,7 +16,7 @@ which evolve by pure phase rotation with common rate lambda = sqrt(J2)/Sin_k^2(r
 
 is a constant of the motion.  Its real and imaginary parts are the third
 and fourth real integrals (J3, J4).  Integer powers are taken by repeated
-multiplication, never via log/exp branch cuts.  Like the Hamiltonian, every
+squaring, never via log/exp branch cuts.  Like the Hamiltonian, every
 invariant takes a PhaseState of floats or of numpy arrays (a trajectory,
 say); where a float raises (PoleError, AngularSingularityError, or
 NegativeCasimirError at J2 <= 0) an array element is nan instead.
@@ -26,10 +26,10 @@ import math
 
 import numpy as np
 
-from .errors import NegativeCasimirError
-from .kappa_trig import cot_k, sin_k_off_pole
+from .errors import DomainError, NegativeCasimirError
+from .kappa_trig import cot_k, sin_cos_k_off_pole
 from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
-                      angular_sin_cos, hamiltonian)
+                      angular_sin_cos, angular_sin_cos_for, hamiltonian)
 
 
 def noether_p1(state: PhaseState, spec: SystemSpec):
@@ -49,8 +49,13 @@ def noether_p2(state: PhaseState, spec: SystemSpec):
 
 
 def j2(state: PhaseState, spec: SystemSpec):
-    """Angular-sector Casimir p_phi^2 + 2 F(phi)."""
-    return state.p_phi ** 2 + 2.0 * angular_F(spec, state.phi)
+    """Angular-sector Casimir p_phi^2 + 2 F(phi); DomainError where a float
+    p_phi^2 overflows."""
+    try:
+        p_phi2 = state.p_phi ** 2
+    except OverflowError:
+        raise DomainError(f"p_phi^2 overflows at {state.p_phi!r}") from None
+    return p_phi2 + 2.0 * angular_F(spec, state.phi)
 
 
 def runge_lenz(state: PhaseState, spec: SystemSpec) -> tuple:
@@ -96,23 +101,27 @@ def m_r(state: PhaseState, spec: SystemSpec):
 def n_phi(state: PhaseState, spec: SystemSpec):
     """Angular complex factor N_phi."""
     sq = _sqrt_j2(state, spec)
-    u = (spec.m_num * state.phi) / spec.m_den
-    xp = np if isinstance(u, np.ndarray) else math
-    return (spec.k_b + sq * sq * xp.cos(u)
-            + 1j * (state.p_phi * sq * xp.sin(u)))
+    s, c = angular_sin_cos_for(spec.m, isinstance(state.phi, np.ndarray),
+                               0.0)(state.phi)  # regular at sin(m phi) = 0
+    return spec.k_b + sq * sq * c + 1j * (state.p_phi * sq * s)
 
 
 def lambda_k(state: PhaseState, spec: SystemSpec):
     """Common phase-rotation rate sqrt(J2) / Sin_k(r)^2."""
-    S = sin_k_off_pole(spec.kappa, state.r)
+    S = sin_cos_k_off_pole(spec.kappa, state.r)[0]
     return _sqrt_j2(state, spec) / (S * S)
 
 
 def _ipow(z, n: int):
-    """z**n for n >= 0 by repeated multiplication."""
+    """z**n for n >= 0 by squaring; for n <= 3 the products of repeated
+    multiplication, 1 last, the same bits unless a part is 0 or inf."""
     out = complex(1.0, 0.0)
-    for _ in range(n):
-        out *= z
+    while n:
+        if n & 1:
+            out = z * out
+        n >>= 1
+        if n:
+            z = z * z
     return out
 
 

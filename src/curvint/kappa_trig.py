@@ -9,16 +9,15 @@ kappa = 0 Euclidean plane, kappa < 0 hyperbolic plane.  The functions
 interpolate smoothly through kappa = 0, so every formula built on them is
 valid for all three geometries at once.
 
-kappa is a float, and a non-finite one raises DomainError.  x is a float
-or a numpy array.  A float x is evaluated with `math`, must be finite
-(DomainError otherwise) and raises PoleError at a pole.  An array x is
-evaluated elementwise with numpy in the same formulas and gives nan where
-the float path would raise PoleError; its non-finite elements propagate
-as IEEE arithmetic does.  numpy's sin/cos may differ from math's in the
-last ulp.  `sin_cos_k_for(kappa)` gives the pair (sin_k, cos_k) of a float
-with kappa's branch chosen once, for the integrator's inner loop.
+`sin_cos_k_for(kappa, array)` is their one implementation; sin_k, cos_k,
+tan_k, cot_k and sin_cos_k_off_pole call it with array set by the type of
+x.  A float x is evaluated with `math`: DomainError where kappa or x is
+not finite or sinh/cosh overflow, PoleError at a pole.  An array x is
+evaluated by numpy in the same formulas, with nan where a float raises
+PoleError and non-finite elements propagated (last ulps may differ).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,86 +35,61 @@ _POLE_EPS = 1e-12
 _ndarray = np.ndarray   # bound once: the float path tests it on every call
 
 
-def _elementary(kappa: float, x):
-    """The module that evaluates x: numpy for an array, else math.
-
-    Raises DomainError for a non-finite kappa or a non-finite float x.
-    """
-    if isinstance(x, _ndarray):
-        if not math.isfinite(kappa):
-            raise DomainError(f"non-finite input: kappa={kappa}")
-        return np
-    if not (math.isfinite(kappa) and math.isfinite(x)):
-        raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
-    return math
-
-
-def cos_k(kappa: float, x):
-    """Curvature cosine; even in x, dimensionless."""
-    xp = _elementary(kappa, x)
-    u = kappa * x * x
-    series = 1.0 - 0.5 * u
-    if xp is math and abs(u) < _SERIES_CUTOFF:
-        return series
+@functools.lru_cache(maxsize=64, typed=True)
+def sin_cos_k_for(kappa: float, array: bool = False):
+    """The function x -> (sin_k(kappa, x), cos_k(kappa, x)) of a float x,
+    or with array of an array x, with kappa's branch chosen once.  Below
+    _SERIES_CUTOFF, as everywhere at kappa = 0, both take the series.
+    Cached, so that sin_k and the others do not build one per call."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"non-finite input: kappa={kappa}")
+    xp = np if array else math
     if kappa > 0.0:
-        closed = xp.cos(math.sqrt(kappa) * x)
-    elif kappa < 0.0:
-        closed = xp.cosh(math.sqrt(-kappa) * x)
-    else:               # an array at kappa = 0: u vanishes everywhere
-        return series
-    if xp is math:
-        return closed
-    return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
+        s, trig_sin, trig_cos = math.sqrt(kappa), xp.sin, xp.cos
+    else:
+        s, trig_sin, trig_cos = math.sqrt(-kappa), xp.sinh, xp.cosh
+
+    if array:
+        def sin_cos_array(x):
+            u = kappa * x * x
+            sin_x, cos_x = x * (1.0 - u / 6.0), 1.0 - 0.5 * u
+            if kappa != 0.0:
+                series, sx = abs(u) < _SERIES_CUTOFF, s * x
+                sin_x = np.where(series, sin_x, trig_sin(sx) / s)
+                cos_x = np.where(series, cos_x, trig_cos(sx))
+            return sin_x, cos_x
+        return sin_cos_array
+
+    isfinite = math.isfinite
+    if kappa == 0.0:                # the series at u = 0, bit for bit
+        def sin_cos_flat(x):
+            if not isfinite(x):
+                raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
+            return x * 1.0, 1.0
+        return sin_cos_flat
+
+    def sin_cos(x):
+        u = kappa * x * x
+        if abs(u) < _SERIES_CUTOFF:
+            return x * (1.0 - u / 6.0), 1.0 - 0.5 * u
+        if not isfinite(x):
+            raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
+        sx = s * x
+        try:
+            return trig_sin(sx) / s, trig_cos(sx)
+        except (OverflowError, ValueError):     # sinh, cosh or s x overflow
+            raise DomainError(f"overflow at kappa={kappa}, x={x}") from None
+    return sin_cos
 
 
 def sin_k(kappa: float, x):
     """Curvature sine; odd in x, carries units of length."""
-    xp = _elementary(kappa, x)
-    u = kappa * x * x
-    series = x * (1.0 - u / 6.0)
-    if xp is math and abs(u) < _SERIES_CUTOFF:
-        return series
-    if kappa > 0.0:
-        s = math.sqrt(kappa)
-        closed = xp.sin(s * x) / s
-    elif kappa < 0.0:
-        s = math.sqrt(-kappa)
-        closed = xp.sinh(s * x) / s
-    else:               # an array at kappa = 0: u vanishes everywhere
-        return series
-    if xp is math:
-        return closed
-    return np.where(abs(u) < _SERIES_CUTOFF, series, closed)
+    return sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)[0]
 
 
-def sin_cos_k_for(kappa: float):
-    """The function r -> (sin_k(kappa, r), cos_k(kappa, r)) of a float r,
-    with the choices that depend on kappa made once: the same bits as
-    sin_k and cos_k (series below _SERIES_CUTOFF), DomainError for a
-    non-finite r.  For the inner loop of an integrator."""
-    if not math.isfinite(kappa):
-        raise DomainError(f"non-finite input: kappa={kappa}")
-    isfinite = math.isfinite
-    if kappa > 0.0:
-        s, trig_sin, trig_cos = math.sqrt(kappa), math.sin, math.cos
-    elif kappa < 0.0:
-        s, trig_sin, trig_cos = math.sqrt(-kappa), math.sinh, math.cosh
-    else:
-        def sin_cos_flat(r):
-            if not isfinite(r):
-                raise DomainError(f"non-finite input: kappa={kappa}, x={r}")
-            return r, 1.0       # the series at u = 0, bit for bit
-        return sin_cos_flat
-
-    def sin_cos(r):
-        u = kappa * r * r
-        if abs(u) < _SERIES_CUTOFF:
-            return r * (1.0 - u / 6.0), 1.0 - 0.5 * u
-        if not isfinite(r):
-            raise DomainError(f"non-finite input: kappa={kappa}, x={r}")
-        x = s * r
-        return trig_sin(x) / s, trig_cos(x)
-    return sin_cos
+def cos_k(kappa: float, x):
+    """Curvature cosine; even in x, dimensionless."""
+    return sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)[1]
 
 
 def _off_pole(v, what: str, kappa: float, x):
@@ -129,13 +103,15 @@ def _off_pole(v, what: str, kappa: float, x):
 
 def tan_k(kappa: float, x):
     """sin_k / cos_k.  PoleError (nan for an array) where cos_k vanishes."""
-    return sin_k(kappa, x) / _off_pole(cos_k(kappa, x), "cos_k", kappa, x)
+    S, C = sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)
+    return S / _off_pole(C, "cos_k", kappa, x)
 
 
-def sin_k_off_pole(kappa: float, x):
-    """sin_k, with PoleError (nan for an array) where it vanishes: the
-    divisor of every 1/Sin_k factor (r = 0, the antipode of the sphere)."""
-    return _off_pole(sin_k(kappa, x), "sin_k", kappa, x)
+def sin_cos_k_off_pole(kappa: float, x):
+    """(sin_k, cos_k); PoleError (nan for an array) where sin_k, the
+    divisor of every 1/Sin_k factor, vanishes (r = 0, the antipode)."""
+    S, C = sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)
+    return _off_pole(S, "sin_k", kappa, x), C
 
 
 def cot_k(kappa: float, x):
@@ -144,7 +120,8 @@ def cot_k(kappa: float, x):
     Preferred over 1/tan_k inside potentials: the cos_k zero (equator of
     the sphere) is a regular point of every formula written with 1/Tan.
     """
-    return cos_k(kappa, x) / sin_k_off_pole(kappa, x)
+    S, C = sin_cos_k_off_pole(kappa, x)
+    return C / S
 
 
 def r_domain(kappa: float) -> tuple[float, float]:

@@ -9,13 +9,16 @@ deformed angular profile F_m for the noncentral Kepler-related family
 (of which the m = 1 member is the classic two-center-like potential),
 and a caller-supplied profile for the generic separable family.
 
-The profile, potential and Hamiltonian take a PhaseState whose fields are
-floats or numpy arrays of one shape (phi alone for the profiles).  Floats
-are evaluated with `math` and raise PoleError / AngularSingularityError at
-a singularity; arrays are evaluated elementwise with numpy in the same
-formulas and give nan there instead (see kappa_trig).  A generic profile's
-callables are mapped over an array phi element by element, so callables
-written for floats serve array states too.
+The angle enters as m phi, m = p/q an exact Fraction:
+`angular_sin_cos_for(m, array)` is the one implementation of the angle
+(p phi)/q and of (sin m phi, cos m phi), and `m_rate` of the float p/q.
+The functions take a PhaseState (phi alone for the profiles) of floats,
+evaluated with `math` (PoleError / AngularSingularityError at a
+singularity, DomainError beyond the float range), or of numpy arrays of
+one shape, evaluated in the same formulas with nan at a singularity (see
+kappa_trig).  A generic profile's callables are mapped over an array phi
+element by element, so callables written for floats serve array states
+too.
 """
 
 import math
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AngularSingularityError, DomainError
-from .kappa_trig import cos_k, sin_k_off_pole
+from .kappa_trig import sin_cos_k_off_pole
 
 # |sin(m phi)| below this counts as sitting on the angular singularity.
 _ANGULAR_EPS = 1e-12
@@ -80,9 +83,11 @@ class SystemSpec:
     # (F, dF/dphi) pair for GENERIC_F
     generic_F: Optional[tuple[Callable[[float], float],
                               Callable[[float], float]]] = None
-    # F is a nonzero F_m, singular at sin(m phi) = 0; stored, since every
-    # float potential reads it
+    # F is a nonzero F_m, singular at sin(m phi) = 0; stored, as are m's
+    # p and q, since every float potential reads it
     has_F_m: bool = field(init=False, repr=False, compare=False)
+    m_num: int = field(init=False, repr=False, compare=False)
+    m_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
@@ -93,6 +98,8 @@ class SystemSpec:
                 raise DomainError(f"non-finite {name} = {value}")
         m = Fraction(self.m)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_num", m.numerator)
+        object.__setattr__(self, "m_den", m.denominator)
         if self.kind in (SystemKind.PW, SystemKind.VC):
             if m.numerator < 1:
                 raise DomainError(f"m must be a positive rational, got {m}")
@@ -105,31 +112,47 @@ class SystemSpec:
                            and (self.k_a != 0.0 or self.k_b != 0.0))
 
     @property
-    def m_num(self) -> int:
-        return self.m.numerator
-
-    @property
-    def m_den(self) -> int:
-        return self.m.denominator
-
-    @property
     def has_angular_term(self) -> bool:
         return self.kind in (SystemKind.VC, SystemKind.PW,
                              SystemKind.GENERIC_F)
 
 
+def m_rate(p: int, q: int) -> float:
+    """The float p/q, the rate of m phi; DomainError beyond its range."""
+    try:
+        return p / q
+    except OverflowError:
+        raise DomainError(f"m = {p}/{q} beyond the float range") from None
+
+
+def angular_sin_cos_for(m: Fraction, array: bool = False,
+                        eps: float = _ANGULAR_EPS):
+    """phi -> (sin(m phi), cos(m phi)), the angle computed as (p phi)/q for
+    m = p/q: of a float phi, with AngularSingularityError where
+    |sin(m phi)| < eps, or with array of an array, with nan there.
+    DomainError where p, q or a float m phi leave the float range."""
+    p, q = m.numerator, m.denominator
+    sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
+
+    def sin_cos(phi):
+        try:
+            u = (p * phi) / q
+            s = sin(u)
+        except (OverflowError, ValueError):     # math.sin(inf) is an error
+            raise DomainError(f"m*phi beyond the float range: m = {m}, "
+                              f"phi = {phi!r}") from None
+        if array:
+            s = np.where(abs(s) < eps, np.nan, s)
+        elif abs(s) < eps:
+            raise AngularSingularityError(
+                f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
+        return s, cos(u)
+    return sin_cos
+
+
 def angular_sin_cos(phi, m: Fraction):
-    """(sin(m phi), cos(m phi)) with m phi = (p phi)/q; AngularSingularityError
-    (nan for an array) where |sin(m phi)| < _ANGULAR_EPS."""
-    u = (m.numerator * phi) / m.denominator
-    xp = np if isinstance(u, _ndarray) else math
-    s = xp.sin(u)
-    if xp is np:
-        s = np.where(abs(s) < _ANGULAR_EPS, np.nan, s)
-    elif abs(s) < _ANGULAR_EPS:
-        raise AngularSingularityError(
-            f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-    return s, xp.cos(u)
+    """angular_sin_cos_for(m) of a float or an array phi."""
+    return angular_sin_cos_for(m, isinstance(phi, _ndarray))(phi)
 
 
 def _F_m(s, c, k_a: float, k_b: float):
@@ -150,7 +173,7 @@ def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
 def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
     """d/dphi of angular_F_m."""
     return _F_m_prime(*angular_sin_cos(phi, m), k_a, k_b,
-                      m.numerator / m.denominator)
+                      m_rate(m.numerator, m.denominator))
 
 
 def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
@@ -180,32 +203,15 @@ def angular_F(spec: SystemSpec, phi):
 
 def angular_profile_for(spec: SystemSpec, array: bool = False):
     """The function phi -> (F(phi), F'(phi)) of the given system, (0, 0) for
-    central kinds; of a float phi, or with array of an array phi (nan where
-    the float function raises AngularSingularityError).  Every choice that
-    depends on spec is made here, once: the right-hand side of the equations
-    of motion calls the result on every evaluation."""
+    central kinds, of a float phi or with array of an array phi, with the
+    choices that depend on spec made once, for the equations of motion."""
     if spec.kind is SystemKind.GENERIC_F:
         F, dF = spec.generic_F
-        if array:
-            return lambda phi: (_elementwise(F, phi), _elementwise(dF, phi))
-        return lambda phi: (F(phi), dF(phi))
+        return lambda phi: (_elementwise(F, phi), _elementwise(dF, phi))
     if not spec.has_F_m:
         return lambda phi: (0.0, 0.0)
-    m, k_a, k_b = spec.m, spec.k_a, spec.k_b
-    p, q, rate = m.numerator, m.denominator, m.numerator / m.denominator
-    if array:
-        def sin_cos(phi):
-            return angular_sin_cos(phi, m)
-    else:
-        sin, cos = math.sin, math.cos
-
-        def sin_cos(phi):       # angular_sin_cos of a float phi
-            u = (p * phi) / q
-            s = sin(u)
-            if abs(s) < _ANGULAR_EPS:
-                raise AngularSingularityError(
-                    f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
-            return s, cos(u)
+    sin_cos = angular_sin_cos_for(spec.m, array)
+    k_a, k_b, rate = spec.k_a, spec.k_b, m_rate(spec.m_num, spec.m_den)
 
     def profile(phi):
         s, c = sin_cos(phi)     # one sin/cos pair for F and F'
@@ -213,18 +219,23 @@ def angular_profile_for(spec: SystemSpec, array: bool = False):
     return profile
 
 
-def potential(state: PhaseState, spec: SystemSpec):
-    """U(r, phi) for the given system kind."""
+def potential(state: PhaseState, spec: SystemSpec, sin_cos=None):
+    """U(r, phi) for the given system kind; sin_cos is (Sin_k(r), Cos_k(r))
+    off its poles where the caller has it."""
     if spec.kind is SystemKind.FREE_GEODESIC:
         return 0.0
-    S = sin_k_off_pole(spec.kappa, state.r)
-    return (-spec.g * (cos_k(spec.kappa, state.r) / S)
-            + angular_F(spec, state.phi) / (S * S))
+    S, C = sin_cos or sin_cos_k_off_pole(spec.kappa, state.r)
+    return -spec.g * (C / S) + angular_F(spec, state.phi) / (S * S)
 
 
 def hamiltonian(state: PhaseState, spec: SystemSpec):
     """Total energy (p_r^2 + p_phi^2/Sin_k^2)/2 + U; PoleError (nan for an
-    array) where Sin_k(r) vanishes, for every kind."""
-    S = sin_k_off_pole(spec.kappa, state.r)
-    T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)
-    return T + potential(state, spec)
+    array) where Sin_k(r) vanishes, for every kind, and DomainError where a
+    float kinetic energy overflows."""
+    S, C = sin_cos_k_off_pole(spec.kappa, state.r)
+    try:
+        T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)
+    except OverflowError:
+        raise DomainError(f"kinetic energy overflows: p_r = {state.p_r!r}, "
+                          f"p_phi = {state.p_phi!r}") from None
+    return T + potential(state, spec, (S, C))

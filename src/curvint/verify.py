@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CurvintError, SamplingError, SpanError, StencilError
 from .invariants import evaluators_for, j2, k_constant, lambda_k, m_r, n_phi
-from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
+from .systems import (PhaseState, SystemKind, SystemSpec, hamiltonian,
+                      m_rate)
 from .dynamics import Trajectory
 
 PhaseFunction = Callable[[PhaseState], float]
@@ -138,7 +139,7 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
     if len(traj) < 3:
         raise SpanError(f"trajectory of {len(traj)} steps too sparse for "
                         f"the rotation check (needs 3)")
-    mf = spec.m_num / spec.m_den
+    mf = m_rate(spec.m_num, spec.m_den)
     lam = lambda_k(PhaseState(*traj.states.T), spec)
     # a nan lambda (J2 <= 0) leaves dt at 2e-4; the samples then raise
     dt = min(2e-4, 1e-3 / (max(1.0, mf) * float(np.max(lam))))
@@ -198,8 +199,9 @@ def closure_detect(traj: Trajectory, tol: float = 1e-6) -> Optional[float]:
     batch, t, h = PhaseState(*traj.states.T), traj.times, np.diff(traj.times)
     lam = lambda_k(batch, spec)
     periods = []
+    mf = m_rate(spec.m_num, spec.m_den)
     for factor, rate, turns in ((m_r, 1.0, spec.m_den),
-                                (n_phi, spec.m_num / spec.m_den, spec.m_num)):
+                                (n_phi, mf, spec.m_num)):
         z = factor(batch, spec)
         step = np.angle(z[1:] * z[:-1].conj())
         nearest = rate * 0.5 * (lam[1:] + lam[:-1]) * h

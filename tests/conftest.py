@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvint import PhaseState, SystemKind, SystemSpec
+from curvint import (AngularSingularityError, DomainError, PhaseState,
+                     SystemKind, SystemSpec)
 
 
 def pw_spec(kappa=0.0, m=Fraction(1), g=1.0, k_a=0.8, k_b=0.3):
@@ -38,3 +39,69 @@ def random_interior_states(spec, n, seed=0):
 def standard_pw_state():
     """The hand-checked reference point of the m = 1 flat system."""
     return PhaseState(1.0, math.pi / 2, 0.0, 1.0)
+
+
+# --- kappa_trig's sin_k/cos_k and systems' angular_sin_cos as first
+# written, one body per function with its own float/array branch: the
+# oracles of the one-factory implementations.  Keep them frozen. ---
+
+REFERENCE_SERIES_CUTOFF = 1e-8
+REFERENCE_ANGULAR_EPS = 1e-12
+
+
+def _reference_elementary(kappa, x):
+    if isinstance(x, np.ndarray):
+        if not math.isfinite(kappa):
+            raise DomainError(f"non-finite input: kappa={kappa}")
+        return np
+    if not (math.isfinite(kappa) and math.isfinite(x)):
+        raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
+    return math
+
+
+def reference_cos_k(kappa, x):
+    xp = _reference_elementary(kappa, x)
+    u = kappa * x * x
+    series = 1.0 - 0.5 * u
+    if xp is math and abs(u) < REFERENCE_SERIES_CUTOFF:
+        return series
+    if kappa > 0.0:
+        closed = xp.cos(math.sqrt(kappa) * x)
+    elif kappa < 0.0:
+        closed = xp.cosh(math.sqrt(-kappa) * x)
+    else:
+        return series
+    if xp is math:
+        return closed
+    return np.where(abs(u) < REFERENCE_SERIES_CUTOFF, series, closed)
+
+
+def reference_sin_k(kappa, x):
+    xp = _reference_elementary(kappa, x)
+    u = kappa * x * x
+    series = x * (1.0 - u / 6.0)
+    if xp is math and abs(u) < REFERENCE_SERIES_CUTOFF:
+        return series
+    if kappa > 0.0:
+        s = math.sqrt(kappa)
+        closed = xp.sin(s * x) / s
+    elif kappa < 0.0:
+        s = math.sqrt(-kappa)
+        closed = xp.sinh(s * x) / s
+    else:
+        return series
+    if xp is math:
+        return closed
+    return np.where(abs(u) < REFERENCE_SERIES_CUTOFF, series, closed)
+
+
+def reference_angular_sin_cos(phi, m):
+    u = (m.numerator * phi) / m.denominator
+    xp = np if isinstance(u, np.ndarray) else math
+    s = xp.sin(u)
+    if xp is np:
+        s = np.where(abs(s) < REFERENCE_ANGULAR_EPS, np.nan, s)
+    elif abs(s) < REFERENCE_ANGULAR_EPS:
+        raise AngularSingularityError(
+            f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
+    return s, xp.cos(u)

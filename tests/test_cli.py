@@ -227,6 +227,35 @@ class TestSimulate:
         assert f"config error: cannot write {out}: " \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("text, named", [
+        ("kappa = -1\nr0 = 800\n", "kappa=-1.0, x=800.0"),
+        ("kappa = -1e300\n", "kappa=-1e+300"),
+        ("p_r0 = 1e200\n", "p_r = 1e+200"),
+        ("p_phi0 = 1e200\n", "p_phi = 1e+200"),
+        ("kind = pw\nk_a = 0.5\nm_num = 1" + "0" * 400 + "\n",
+         "float range"),
+    ], ids=["kappa-1-r0-800", "kappa-1e300", "p_r0-1e200", "p_phi0-1e200",
+            "pw-m-1e400"])
+    def test_overflowing_start_exit_2(self, tmp_path, capsys, command,
+                                      text, named):
+        # Kepler by default: sinh/cosh or the kinetic energy overflow
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [("simulate", 0),
+                                               ("verify", 1)])
+    def test_huge_m_finishes(self, tmp_path, capsys, command, code):
+        # K = M_r^p conj(N_phi)^q with p = 10^12 takes ~80 products
+        cfg = write(tmp_path, "kind = pw\nm_num = 1000000000000\n"
+                              "t_end = 1.0\n")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out.csv")]) == code
+
     def test_pole_capture_exit_4(self, tmp_path):
         cfg = write(tmp_path, CIRCULAR_KEPLER
                     + "p_phi0 = 0.0\np_r0 = -0.5\n")

@@ -17,7 +17,8 @@ from curvint import _dop853, dynamics
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
 from curvint.cli import main
 from curvint.verify import drift
-from conftest import kepler_spec, pw_spec, random_interior_states
+from conftest import (kepler_spec, pw_spec, random_interior_states,
+                      reference_cos_k, reference_sin_k)
 
 DEFAULTS = IntegratorConfig()
 
@@ -192,10 +193,11 @@ class TestCsv:
 
 def reference_rhs(t, y, spec):
     """Hamilton's equations as integrate handed them to scipy: y unpacked
-    with tolist, F and F' each from their own sin/cos of m phi."""
+    with tolist, S and C from the frozen sin_k and cos_k, F and F' each
+    from their own sin/cos of m phi."""
     r, phi, p_r, p_phi = y.tolist()
-    S = sin_k(spec.kappa, r)
-    C = cos_k(spec.kappa, r)
+    S = reference_sin_k(spec.kappa, r)
+    C = reference_cos_k(spec.kappa, r)
     F = dF = 0.0
     if spec.kind is SystemKind.GENERIC_F:
         F, dF = spec.generic_F[0](phi), spec.generic_F[1](phi)
@@ -219,7 +221,7 @@ def reference_integrate(state0, spec, t_end, cfg=DEFAULTS):
     margin = cfg.singularity_margin
 
     def radial(t, y):
-        return sin_k(spec.kappa, y[0]) - margin
+        return reference_sin_k(spec.kappa, y[0]) - margin
 
     def angular(t, y):
         s = math.sin((spec.m_num * y[1]) / spec.m_den)
@@ -259,6 +261,32 @@ ORACLE_CASES = [
                  -20.0, DEFAULTS, id="backward"),
     pytest.param(kepler_spec(), PhaseState(1.0, 0.0, 0.0, 1.0), 0.0,
                  DEFAULTS, id="t_end-0"),
+]
+
+def reference_central_rhs_array(t, y, spec):
+    """reference_rhs of a central kind in numpy's arithmetic, which gives
+    nan or inf where the float one raises."""
+    r, phi, p_r, p_phi = (np.array([v]) for v in y)
+    S = reference_sin_k(spec.kappa, r)
+    C = reference_cos_k(spec.kappa, r)
+    dUdr = 0.0
+    if spec.kind is not SystemKind.FREE_GEODESIC:
+        dUdr = spec.g / (S * S)
+    dUdr -= 2.0 * 0.0 * C / (S * S * S)
+    return np.concatenate([p_r, p_phi / (S * S),
+                           p_phi * p_phi * C / (S * S * S) - dUdr,
+                           -0.0 / (S * S)])
+
+
+# starts whose steps run into a stage the float RHS cannot evaluate:
+# sinh(r) overflows near r = 710.48, or g = 1e308 overflows the stages
+UNDERFLOW_CASES = [
+    pytest.param(kepler_spec(kappa=-1.0), PhaseState(1.0, math.pi / 2, 2.0,
+                                                     1.0),
+                 1000.0, id="kappa-1-sinh-overflow"),
+    pytest.param(kepler_spec(g=1e308), PhaseState(1.0, math.pi / 2, 0.0,
+                                                  1.0),
+                 1.0, id="g-1e308"),
 ]
 
 EVENT_CASES = [
@@ -318,6 +346,19 @@ class TestScipyOracle:
         assert np.all(np.abs(traj.states[-1] - ref)
                       <= 1e-14 * (1.0 + np.abs(ref)))
         assert_dense_matches(traj, sol)
+
+    @pytest.mark.parametrize("spec, s0, t_end", UNDERFLOW_CASES)
+    def test_non_finite_stage_is_a_rejected_step(self, spec, s0, t_end):
+        traj = integrate(s0, spec, t_end)     # no warning, no exception
+        with np.errstate(all="ignore"):
+            sol = scipy_solve_ivp(
+                lambda t, y: reference_central_rhs_array(t, y, spec),
+                (0.0, t_end), np.array(s0.as_tuple()), method="DOP853",
+                rtol=DEFAULTS.rel_tol, atol=DEFAULTS.abs_tol)
+        assert sol.status == -1 and "step size" in sol.message
+        assert traj.termination is Termination.STEP_UNDERFLOW
+        assert abs(traj.times[-1] - sol.t[-1]) <= 1e-12 * (1 + abs(sol.t[-1]))
+        assert np.all(np.isfinite(traj.states))
 
     def test_tiny_rel_tol_raised_with_a_warning(self):
         spec, s0 = kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.1, 1.0)
@@ -429,6 +470,8 @@ class TestRhsFactory:
     @pytest.mark.parametrize("kappa", [-4.0, -1.0, -1e-9, -0.0, 0.0, 1e-9,
                                        1.0, 4.0])
     def test_sin_cos_k_for_matches_sin_k_cos_k(self, kappa):
+        # sin_k and cos_k call sin_cos_k_for: the frozen bodies are the
+        # independent side
         sin_cos = sin_cos_k_for(kappa)
         rs = [0.0, -0.0, 1e-300, 1e-5, -1e-5, 0.3, -1.7]
         rs += list(np.random.default_rng(5).uniform(0.0, 3.0, 50))
@@ -440,6 +483,8 @@ class TestRhsFactory:
             r = float(r)
             assert bits(sin_cos(r)) == bits((sin_k(kappa, r),
                                              cos_k(kappa, r))), r
+            assert bits(sin_cos(r)) == bits((reference_sin_k(kappa, r),
+                                             reference_cos_k(kappa, r))), r
         for r in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 sin_cos(r)

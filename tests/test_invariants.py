@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvint import (CurvintError, NegativeCasimirError, PhaseState,
                      PoleError, SystemKind, SystemSpec, hamiltonian,
                      integrate, j2, k_constant, lambda_k, m_r, n_phi,
                      noether_p1, noether_p2, runge_lenz, vc_integrals)
+from curvint.cli import RunConfig
+from curvint.invariants import _ipow, evaluators_for
 from curvint.verify import drift, rotation_check
 from conftest import kepler_spec, pw_spec, random_interior_states
 
@@ -277,3 +280,75 @@ class TestArrayPath:
         assert PoleError in raised
         if k_a < 0.0 or not spec.has_angular_term:
             assert NegativeCasimirError in raised
+
+
+# --- integer powers by squaring ---
+
+def repeated_multiplication(z, n):
+    """z**n as _ipow first computed it: n products from 1.  Keep it frozen."""
+    out = complex(1.0, 0.0)
+    for _ in range(n):
+        out *= z
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestIpow:
+    def test_small_exponents_equal_repeated_multiplication(self):
+        # every m = p/q of the tests and the benchmark has p, q <= 3
+        rng = np.random.default_rng(17)
+        zs = rng.normal(0.0, 10.0, 400) + 1j * rng.normal(0.0, 10.0, 400)
+        zs = np.concatenate([zs, [2.5j, -1.5j, 3.0 + 0j, 1e-5 + 7j]])
+        for n in range(4):
+            assert bits(_ipow(zs, n)) == bits(repeated_multiplication(zs, n))
+            for z in zs:
+                z = complex(z)
+                assert bits(_ipow(z, n)) == bits(
+                    repeated_multiplication(z, n)), (z, n)
+
+    def test_exponents_up_to_64_agree_within_1e_13(self):
+        rng = np.random.default_rng(19)
+        zs = (np.exp(1j * rng.uniform(-math.pi, math.pi, 100))
+              * rng.uniform(0.8, 1.25, 100))
+        for n in range(65):
+            expected = repeated_multiplication(zs, n)
+            assert np.all(np.abs(_ipow(zs, n) - expected)
+                          <= 1e-13 * np.abs(expected)), n
+
+    def test_huge_exponent_takes_log_n_products(self):
+        z = complex(math.cos(0.3), math.sin(0.3))
+        got = _ipow(z, 10 ** 12)
+        assert abs(got) == pytest.approx(1.0, abs=1e-3)
+        assert isinstance(_ipow(z, 10 ** 400), complex)     # returns
+
+
+# --- every finite float: a value or a CurvintError ---
+
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+ANY_INT = st.one_of(st.integers(-4, 4), st.integers(-10 ** 400, 10 ** 400))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["free", "kepler", "vc", "pw"]),
+       numbers=st.tuples(*[ANY_FLOAT] * 8), m_num=ANY_INT, m_den=ANY_INT)
+def test_any_float_state_returns_or_raises_curvint_error(kind, numbers,
+                                                         m_num, m_den):
+    # no integration: the config's spec, then H and every evaluator of the
+    # CSV columns at the start state
+    kappa, g, k_a, k_b, r0, phi0, p_r0, p_phi0 = numbers
+    cfg = RunConfig(kind=kind, kappa=kappa, g=g, k_a=k_a, k_b=k_b,
+                    m_num=m_num, m_den=m_den)
+    try:
+        spec = cfg.system_spec()
+    except CurvintError:
+        return
+    state = PhaseState(r0, phi0, p_r0, p_phi0)
+    for fn in [lambda s: hamiltonian(s, spec), *evaluators_for(spec).values()]:
+        try:
+            value = fn(state)
+        except CurvintError:
+            continue
+        assert isinstance(value, float)

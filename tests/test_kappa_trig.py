@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from curvint import DomainError, PoleError, cos_k, cot_k, r_domain, sin_k, tan_k
+from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
+from conftest import (REFERENCE_SERIES_CUTOFF, reference_cos_k,
+                      reference_sin_k)
 
 finite_kappa = st.floats(min_value=-5.0, max_value=5.0)
 finite_x = st.floats(min_value=-10.0, max_value=10.0)
@@ -120,3 +124,149 @@ class TestArrayPath:
                 assert math.isnan(value), x
             else:
                 assert abs(value - expected) <= 1e-14 * abs(expected), x
+
+
+# --- the one factory against the frozen float/array bodies ---
+
+FACTORY_KAPPAS = [-1e3, -1.0, -1e-9, -0.0, 0.0, 1e-9, 1.0, 1e3]
+POLE_EPS = 1e-12
+
+
+def bits(values):
+    """The IEEE bytes of floats or arrays (so -0.0 differs from 0.0)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def factory_xs(kappa):
+    """x across [-3, 3] / sqrt(max(1, |kappa|)), signed zeros, a subnormal,
+    and x one ulp and a few ulps either side of the series cutoff."""
+    xs = [0.0, -0.0, 5e-324, -1e-300, 1e-5, -0.3, 0.3, 1.7, -1.7]
+    xs += list(np.random.default_rng(7).uniform(-3.0, 3.0, 40))
+    xs = [x / math.sqrt(max(1.0, abs(kappa))) for x in xs]
+    if kappa != 0.0:
+        for r_cut in (math.sqrt(_SERIES_CUTOFF / abs(kappa)),
+                      -math.sqrt(_SERIES_CUTOFF / abs(kappa))):
+            xs += [r_cut * (1 + k * 1e-15) for k in range(-4, 5)]
+            xs += [math.nextafter(r_cut, 0.0),
+                   math.nextafter(r_cut, math.copysign(math.inf, r_cut))]
+    return [float(x) for x in xs]
+
+
+def reference_or_pole(num, den):
+    """num / den of the frozen bodies; None where den is a pole."""
+    return None if abs(den) < POLE_EPS else num / den
+
+
+class TestFactoryMatchesFrozenBodies:
+    def test_cutoff_is_frozen(self):
+        assert _SERIES_CUTOFF == REFERENCE_SERIES_CUTOFF
+
+    @pytest.mark.parametrize("kappa", FACTORY_KAPPAS)
+    def test_float_bit_for_bit(self, kappa):
+        sin_cos = sin_cos_k_for(kappa)
+        for x in factory_xs(kappa):
+            S, C = reference_sin_k(kappa, x), reference_cos_k(kappa, x)
+            assert bits(sin_cos(x)) == bits((S, C)), x
+            assert bits(sin_k(kappa, x)) == bits(S), x
+            assert bits(cos_k(kappa, x)) == bits(C), x
+            for f, expected in ((tan_k, reference_or_pole(S, C)),
+                                (cot_k, reference_or_pole(C, S))):
+                if expected is None:
+                    with pytest.raises(PoleError):
+                        f(kappa, x)
+                else:
+                    assert bits(f(kappa, x)) == bits(expected), (f, x)
+
+    @pytest.mark.parametrize("kappa", FACTORY_KAPPAS)
+    def test_array_bit_for_bit(self, kappa):
+        xs = np.array(factory_xs(kappa))
+        S, C = reference_sin_k(kappa, xs), reference_cos_k(kappa, xs)
+        assert bits(sin_cos_k_for(kappa, True)(xs)) == bits((S, C))
+        assert bits(sin_k(kappa, xs)) == bits(S)
+        assert bits(cos_k(kappa, xs)) == bits(C)
+        assert bits(tan_k(kappa, xs)) == bits(
+            S / np.where(abs(C) < POLE_EPS, np.nan, C))
+        assert bits(cot_k(kappa, xs)) == bits(
+            C / np.where(abs(S) < POLE_EPS, np.nan, S))
+
+    @pytest.mark.parametrize("kappa", FACTORY_KAPPAS)
+    def test_non_finite_x_parity(self, kappa):
+        bad = [math.nan, math.inf, -math.inf]
+        sin_cos = sin_cos_k_for(kappa)
+        for x in bad:
+            for f in (reference_sin_k, reference_cos_k, sin_k, cos_k):
+                with pytest.raises(DomainError):
+                    f(kappa, x)
+            with pytest.raises(DomainError):
+                sin_cos(x)
+        xs = np.array(bad + [0.5])
+        with np.errstate(invalid="ignore"):
+            expected = (reference_sin_k(kappa, xs), reference_cos_k(kappa, xs))
+            assert bits(sin_cos_k_for(kappa, True)(xs)) == bits(expected)
+
+    @pytest.mark.parametrize("array", [False, True])
+    def test_non_finite_kappa_raises(self, array):
+        for kappa in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                sin_cos_k_for(kappa, array)
+
+    @pytest.mark.parametrize("kappa, x", [(-1.0, 800.0), (-1e300, 1.0),
+                                          (1e300, 1e300), (-4.0, -400.0)])
+    def test_overflow_raises_domain_error(self, kappa, x):
+        # math.sinh/cosh overflow, or sqrt(kappa) x is infinite
+        with pytest.raises(DomainError, match="overflow"):
+            sin_k(kappa, x)
+        with pytest.raises(DomainError, match="overflow"):
+            cot_k(kappa, x)
+
+
+# --- an independent oracle: 50-digit mpmath ---
+
+def mp_sin_cos(kappa, x):
+    k, X = mpmath.mpf(kappa), mpmath.mpf(x)
+    if kappa > 0.0:
+        s = mpmath.sqrt(k)
+        return mpmath.sin(s * X) / s, mpmath.cos(s * X)
+    if kappa < 0.0:
+        s = mpmath.sqrt(-k)
+        return mpmath.sinh(s * X) / s, mpmath.cosh(s * X)
+    return X, mpmath.mpf(1)
+
+
+def condition(kappa, x):
+    """The relative condition numbers of x -> sin_k(kappa, x), cos_k."""
+    th = math.sqrt(abs(kappa)) * x
+    if kappa == 0.0 or th == 0.0:
+        return 1.0, 0.0
+    if kappa > 0.0:
+        return abs(th / math.tan(th)), abs(th * math.tan(th))
+    return abs(th / math.tanh(th)), abs(th * math.tanh(th))
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("kappa", [-1e3, -4.0, -1.0, -1e-9, 0.0, 1e-9,
+                                       1.0, 4.0, 1e3])
+    def test_within_1e_14_relative_away_from_zeros(self, kappa):
+        # away from the zeros: a condition number <= 12 turns the rounding
+        # of sqrt(kappa) x into less than 1e-14 relative
+        if abs(kappa) >= 1.0:
+            xs = list(np.linspace(-3.5, 3.5, 141) / math.sqrt(abs(kappa)))
+        else:
+            xs = list(np.linspace(-4.0, 4.0, 161))
+        if kappa != 0.0:
+            r_cut = math.sqrt(_SERIES_CUTOFF / abs(kappa))
+            xs += [math.nextafter(r_cut, 0.0), math.nextafter(r_cut, 10.0)]
+        checked = 0
+        with mpmath.workdps(50):
+            for x in map(float, xs):
+                S, C = mp_sin_cos(kappa, x)
+                c_sin, c_cos = condition(kappa, x)
+                for f, value, c in ((sin_k, S, c_sin), (cos_k, C, c_cos),
+                                    (cot_k, C / S if S else None,
+                                     c_sin + c_cos)):
+                    if c > 12.0 or value is None:
+                        continue
+                    got = f(kappa, x)
+                    assert abs(got - value) <= 1e-14 * abs(value), (f, x)
+                    checked += 1
+        assert checked > 300

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from curvint import (AngularSingularityError, DomainError, PhaseState,
-                     PoleError, SystemKind, SystemSpec, angular_F_m,
-                     angular_F_m_prime, hamiltonian, potential,
+                     PoleError, SystemKind, SystemSpec, angular_F,
+                     angular_F_m, angular_F_m_prime, hamiltonian, potential,
                      reparam_alpha_beta)
-from conftest import kepler_spec, pw_spec, random_interior_states
+from curvint.systems import angular_sin_cos, angular_sin_cos_for, m_rate
+from conftest import (REFERENCE_ANGULAR_EPS, kepler_spec, pw_spec,
+                      random_interior_states, reference_angular_sin_cos,
+                      reference_cos_k, reference_sin_k)
 
 
 class TestAngularProfile:
@@ -191,3 +194,168 @@ class TestArrayPath:
                 assert math.isnan(value), s
             else:
                 assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected)), s
+
+
+# --- the angle m phi: one factory and two helpers, against the frozen
+# angular_sin_cos ---
+
+FACTORY_MS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+              Fraction(3, 2)]
+
+
+def bits(values):
+    """The IEEE bytes of floats or arrays (so -0.0 differs from 0.0)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def factory_phis(m):
+    """phi across [-7, 7], signed zeros, and sin(m phi) = 0 (k pi / m) with
+    its neighbours one ulp away."""
+    phis = [0.0, -0.0, 1e-300, 0.1, -2.0]
+    phis += list(np.random.default_rng(11).uniform(-7.0, 7.0, 60))
+    for k in range(-2, 3):
+        phi = k * math.pi * m.denominator / m.numerator
+        phis += [phi, math.nextafter(phi, -math.inf),
+                 math.nextafter(phi, math.inf)]
+    return [float(phi) for phi in phis]
+
+
+class TestAngularFactory:
+    def test_epsilon_is_frozen(self):
+        from curvint.systems import _ANGULAR_EPS
+        assert _ANGULAR_EPS == REFERENCE_ANGULAR_EPS
+
+    @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
+    def test_float_bit_for_bit(self, m):
+        sin_cos = angular_sin_cos_for(m)
+        raised = 0
+        for phi in factory_phis(m):
+            try:
+                expected = reference_angular_sin_cos(phi, m)
+            except AngularSingularityError:
+                raised += 1
+                with pytest.raises(AngularSingularityError):
+                    sin_cos(phi)
+                with pytest.raises(AngularSingularityError):
+                    angular_sin_cos(phi, m)
+            else:
+                assert bits(sin_cos(phi)) == bits(expected), phi
+                assert bits(angular_sin_cos(phi, m)) == bits(expected), phi
+        assert raised >= 10
+
+    @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
+    def test_array_bit_for_bit(self, m):
+        phis = np.array(factory_phis(m))
+        expected = reference_angular_sin_cos(phis, m)
+        assert np.isnan(expected[0]).sum() >= 10
+        assert bits(angular_sin_cos_for(m, True)(phis)) == bits(expected)
+        assert bits(angular_sin_cos(phis, m)) == bits(expected)
+
+    @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
+    def test_non_finite_phi(self, m):
+        # nan propagates; an infinite angle was math's ValueError and is
+        # now a DomainError
+        assert np.isnan(angular_sin_cos_for(m)(math.nan)).all()
+        assert np.isnan(reference_angular_sin_cos(math.nan, m)).all()
+        for phi in (math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                reference_angular_sin_cos(phi, m)
+            with pytest.raises(DomainError):
+                angular_sin_cos_for(m)(phi)
+        phis = np.array([math.nan, math.inf, -math.inf, 0.5])
+        with np.errstate(invalid="ignore"):
+            assert bits(angular_sin_cos_for(m, True)(phis)) == bits(
+                reference_angular_sin_cos(phis, m))
+
+
+class TestAngleHelpers:
+    def test_angle_is_p_phi_over_q(self):
+        phis = np.random.default_rng(2).uniform(0.1, 1.4, 50)
+        for p, q in ((1, 1), (3, 2), (1, 2), (7, 3), (10 ** 12, 1)):
+            m = Fraction(p, q)
+            s, c = angular_sin_cos_for(m, True)(phis)
+            assert bits(s) == bits(np.sin((p * phis) / q))
+            assert bits(c) == bits(np.cos((p * phis) / q))
+            for phi in map(float, phis[:10]):
+                s, c = angular_sin_cos_for(m, eps=0.0)(phi)
+                assert bits((s, c)) == bits((math.sin((p * phi) / q),
+                                             math.cos((p * phi) / q)))
+
+    @pytest.mark.parametrize("phi", [1.0, 0.0, np.ones(3)],
+                             ids=["float", "zero", "array"])
+    def test_p_or_q_beyond_the_float_range(self, phi):
+        for p, q in ((10 ** 400, 1), (1, 10 ** 400), (3 * 10 ** 400, 2)):
+            with pytest.raises(DomainError, match="float range"):
+                angular_sin_cos_for(Fraction(p, q),
+                                    isinstance(phi, np.ndarray))(phi)
+
+    def test_infinite_float_angle_raises_domain_error(self):
+        # (p phi)/q overflows to inf for a float phi: the factory, with or
+        # without its singularity test, and N_phi raise DomainError where
+        # math.sin would raise ValueError
+        m = Fraction(10 ** 300)
+        for eps in (REFERENCE_ANGULAR_EPS, 0.0):
+            with pytest.raises(DomainError, match="float range"):
+                angular_sin_cos_for(m, eps=eps)(1e300)
+        spec = SystemSpec(kind=SystemKind.PW, kappa=0.0, g=1.0, m=m)
+        from curvint import n_phi
+        with pytest.raises(DomainError):
+            n_phi(PhaseState(1.0, 1e300, 0.1, 0.5), spec)
+
+    def test_m_rate(self):
+        assert m_rate(3, 2) == 1.5
+        assert m_rate(1, 10 ** 400) == 0.0
+        with pytest.raises(DomainError, match="float range"):
+            m_rate(10 ** 400, 1)
+
+    def test_angular_F_m_prime_rate(self):
+        m = Fraction(7, 3)
+        s, c = reference_angular_sin_cos(0.4, m)
+        expected = -(7 / 3) * (2.0 * 0.8 * c + 0.3 * (1.0 + c * c)) / (s ** 3)
+        assert angular_F_m_prime(0.4, 0.8, 0.3, m) == pytest.approx(
+            expected, rel=1e-15)
+
+
+# --- potential and Hamiltonian from one (S, C) evaluation, against the
+# frozen bodies that took S and C from separate sin_k and cos_k calls ---
+
+def reference_off_pole(S):
+    if abs(S) < 1e-12:
+        raise PoleError(f"pole: sin_k = {S}")
+    return S
+
+
+def reference_potential(state, spec):
+    if spec.kind is SystemKind.FREE_GEODESIC:
+        return 0.0
+    S = reference_off_pole(reference_sin_k(spec.kappa, state.r))
+    return (-spec.g * (reference_cos_k(spec.kappa, state.r) / S)
+            + angular_F(spec, state.phi) / (S * S))
+
+
+def reference_hamiltonian(state, spec):
+    S = reference_off_pole(reference_sin_k(spec.kappa, state.r))
+    T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)
+    return T + reference_potential(state, spec)
+
+
+class TestOneRadialEvaluation:
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-9, 0.0, 1e-9, 1.0])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_float_bit_for_bit(self, kind, kappa):
+        m = Fraction(1) if kind is SystemKind.VC else Fraction(3, 2)
+        spec = SystemSpec(kind=kind, kappa=kappa, g=1.0, k_a=0.8, k_b=0.3,
+                          m=m, generic_F=(math.cos, math.sin))
+        states = random_interior_states(spec, 30, seed=13)
+        states += [PhaseState(r, 0.35 * math.pi / float(m), -0.2, 0.4)
+                   for r in (1e-5, -0.4, 3.2, 1e-12, 0.0)]
+        for s in states:
+            for f, ref in ((potential, reference_potential),
+                           (hamiltonian, reference_hamiltonian)):
+                try:
+                    expected = ref(s, spec)
+                except PoleError:
+                    with pytest.raises(PoleError):
+                        f(s, spec)
+                else:
+                    assert bits(f(s, spec)) == bits(expected), (f, s)
