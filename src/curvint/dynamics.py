@@ -249,8 +249,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     negative at y0.  The integration ends at the first root, in the
     direction of time, of a guard that goes from >= 0 to <= 0 over a step,
     with that guard's tag; after MAX_STEPS accepted steps short of t_end it
-    ends with STEP_LIMIT.  An rtol below 100 EPS is raised to that value
-    with a warning, as SciPy does.
+    ends with STEP_LIMIT, and with STEP_UNDERFLOW at a step too short to
+    move y accepted after a rejection (SciPy creeps on).  An rtol below
+    100 EPS is raised to that value with a warning, as SciPy does.
     """
     tags, checks = list(guards), list(guards.values())
     y = np.array(y0, dtype=float)
@@ -350,6 +351,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                     error_norm = (h_abs * err5_2
                                   / math.sqrt((err5_2 + 0.01 * err3_2) * 4))
             if error_norm < 1:
+                if step_rejected and y_new == y:   # longer steps all fail
+                    termination = Termination.STEP_UNDERFLOW
+                    break
                 if error_norm == 0:
                     factor = MAX_FACTOR
                 else:

@@ -23,6 +23,7 @@ NegativeCasimirError at J2 <= 0) an array element is nan instead.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -96,6 +97,31 @@ def m_r(state: PhaseState, spec: SystemSpec):
     sq = _sqrt_j2(state, spec)
     return (state.p_r * sq
             + 1j * (spec.g - sq * sq * cot_k(spec.kappa, state.r)))
+
+
+def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
+    """Period T_r of r, in which M_r turns once, on the bounded orbit through
+    the float state, from H: with a = -2H, g' the coupling of the equations
+    of motion (0 for free geodesics) and rho = |2H + 2i g' sqrt(kappa)|, T_r
+    = 2 pi |g'| / (rho sqrt((rho + a)/2)) where a > 0, else (kappa > 0 only)
+    (2 pi / sqrt(kappa)) sqrt((rho - a)/2) / rho: neither cancels at small
+    |kappa|.  None for GENERIC_F, at J2 <= 0 or rho = 0, and at kappa <= 0
+    unless g' > 0 and H < -g' sqrt(-kappa), the escape energy."""
+    if spec.kind is SystemKind.GENERIC_F or j2(state, spec) <= 0.0:
+        return None
+    g = 0.0 if spec.kind is SystemKind.FREE_GEODESIC else spec.g
+    a, s = -2.0 * hamiltonian(state, spec), math.sqrt(abs(spec.kappa))
+    if spec.kappa > 0.0:
+        rho = math.hypot(a, 2.0 * g * s)
+    elif g > 0.0 and a > 2.0 * g * s:   # square roots apart: a^2 overflows
+        rho = math.sqrt(a - 2.0 * g * s) * math.sqrt(a + 2.0 * g * s)
+    else:
+        return None
+    if rho == 0.0:
+        return None
+    if a > 0.0:
+        return 2.0 * math.pi * abs(g) / rho / math.sqrt(0.5 * (rho + a))
+    return 2.0 * math.pi / s * math.sqrt(0.5 * (rho - a)) / rho
 
 
 def n_phi(state: PhaseState, spec: SystemSpec):

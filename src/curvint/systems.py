@@ -21,6 +21,7 @@ element by element, so callables written for floats serve array states
 too.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -131,7 +132,12 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
     m = p/q: of a float phi, with AngularSingularityError where
     |sin(m phi)| < eps, or with array of an array, with nan there.
     DomainError where p, q or a float m phi leave the float range."""
-    p, q = m.numerator, m.denominator
+    return _angular_sin_cos_pq(m.numerator, m.denominator, array, eps)
+
+
+@functools.lru_cache(maxsize=64)    # keyed on ints: hashing m costs ~1 us
+def _angular_sin_cos_pq(p: int, q: int, array: bool, eps: float):
+    m = Fraction(p, q)
     sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
 
     def sin_cos(phi):
@@ -168,21 +174,6 @@ def _F_m_prime(s, c, k_a: float, k_b: float, rate: float):
 def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
     """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
     return _F_m(*angular_sin_cos(phi, m), k_a, k_b)
-
-
-def angular_F_m_prime(phi, k_a: float, k_b: float, m: Fraction):
-    """d/dphi of angular_F_m."""
-    return _F_m_prime(*angular_sin_cos(phi, m), k_a, k_b,
-                      m_rate(m.numerator, m.denominator))
-
-
-def reparam_alpha_beta(alpha: float, beta: float) -> tuple[float, float]:
-    """Map the (alpha, beta) angular coefficients to (k_a, k_b).
-
-    With k_a = 2(alpha+beta), k_b = 2(beta-alpha), the profile at doubled
-    index satisfies F_2m'(phi; k_a, k_b) = alpha/cos^2(m' phi) + beta/sin^2(m' phi).
-    """
-    return (2.0 * (alpha + beta), 2.0 * (beta - alpha))
 
 
 def _elementwise(f, phi):

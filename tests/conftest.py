@@ -35,6 +35,16 @@ def random_interior_states(spec, n, seed=0):
     return out
 
 
+def closure_mismatch(traj, T):
+    """Phase-space distance from the start one period T later, phi taken
+    modulo 2 pi."""
+    y0 = traj.states[0]
+    y = traj.dense(traj.times[0] + T)
+    dphi = (y[1] - y0[1] + math.pi) % (2 * math.pi) - math.pi
+    return math.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
+                     + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
+
+
 @pytest.fixture
 def standard_pw_state():
     """The hand-checked reference point of the m = 1 flat system."""

@@ -14,7 +14,8 @@ from curvint import (PhaseState, SystemKind, SystemSpec, closure_detect,
                      j2, k_constant, random_bounded_state, rotation_check)
 from curvint.cli import main
 from curvint.verify import bracket_with_scale, drift
-from conftest import kepler_spec, pw_spec, random_interior_states
+from conftest import (closure_mismatch, kepler_spec, pw_spec,
+                      random_interior_states)
 
 M_GRID = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
           Fraction(3, 2))
@@ -175,13 +176,7 @@ def test_criterion_8_closure_on_sphere():
     s0 = random_bounded_state(spec, rng)
     traj = integrate(s0, spec, 200.0)
     T = closure_detect(traj, tol=1e-6)
-    mismatch = math.inf
-    if T is not None:
-        y0 = traj.states[0]
-        y = traj.dense(traj.times[0] + T)
-        dphi = (y[1] - y0[1] + math.pi) % (2 * math.pi) - math.pi
-        mismatch = math.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
-                             + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
+    mismatch = math.inf if T is None else closure_mismatch(traj, T)
     ok = T is not None and mismatch < 1e-6
     verdict(8, ok, f"closure at T={T}, phase mismatch {mismatch:.2e} < 1e-6")
 

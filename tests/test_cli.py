@@ -262,6 +262,14 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "t.csv")]) == 4
 
+    def test_sinh_overflow_wall_exit_6(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+        cfg = write(tmp_path, "kind = kepler\nkappa = -1.0\ng = 1.0\n"
+                    "r0 = 709.0\nphi0 = 1.0\np_r0 = 5.0\np_phi0 = 1.0\n"
+                    "t_end = 10.0\n")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == 6
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg = write(tmp_path, PW_SPHERE)
         assert main(["dump-config", "--config", cfg, "--kappa", "-1.0",

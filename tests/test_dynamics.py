@@ -167,6 +167,30 @@ class TestIntegrate:
         assert traj.stats.accepted == steps - 1 and len(traj) == steps
         assert np.array_equal(traj.times, full.times[:-1])
 
+    def test_creep_along_the_sinh_overflow_wall_underflows(self,
+                                                          monkeypatch):
+        # from step 38 on, every step that would move r overflows sinh and
+        # every shorter one leaves y bitwise unchanged; the lowered
+        # MAX_STEPS makes a run that creeps on fail fast
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+        traj = integrate(PhaseState(709.0, 1.0, 5.0, 1.0),
+                         kepler_spec(kappa=-1.0), 10.0)
+        assert traj.termination is Termination.STEP_UNDERFLOW
+        assert traj.stats.accepted == 37
+        assert traj.states[-1, 0] == pytest.approx(710.47586007, rel=1e-10)
+
+    @pytest.mark.parametrize("s0", [PhaseState(1.0, 0.5, 0.0, 0.0),
+                                    PhaseState(1.0, 0.5, 1e-30, 0.0)],
+                             ids=["at-rest", "tiny-momentum"])
+    def test_steps_that_leave_y_unchanged_complete(self, s0):
+        # f = 0 at rest, and f h below y's last bit at p_r = 1e-30: no step
+        # is rejected, and each grows tenfold up to t_end
+        spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=1.0)
+        traj = integrate(s0, spec, 10.0)
+        assert traj.termination is Termination.COMPLETED
+        assert (traj.stats.accepted, traj.stats.rejected) == (8, 0)
+        assert np.array_equal(traj.states[-1], s0.as_tuple())
+
     def test_phi_unwrapped(self):
         traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(),
                          6 * math.pi)

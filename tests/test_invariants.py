@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from curvint import (CurvintError, NegativeCasimirError, PhaseState,
                      PoleError, SystemKind, SystemSpec, hamiltonian,
                      integrate, j2, k_constant, lambda_k, m_r, n_phi,
-                     noether_p1, noether_p2, runge_lenz, vc_integrals)
+                     noether_p1, noether_p2, radial_period, runge_lenz,
+                     vc_integrals)
 from curvint.cli import RunConfig
 from curvint.invariants import _ipow, evaluators_for
 from curvint.verify import drift, rotation_check
@@ -352,3 +354,122 @@ def test_any_float_state_returns_or_raises_curvint_error(kind, numbers,
         except CurvintError:
             continue
         assert isinstance(value, float)
+
+
+# --- radial_period against a 50-digit quadrature of the radial cycle ---
+
+def mp_radial_period(state, spec, g):
+    """dt over one radial cycle, by mpmath at 50 digits from the float state:
+    with u = Cot_k(r) = c + d cos(theta), p_r^2 = (2H - kappa J2) + 2 g u
+    - J2 u^2 turns dt = dr / p_r into dtheta / ((kappa + u^2) sqrt(J2))."""
+    with mpmath.workdps(50):
+        k, r = mpmath.mpf(spec.kappa), mpmath.mpf(state.r)
+        if k > 0:
+            S, C = mpmath.sin(mpmath.sqrt(k) * r) / mpmath.sqrt(k), \
+                mpmath.cos(mpmath.sqrt(k) * r)
+        elif k < 0:
+            S, C = mpmath.sinh(mpmath.sqrt(-k) * r) / mpmath.sqrt(-k), \
+                mpmath.cosh(mpmath.sqrt(-k) * r)
+        else:
+            S, C = r, mpmath.mpf(1)
+        J2 = mpmath.mpf(state.p_phi) ** 2
+        if spec.kind in (SystemKind.PW, SystemKind.VC):
+            mphi = spec.m_num * mpmath.mpf(state.phi) / spec.m_den
+            J2 += 2 * ((spec.k_a + spec.k_b * mpmath.cos(mphi))
+                       / mpmath.sin(mphi) ** 2)
+        u0 = C / S
+        H = mpmath.mpf(state.p_r) ** 2 / 2 + J2 / (2 * S * S) - g * u0
+        c = g / J2
+        d = mpmath.sqrt(g * g + (2 * H - k * J2) * J2) / J2
+        f = lambda th: 1 / ((k + (c + d * mpmath.cos(th)) ** 2)
+                            * mpmath.sqrt(J2))
+        # the integrand peaks at u = 0, the equator, when the orbit crosses it
+        cuts = [0, mpmath.acos(-c / d), mpmath.pi] if abs(c) < d \
+            else [0, mpmath.pi]
+        return float(2 * mpmath.quad(f, cuts)), float(H)
+
+
+PERIOD_KAPPAS = [1.0, -1.0, 1e-3, -1e-3, 1e-6, -1e-6, 1e-12, -1e-12, 0.0]
+
+
+def period_cases():
+    """(spec, state) of bounded orbits: Kepler, VC and PW m = 3/2 on every
+    kappa of PERIOD_KAPPAS, and at kappa > 0 also H > 0 and g < 0."""
+    cases = []
+    for kappa in PERIOD_KAPPAS:
+        for kind, m in ((SystemKind.KEPLER, 1), (SystemKind.VC, 1),
+                        (SystemKind.PW, Fraction(3, 2))):
+            phi0 = 0.6 * math.pi / m
+            states = [(1.0, PhaseState(1.0, phi0, 0.1, 0.5))]
+            if kappa > 0:
+                states += [(1.0, PhaseState(1.0, phi0, 2.0, 0.5)),
+                           (-1.0, PhaseState(1.0, phi0, 0.1, 0.5))]
+            for g, s0 in states:
+                spec = SystemSpec(kind=kind, kappa=kappa, g=g, k_a=0.05,
+                                  k_b=0.01, m=m)
+                cases.append(pytest.param(spec, s0, id=f"{kind.value}-"
+                                          f"{kappa:g}-g{g:g}-pr{s0.p_r:g}"))
+    return cases
+
+
+class TestRadialPeriod:
+    @pytest.mark.parametrize("spec, s0", period_cases())
+    def test_matches_50_digit_quadrature(self, spec, s0):
+        expected, H = mp_radial_period(s0, spec, spec.g)
+        assert H == pytest.approx(hamiltonian(s0, spec), rel=1e-14, abs=0)
+        assert radial_period(s0, spec) == pytest.approx(expected, rel=1e-14,
+                                                        abs=0)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_huge_coupling(self, kappa):
+        # H ~ -1e160, where a^2 and rho^1.5 overflow and T_r is ~1e-80;
+        # against the residue forms 2 pi g a^-3/2 and, at kappa = -1,
+        # pi ((a - 2g)^-1/2 - (a + 2g)^-1/2), which cancel little here
+        spec = kepler_spec(kappa=kappa, g=1e160)
+        s0 = PhaseState(1.0, 0.3, 0.1, 1.0)
+        with mpmath.workdps(50):
+            a, g = -2 * mpmath.mpf(hamiltonian(s0, spec)), mpmath.mpf(spec.g)
+            if kappa == 0.0:
+                expected = 2 * mpmath.pi * g / a ** 1.5
+            else:
+                expected = mpmath.pi * (1 / mpmath.sqrt(a - 2 * g)
+                                        - 1 / mpmath.sqrt(a + 2 * g))
+            expected = float(expected)
+        assert radial_period(s0, spec) == pytest.approx(expected, rel=1e-14,
+                                                        abs=0)
+
+    def test_free_geodesic_ignores_g(self):
+        spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=1.0, g=1.0)
+        s0 = PhaseState(1.0, 0.3, 0.2, 0.5)
+        expected, _ = mp_radial_period(s0, spec, 0.0)
+        assert expected == pytest.approx(10.0217719207, abs=1e-10)
+        assert radial_period(s0, spec) == pytest.approx(expected, rel=1e-14,
+                                                        abs=0)
+
+    @pytest.mark.parametrize("spec, s0", [
+        pytest.param(SystemSpec(kind=SystemKind.GENERIC_F, kappa=1.0, g=1.0,
+                                generic_F=(lambda phi: 0.1,
+                                           lambda phi: 0.0)),
+                     PhaseState(1.0, 0.3, 0.1, 0.5), id="generic"),
+        pytest.param(pw_spec(kappa=1.0, k_a=-0.3, k_b=0.0),
+                     PhaseState(1.0, math.pi / 2, 0.1, 0.1), id="J2<0"),
+        pytest.param(kepler_spec(kappa=1.0), PhaseState(1.0, 0.3, 0.1, 0.0),
+                     id="J2=0"),
+        pytest.param(kepler_spec(), PhaseState(1.0, 0.0, 0.0, math.sqrt(2)),
+                     id="flat-H=0"),
+        pytest.param(kepler_spec(kappa=-1.0), PhaseState(1.0, 0.0, 0.0, 1.5),
+                     id="hyperbolic-above-escape"),
+        pytest.param(kepler_spec(kappa=-1.0, g=-1.0),
+                     PhaseState(1.0, 0.3, 0.1, 0.5), id="hyperbolic-g<0"),
+        pytest.param(kepler_spec(g=0.0), PhaseState(1.0, 0.3, 0.1, 0.5),
+                     id="flat-g=0"),
+        pytest.param(SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=-1.0,
+                                g=1.0),
+                     PhaseState(1.0, 0.3, 0.1, 0.5), id="free-hyperbolic"),
+        # J2 = 5e-324 > 0 but H rounds to 0: a free particle all but at rest
+        pytest.param(SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=1.0,
+                                g=1.0),
+                     PhaseState(1.0, 0.5, 0.0, 2e-162), id="rho=0"),
+    ])
+    def test_none(self, spec, s0):
+        assert radial_period(s0, spec) is None

@@ -6,8 +6,7 @@ import pytest
 
 from curvint import (AngularSingularityError, DomainError, PhaseState,
                      PoleError, SystemKind, SystemSpec, angular_F,
-                     angular_F_m, angular_F_m_prime, hamiltonian, potential,
-                     reparam_alpha_beta)
+                     angular_F_m, angular_profile_for, hamiltonian, potential)
 from curvint.systems import angular_sin_cos, angular_sin_cos_for, m_rate
 from conftest import (REFERENCE_ANGULAR_EPS, kepler_spec, pw_spec,
                       random_interior_states, reference_angular_sin_cos,
@@ -35,45 +34,46 @@ class TestAngularProfile:
     def test_singularity_raises(self):
         with pytest.raises(AngularSingularityError):
             angular_F_m(math.pi, 1.0, 0.0, Fraction(1))
+        profile = angular_profile_for(pw_spec(m=Fraction(1, 2), k_a=1.0,
+                                              k_b=0.0))
         with pytest.raises(AngularSingularityError):
-            angular_F_m_prime(2 * math.pi, 1.0, 0.0, Fraction(1, 2))
+            profile(2 * math.pi)
 
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for m in (Fraction(1), Fraction(2), Fraction(3, 2)):
+            profile = angular_profile_for(pw_spec(m=m, k_a=0.8, k_b=0.3))
             for phi in np.linspace(0.3, 1.4, 7):
-                fd = (angular_F_m(phi + h, 0.8, 0.3, m)
-                      - angular_F_m(phi - h, 0.8, 0.3, m)) / (2 * h)
-                assert angular_F_m_prime(phi, 0.8, 0.3, m) \
-                    == pytest.approx(fd, rel=1e-7, abs=1e-7)
+                fd = (profile(phi + h)[0] - profile(phi - h)[0]) / (2 * h)
+                assert profile(phi)[1] == pytest.approx(fd, rel=1e-7,
+                                                        abs=1e-7)
+
+
+def alpha_beta_profile(alpha, beta, m):
+    """The profile of index 2m with k_a = 2(alpha + beta) and
+    k_b = 2(beta - alpha), which is alpha/cos^2(m phi) + beta/sin^2(m phi)."""
+    spec = pw_spec(m=2 * m, k_a=2.0 * (alpha + beta), k_b=2.0 * (beta - alpha))
+    return angular_profile_for(spec)
 
 
 class TestReparam:
     def test_alpha_only(self):
-        k_a, k_b = reparam_alpha_beta(1.0, 0.0)
-        assert (k_a, k_b) == (2.0, -2.0)
-        lhs = angular_F_m(math.pi / 4, k_a, k_b, Fraction(2))
-        assert lhs == pytest.approx(2.0, rel=1e-13)
-
-    def test_zero(self):
-        assert reparam_alpha_beta(0.0, 0.0) == (0.0, 0.0)
-
-    def test_symmetric_kills_cos(self):
-        assert reparam_alpha_beta(0.5, 0.5) == (2.0, 0.0)
+        F = alpha_beta_profile(1.0, 0.0, Fraction(1))(math.pi / 4)[0]
+        assert F == pytest.approx(2.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.3, 0.9),
                                             (-0.2, 0.7)])
     @pytest.mark.parametrize("m", [Fraction(1), Fraction(2), Fraction(1, 2)])
     def test_trig_equality_on_grid(self, alpha, beta, m):
         # F_{2m}(phi; k_a, k_b) == alpha/cos^2(m phi) + beta/sin^2(m phi)
-        k_a, k_b = reparam_alpha_beta(alpha, beta)
+        profile = alpha_beta_profile(alpha, beta, m)
         mf = float(m)
         for phi in np.linspace(0.011, 3.1, 1000):
             s, c = math.sin(mf * phi), math.cos(mf * phi)
             if min(abs(s), abs(c), abs(math.sin(2 * mf * phi))) < 1e-2:
                 continue
             rhs = alpha / c ** 2 + beta / s ** 2
-            lhs = angular_F_m(phi, k_a, k_b, 2 * m)
+            lhs = profile(phi)[0]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -308,12 +308,12 @@ class TestAngleHelpers:
         with pytest.raises(DomainError, match="float range"):
             m_rate(10 ** 400, 1)
 
-    def test_angular_F_m_prime_rate(self):
+    def test_profile_derivative_rate(self):
         m = Fraction(7, 3)
         s, c = reference_angular_sin_cos(0.4, m)
         expected = -(7 / 3) * (2.0 * 0.8 * c + 0.3 * (1.0 + c * c)) / (s ** 3)
-        assert angular_F_m_prime(0.4, 0.8, 0.3, m) == pytest.approx(
-            expected, rel=1e-15)
+        dF = angular_profile_for(pw_spec(m=m, k_a=0.8, k_b=0.3))(0.4)[1]
+        assert dF == pytest.approx(expected, rel=1e-15)
 
 
 # --- potential and Hamiltonian from one (S, C) evaluation, against the

@@ -14,7 +14,8 @@ from curvint import (CheckResult, CurvintError, NegativeCasimirError,
 from curvint import verify
 from curvint.cli import main, parse_config
 from curvint.verify import bracket_with_scale, drift
-from conftest import kepler_spec, pw_spec, random_interior_states
+from conftest import (closure_mismatch, kepler_spec, pw_spec,
+                      random_interior_states)
 from test_cli import PW_SPHERE, write
 
 
@@ -336,14 +337,14 @@ class TestClosure:
         traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec(), 6.0)
         assert closure_detect(traj) is None
 
-
-def closure_mismatch(traj, T):
-    """Phase-space distance from the start one period T later."""
-    y0 = traj.states[0]
-    y = traj.dense(traj.times[0] + T)
-    dphi = (y[1] - y0[1] + math.pi) % (2 * math.pi) - math.pi
-    return math.sqrt((y[0] - y0[0]) ** 2 + dphi ** 2
-                     + (y[2] - y0[2]) ** 2 + (y[3] - y0[3]) ** 2)
+    def test_backward_trajectory_closes(self):
+        # the period comes back negative, in the direction of time
+        s0, spec = PhaseState(1.0, 0.3, 0.4, 0.8), kepler_spec()
+        traj = integrate(s0, spec, -30.0)
+        T = closure_detect(traj)
+        period = 2.0 * math.pi / (-2.0 * hamiltonian(s0, spec)) ** 1.5
+        assert T == pytest.approx(-period, rel=1e-12)
+        assert closure_mismatch(traj, T) < 1e-6
 
 
 def radial_period(traj):
