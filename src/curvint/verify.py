@@ -255,15 +255,50 @@ def _escape_energy(spec: SystemSpec) -> float:
     return -spec.g * math.sqrt(-spec.kappa)
 
 
-def _draw(rng: np.random.Generator, n: int):
-    """The draws of n candidates: four rng.random() doubles and one
-    rng.integers(2) each, in the order of the per-try loop."""
-    u = np.empty((n, 4))
-    flip = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        rng.random(out=u[i])
-        flip[i] = rng.integers(2)
-    return u.T, flip
+# Bit generators whose rng.random() is (raw >> 11) 2^-53, one word a double
+_RAW_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM,
+                       np.random.Philox, np.random.SFC64)
+
+
+def _draw(rng: np.random.Generator, n: int, state: dict):
+    """The draws of n candidates, from one bit_generator.random_raw call.
+
+    The values, and the state rng is left in, are those of a loop that
+    draws four rng.random() doubles and one rng.integers(2) per candidate;
+    state is rng.bit_generator.state at entry.  rng.integers(2) is the top
+    bit of a 32-bit draw (Lemire's method never rejects a range of 2).  A
+    32-bit draw takes the low half of a fresh word and buffers the high
+    half in the state's has_uint32/uinteger for the next one, so with
+    b = has_uint32 at entry, candidate i starts at word
+    4i + (i + 1 - b) // 2.  TypeError unless rng's bit generator is PCG64,
+    PCG64DXSM, Philox or SFC64 (MT19937 makes its doubles from two 32-bit
+    draws).
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, _RAW_BIT_GENERATORS):
+        raise TypeError(f"the sampler needs a PCG64, PCG64DXSM, Philox or "
+                        f"SFC64 bit generator, not {type(bits).__name__}")
+    b = state["has_uint32"]
+    i = np.arange(n)
+    start = 4 * i + (i + 1 - b) // 2
+    # words[0] holds the buffered half as its high half; raw word j is
+    # words[j + 1]
+    words = np.empty(4 * n + (n + 1 - b) // 2 + 1, dtype=np.uint64)
+    words[0] = state["uinteger"] << 32
+    words[1:] = bits.random_raw(words.size - 1)
+    u = (words[start[:, np.newaxis] + np.arange(1, 5)] >> 11) * 2.0 ** -53
+    fresh = (i + b) % 2 == 0        # nothing buffered at candidate i's draw
+    # a fresh draw's low half follows the four doubles; a buffered one is
+    # the high half of the word before them
+    source = words[start + 5 * fresh]
+    flip = np.where(fresh, source >> 31, source >> 63) & 1
+    # numpy keeps uinteger when a draw takes it, so either way it ends as
+    # the high half of the last candidate's source word
+    end = bits.state
+    end["has_uint32"] = (b + n) % 2
+    end["uinteger"] = int(source[-1] >> 32)
+    bits.state = end
+    return u.T, flip.astype(np.intp)
 
 
 def _uniform(low: float, high: float, u):
@@ -316,8 +351,11 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     The result, a PhaseState of floats, and the state rng is left in are
     those of a loop that draws up to max_tries candidates one at a time
     (one rng.random(4) and one rng.integers(2) each) and decides each with
-    the float hamiltonian.  Candidates are drawn in chunks of growing size
-    and a chunk of _SCREEN_MIN or more is screened with one array call of
+    the float hamiltonian.  Candidates are drawn in chunks of growing size,
+    each chunk from one bit_generator.random_raw call (see _draw), which
+    needs a PCG64 (default_rng's), PCG64DXSM, Philox or SFC64 bit
+    generator: TypeError for another, such as MT19937, before rng is
+    used.  A chunk of _SCREEN_MIN or more is screened with one array call of
     hamiltonian.  The screen is never trusted with a decision: it only
     skips candidates it shows, beyond rounding, to be rejected and not the
     lowest so far, and the float hamiltonian decides the rest, in order.
@@ -339,7 +377,7 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     while tries < max_tries:
         n = min(chunk, max_tries - tries)
         rewind = rng.bit_generator.state
-        batch = _candidates(spec, *_draw(rng, n))
+        batch = _candidates(spec, *_draw(rng, n, rewind))
         if n < _SCREEN_MIN or spec.kind is SystemKind.GENERIC_F:
             # a generic profile's callables need not accept arrays
             undecided = range(n)
@@ -356,7 +394,7 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
             if H < threshold:
                 if j + 1 < n:
                     rng.bit_generator.state = rewind
-                    _draw(rng, j + 1)
+                    _draw(rng, j + 1, rewind)
                 return state
             if kap <= 0 and H < best_H:
                 best, best_H = state, H

@@ -53,7 +53,7 @@ class TestQuadraticLayer:
         v_r, v_phi = s.p_r, s.p_phi / s.r ** 2
         vx = v_r * math.cos(s.phi) - s.r * math.sin(s.phi) * v_phi
         vy = v_r * math.sin(s.phi) + s.r * math.cos(s.phi) * v_phi
-        assert s.p_phi == pytest.approx(x * vy - y * vx, rel=1e-13)
+        assert s.p_phi == pytest.approx(x * vy - y * vx, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_angular_momentum_conserved_central(self, kappa):
@@ -108,14 +108,14 @@ class TestVcIntegrals:
         s = PhaseState(0.9, 0.7, 0.2, 0.6)
         i2, i3 = vc_integrals(s, vc)
         assert i2 == pytest.approx(s.p_phi ** 2)
-        assert i3 == pytest.approx(runge_lenz(s, kep)[0], rel=1e-13)
+        assert i3 == pytest.approx(runge_lenz(s, kep)[0], rel=1e-13, abs=0)
 
     def test_i2_equals_j2(self):
         vc = SystemSpec(kind=SystemKind.VC, kappa=-1.0, g=1.0, k_a=0.5,
                         k_b=0.2)
         for s in random_interior_states(vc, 50, seed=4):
             assert vc_integrals(s, vc)[0] == pytest.approx(j2(s, vc),
-                                                           rel=1e-13)
+                                                           rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_drift(self, kappa):
@@ -148,7 +148,7 @@ class TestComplexFactors:
         spec = pw_spec(k_a=1.0, k_b=0.7, m=1)
         s = PhaseState(1.0, math.pi / 2, 0.4, 0.0)
         got = n_phi(s, spec)
-        assert got.real == pytest.approx(0.7, rel=1e-13)
+        assert got.real == pytest.approx(0.7, rel=1e-13, abs=0)
         assert got.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_lambda_hand_value(self, standard_pw_state):
@@ -164,14 +164,14 @@ class TestComplexFactors:
         K = k_constant(standard_pw_state, STANDARD)
         assert K == pytest.approx(complex(-2.0 * math.sqrt(3.0), 0.0),
                                   abs=1e-13)
-        assert abs(K) ** 2 == pytest.approx(12.0, rel=1e-13)
+        assert abs(K) ** 2 == pytest.approx(12.0, rel=1e-13, abs=0)
 
     def test_modulus_multiplicative(self):
         spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
         for s in random_interior_states(spec, 30, seed=8):
             expected = abs(m_r(s, spec)) ** 3 * abs(n_phi(s, spec)) ** 2
             assert abs(k_constant(s, spec)) == pytest.approx(expected,
-                                                             rel=1e-12)
+                                                             rel=1e-12, abs=0)
 
     def test_negative_casimir_rejected(self):
         spec = pw_spec(k_a=-2.0, k_b=0.0, m=1)

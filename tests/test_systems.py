@@ -16,7 +16,7 @@ from conftest import (REFERENCE_ANGULAR_EPS, kepler_spec, pw_spec,
 class TestAngularProfile:
     def test_pure_ka_at_right_angle(self):
         assert angular_F_m(math.pi / 2, 2.0, 5.0, Fraction(1)) \
-            == pytest.approx(2.0, rel=1e-15)
+            == pytest.approx(2.0, rel=1e-15, abs=0)
 
     def test_m2_diagonal_matches_cartesian_form(self):
         # at phi = pi/4 the m = 2 profile equals the Cartesian
@@ -25,11 +25,11 @@ class TestAngularProfile:
         x = y = r / math.sqrt(2.0)
         cart = (k_a - k_b) / (4 * x * x) + (k_a + k_b) / (4 * y * y)
         got = angular_F_m(math.pi / 4, k_a, k_b, Fraction(2)) / r ** 2
-        assert got == pytest.approx(cart, rel=1e-13)
+        assert got == pytest.approx(cart, rel=1e-13, abs=0)
 
     def test_unit_coefficients(self):
         assert angular_F_m(math.pi / 8, 1.0, 1.0, Fraction(2)) \
-            == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
+            == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14, abs=0)
 
     def test_singularity_raises(self):
         with pytest.raises(AngularSingularityError):
@@ -59,7 +59,7 @@ def alpha_beta_profile(alpha, beta, m):
 class TestReparam:
     def test_alpha_only(self):
         F = alpha_beta_profile(1.0, 0.0, Fraction(1))(math.pi / 4)[0]
-        assert F == pytest.approx(2.0, rel=1e-13)
+        assert F == pytest.approx(2.0, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.3, 0.9),
                                             (-0.2, 0.7)])
@@ -120,7 +120,8 @@ class TestPotentialAndHamiltonian:
             else:
                 F = (0.8 + 0.3 * math.cos(s.phi)) / math.sin(s.phi) ** 2
                 U = -1.0 / s.r + F / s.r ** 2
-            assert hamiltonian(s, spec) == pytest.approx(T + U, rel=1e-12)
+            assert hamiltonian(s, spec) == pytest.approx(T + U, rel=1e-12,
+                                                         abs=0)
 
     @pytest.mark.parametrize("kind", list(SystemKind))
     @pytest.mark.parametrize("kappa,r", [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0),
@@ -313,7 +314,7 @@ class TestAngleHelpers:
         s, c = reference_angular_sin_cos(0.4, m)
         expected = -(7 / 3) * (2.0 * 0.8 * c + 0.3 * (1.0 + c * c)) / (s ** 3)
         dF = angular_profile_for(pw_spec(m=m, k_a=0.8, k_b=0.3))(0.4)[1]
-        assert dF == pytest.approx(expected, rel=1e-15)
+        assert dF == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 # --- potential and Hamiltonian from one (S, C) evaluation, against the

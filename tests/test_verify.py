@@ -343,7 +343,7 @@ class TestClosure:
         traj = integrate(s0, spec, -30.0)
         T = closure_detect(traj)
         period = 2.0 * math.pi / (-2.0 * hamiltonian(s0, spec)) ** 1.5
-        assert T == pytest.approx(-period, rel=1e-12)
+        assert T == pytest.approx(-period, rel=1e-12, abs=0)
         assert closure_mismatch(traj, T) < 1e-6
 
 
@@ -449,13 +449,45 @@ def sampler_specs():
 SAMPLER_SPECS = dict(sampler_specs())
 
 
+def per_candidate_draw(rng, n):
+    """verify._draw as first written, one rng.random(4) and one
+    rng.integers(2) per candidate: the oracle of the raw-word draw.  Keep
+    it frozen."""
+    u = np.empty((n, 4))
+    flip = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        rng.random(out=u[i])
+        flip[i] = rng.integers(2)
+    return u.T, flip
+
+
+def buffer_full_rng(seed):
+    """default_rng(seed) with the high half of a word in its 32-bit buffer."""
+    rng = np.random.default_rng(seed)
+    rng.integers(2)
+    return rng
+
+
+RNGS = {"PCG64": np.random.default_rng,
+        "PCG64-buffer-full": buffer_full_rng,
+        "PCG64DXSM": lambda seed: np.random.Generator(
+            np.random.PCG64DXSM(seed)),
+        "Philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+        "SFC64": lambda seed: np.random.Generator(np.random.SFC64(seed))}
+
+
+def rng_state(rng):
+    # str, because Philox's state holds arrays
+    return str(rng.bit_generator.state)
+
+
 class TestChunkedSampler:
     """random_bounded_state against the per-try loop it replaced."""
 
     @staticmethod
-    def assert_same_draws(spec, seed, max_tries, draws):
-        oracle_rng = np.random.default_rng(seed)
-        rng = np.random.default_rng(seed)
+    def assert_same_draws(spec, make_rng, seed, max_tries, draws):
+        oracle_rng = make_rng(seed)
+        rng = make_rng(seed)
         for _ in range(draws):
             try:
                 expected = per_try_sampler(spec, oracle_rng, max_tries)
@@ -466,18 +498,51 @@ class TestChunkedSampler:
                 got = random_bounded_state(spec, rng, max_tries)
                 assert got == expected
                 assert all(type(v) is float for v in got.as_tuple())
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert rng_state(rng) == rng_state(oracle_rng)
 
     @pytest.mark.parametrize("name", SAMPLER_SPECS)
     def test_same_draws_as_per_try_loop(self, name):
-        self.assert_same_draws(SAMPLER_SPECS[name], 11, 2000, 2)
+        self.assert_same_draws(SAMPLER_SPECS[name], np.random.default_rng,
+                               11, 2000, 2)
 
     # 1, 5 and 21 end the first three chunks; 17 ends inside the third
     # and 40 inside the first screened one
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 40])
     def test_same_draws_at_chunk_boundaries(self, max_tries):
         for spec in SAMPLER_SPECS.values():
-            self.assert_same_draws(spec, max_tries, max_tries, 6)
+            self.assert_same_draws(spec, np.random.default_rng, max_tries,
+                                   max_tries, 6)
+
+    # 300 ends inside the chunk of 256, after two screened chunks
+    @pytest.mark.parametrize("max_tries", [17, 40, 300])
+    @pytest.mark.parametrize("rng_kind", [k for k in RNGS if k != "PCG64"])
+    def test_same_draws_with_every_bit_generator(self, rng_kind, max_tries):
+        for spec in SAMPLER_SPECS.values():
+            self.assert_same_draws(spec, RNGS[rng_kind], max_tries,
+                                   max_tries, 3)
+
+    @pytest.mark.parametrize("rng_kind", RNGS)
+    def test_draw_matches_per_candidate_loop(self, rng_kind):
+        oracle_rng = RNGS[rng_kind](5)
+        rng = RNGS[rng_kind](5)
+        # in sequence: an odd n flips the 32-bit buffer, and the
+        # buffer-full kind meets every n in the other state
+        for n in (1, 2, 3, 4, 5, 16, 17, 64, 639):
+            u_expected, flip_expected = per_candidate_draw(oracle_rng, n)
+            u, flip = verify._draw(rng, n, rng.bit_generator.state)
+            assert np.array_equal(u, u_expected)
+            assert np.array_equal(flip, flip_expected)
+            assert flip.dtype == flip_expected.dtype
+            assert rng_state(rng) == rng_state(oracle_rng)
+        assert rng.random() == oracle_rng.random()
+        assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
+
+    def test_mt19937_is_a_type_error(self):
+        rng = np.random.Generator(np.random.MT19937(1))
+        before = rng_state(rng)
+        with pytest.raises(TypeError, match="MT19937"):
+            random_bounded_state(pw_spec(kappa=1.0), rng)
+        assert rng_state(rng) == before
 
 
 def suite_spec(kind, kappa):
@@ -623,7 +688,7 @@ class TestRunSuite:
         assert lim.name == "H" and lim.flat_value == 0.5
         assert all(dev <= 150.0 * abs(kap) for kap, dev in lim.deviations)
         assert lim.value == pytest.approx(2e-7, rel=1e-6)
-        assert lim.threshold == pytest.approx(1.5e-7, rel=1e-15)
+        assert lim.threshold == pytest.approx(1.5e-7, rel=1e-15, abs=0)
         assert not lim.passed
 
     def test_limit_rows_copy_the_scan(self):
