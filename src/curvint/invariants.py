@@ -109,7 +109,7 @@ def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
     unless g' > 0 and H < -g' sqrt(-kappa), the escape energy."""
     if spec.kind is SystemKind.GENERIC_F or j2(state, spec) <= 0.0:
         return None
-    g = 0.0 if spec.kind is SystemKind.FREE_GEODESIC else spec.g
+    g = spec.coupling
     a, s = -2.0 * hamiltonian(state, spec), math.sqrt(abs(spec.kappa))
     if spec.kappa > 0.0:
         rho = math.hypot(a, 2.0 * g * s)

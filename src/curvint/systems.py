@@ -113,6 +113,12 @@ class SystemSpec:
                            and (self.k_a != 0.0 or self.k_b != 0.0))
 
     @property
+    def coupling(self) -> float:
+        """g', the coupling of the equations of motion: g, or 0 for the
+        free geodesic, which feels no potential."""
+        return 0.0 if self.kind is SystemKind.FREE_GEODESIC else self.g
+
+    @property
     def has_angular_term(self) -> bool:
         return self.kind in (SystemKind.VC, SystemKind.PW,
                              SystemKind.GENERIC_F)
@@ -166,11 +172,6 @@ def _F_m(s, c, k_a: float, k_b: float):
     return (k_a + k_b * c) / (s * s)
 
 
-def _F_m_prime(s, c, k_a: float, k_b: float, rate: float):
-    """dF_m/dphi from s = sin(m phi), c = cos(m phi); rate = float(m)."""
-    return -rate * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s)
-
-
 def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
     """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
     return _F_m(*angular_sin_cos(phi, m), k_a, k_b)
@@ -206,7 +207,9 @@ def angular_profile_for(spec: SystemSpec, array: bool = False):
 
     def profile(phi):
         s, c = sin_cos(phi)     # one sin/cos pair for F and F'
-        return _F_m(s, c, k_a, k_b), _F_m_prime(s, c, k_a, k_b, rate)
+        # dF_m/dphi, rate = float(m); written here, its only use
+        return (_F_m(s, c, k_a, k_b),
+                -rate * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
     return profile
 
 

@@ -8,6 +8,7 @@ gives the period, the trajectory's return decides).  `run_suite` runs the
 suite of `curvint verify` on one trajectory, one CheckResult a row.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -236,12 +237,13 @@ def euclidean_limit_scan(spec: SystemSpec,
 
 # --- seeded state sampling for verification grids ---
 
-# Candidates per chunk: 1, 4, 16, 64, ..., capped at the tries left.
-_FIRST_CHUNK = 1
-_CHUNK_GROWTH = 4
-# One array call of hamiltonian costs about ten float calls, so chunks
-# smaller than this are decided by the float hamiltonian alone.
+# Candidates per chunk: 1 and 4, decided by the float hamiltonian alone,
+# then the tries left in screened chunks of at most _MAX_CHUNK.  One array
+# call of hamiltonian costs about ten float calls, so a chunk smaller than
+# _SCREEN_MIN is decided by the float hamiltonian alone too.
+_FLOAT_CHUNKS = (1, 4)
 _SCREEN_MIN = 16
+_MAX_CHUNK = 2048
 
 # The array hamiltonian may differ from the float one in the last ulps
 # (numpy's sin/cos against math's).  A screened energy within this margin,
@@ -251,8 +253,11 @@ _SCREEN_MARGIN = 1e-9
 
 
 def _escape_energy(spec: SystemSpec) -> float:
-    """Escape energy at kappa <= 0: U(r -> inf) = -g sqrt(-kappa)."""
-    return -spec.g * math.sqrt(-spec.kappa)
+    """Escape energy at kappa <= 0: U(r -> inf) = -g' sqrt(-kappa), g' the
+    coupling of the dynamics.  The free geodesic's is 0: its H = T >= 0
+    never falls below the threshold 0 - 0.02, so free kappa <= 0 admits no
+    bounded orbit and its draws are always the fallback."""
+    return -spec.coupling * math.sqrt(-spec.kappa)
 
 
 # Bit generators whose rng.random() is (raw >> 11) 2^-53, one word a double
@@ -344,19 +349,21 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     """Random interior phase point, bounded whenever the system admits it.
 
     kappa > 0: every non-singular state is bounded.  kappa = 0: rejection
-    sample for H < 0.  kappa < 0: the escape energy is -g*sqrt(-kappa);
-    for angular profiles stiff enough that no orbit fits under it, fall
-    back to low-energy states with inward radial momentum.
+    sample for H < 0.  kappa < 0: the escape energy is -g'*sqrt(-kappa),
+    g' = spec.coupling; for angular profiles stiff enough that no orbit
+    fits under it, and for the free geodesic at kappa <= 0, fall back to
+    low-energy states with inward radial momentum.
 
     The result, a PhaseState of floats, and the state rng is left in are
     those of a loop that draws up to max_tries candidates one at a time
     (one rng.random(4) and one rng.integers(2) each) and decides each with
-    the float hamiltonian.  Candidates are drawn in chunks of growing size,
-    each chunk from one bit_generator.random_raw call (see _draw), which
-    needs a PCG64 (default_rng's), PCG64DXSM, Philox or SFC64 bit
-    generator: TypeError for another, such as MT19937, before rng is
-    used.  A chunk of _SCREEN_MIN or more is screened with one array call of
-    hamiltonian.  The screen is never trusted with a decision: it only
+    the float hamiltonian.  Candidates are drawn in chunks of 1, 4 and then
+    all the tries left, at most _MAX_CHUNK at a time, so that a draw that
+    accepts nothing takes few chunks.  Each chunk comes from one
+    bit_generator.random_raw call (see _draw), which needs a PCG64
+    (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
+    for another, such as MT19937, before rng is used.  A chunk of
+    _SCREEN_MIN or more is screened with one array call of hamiltonian.  The screen is never trusted with a decision: it only
     skips candidates it shows, beyond rounding, to be rejected and not the
     lowest so far, and the float hamiltonian decides the rest, in order.
     When one is accepted before the end of its chunk, rng is rewound to the
@@ -373,8 +380,9 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     best = None
     best_H = math.inf
     tries = 0
-    chunk = _FIRST_CHUNK
-    while tries < max_tries:
+    for chunk in itertools.chain(_FLOAT_CHUNKS, itertools.repeat(_MAX_CHUNK)):
+        if tries >= max_tries:
+            break
         n = min(chunk, max_tries - tries)
         rewind = rng.bit_generator.state
         batch = _candidates(spec, *_draw(rng, n, rewind))
@@ -399,7 +407,6 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
             if kap <= 0 and H < best_H:
                 best, best_H = state, H
         tries += n
-        chunk *= _CHUNK_GROWTH
     if best is None:
         raise SamplingError(f"could not sample an interior state in "
                             f"{max_tries} tries")

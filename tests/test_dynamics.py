@@ -197,6 +197,28 @@ class TestIntegrate:
         assert traj.states[-1, 1] == pytest.approx(6 * math.pi, abs=1e-7)
 
 
+class TestDenseOutput:
+    # the second run ends at a guard, short of its last step's end
+    @pytest.mark.parametrize("spec, s0, t_end", [
+        (pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6), 40.0),
+        (SystemSpec(kind=SystemKind.PW, kappa=0.0, g=1.0, k_a=-0.3, k_b=0.0),
+         PhaseState(1.0, 2.5, 0.0, 0.4), 50.0)])
+    def test_piecewise_reads_equal_a_full_build(self, spec, s0, t_end):
+        whole = integrate(s0, spec, t_end)
+        pieces = integrate(s0, spec, t_end)
+        times = whole.times
+        n = len(times) - 1
+        whole.dense(0.5 * (times[:-1] + times[1:]))     # builds every step
+        rng = np.random.default_rng(8)
+        # one step, then 3, 17 and 200 steps, some already built, then all
+        reads = [times[n // 2] + 0.3 * (times[n // 2 + 1] - times[n // 2])]
+        for k in (3, 17, 200):
+            reads.append(rng.uniform(times[0], times[-1], k))
+        reads.append(np.linspace(times[0] - 0.1, times[-1] + 0.1, 1001))
+        for t in reads:
+            assert pieces.dense(t).tobytes() == whole.dense(t).tobytes()
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         # curvint simulate writes every value as %.17g: it reads back exactly
@@ -285,6 +307,9 @@ ORACLE_CASES = [
                  -20.0, DEFAULTS, id="backward"),
     pytest.param(kepler_spec(), PhaseState(1.0, 0.0, 0.0, 1.0), 0.0,
                  DEFAULTS, id="t_end-0"),
+    # 3390 accepted steps and 1009 rejected ones
+    pytest.param(pw_spec(kappa=1.0, m=3), start_for(pw_spec(kappa=1.0, m=3)),
+                 100.0, DEFAULTS, id="long-pw-m3"),
 ]
 
 def reference_central_rhs_array(t, y, spec):

@@ -382,6 +382,25 @@ class TestStateSampling:
         assert 0.0 < a.r
         assert math.sin(1.5 * a.phi) > 0.0
 
+    @pytest.mark.parametrize("kappa", [-1.0, -0.3, 0.0])
+    def test_free_geodesic_has_no_bounded_state(self, kappa):
+        # the free particle feels no g: its escape energy is 0, and each
+        # draw, for any g, is the per-try loop's fallback at H = T >= 0
+        draws = []
+        for g in (1.0, 5.0):
+            spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa,
+                              g=g)
+            assert verify._escape_energy(spec) == 0.0
+            rng, oracle_rng = (np.random.default_rng(9) for _ in range(2))
+            states = [random_bounded_state(spec, rng) for _ in range(3)]
+            assert states == [per_try_sampler(spec, oracle_rng)
+                              for _ in range(3)]
+            assert rng_state(rng) == rng_state(oracle_rng)
+            for s in states:
+                assert s.p_r <= 0.0 and hamiltonian(s, spec) >= 0.0
+            draws.append(states)
+        assert draws[0] == draws[1]
+
     def test_flat_states_are_bound(self):
         spec = pw_spec(kappa=0.0, m=Fraction(1))
         rng = np.random.default_rng(3)
@@ -505,15 +524,26 @@ class TestChunkedSampler:
         self.assert_same_draws(SAMPLER_SPECS[name], np.random.default_rng,
                                11, 2000, 2)
 
-    # 1, 5 and 21 end the first three chunks; 17 ends inside the third
-    # and 40 inside the first screened one
+    # 1 and 5 end the two float-decided chunks; 17 ends inside the first
+    # screened one, as a float-decided chunk of 12, and 40 inside it as a
+    # screened one
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 40])
     def test_same_draws_at_chunk_boundaries(self, max_tries):
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, np.random.default_rng, max_tries,
                                    max_tries, 6)
 
-    # 300 ends inside the chunk of 256, after two screened chunks
+    # 2053 ends the first screened chunk of verify._MAX_CHUNK; 2054 ends
+    # one try into the next.  Two draws each: a draw that accepts nothing
+    # costs the per-try loop max_tries float calls.
+    @pytest.mark.parametrize("max_tries", [2053, 2054])
+    def test_same_draws_at_the_chunk_cap(self, max_tries):
+        assert 5 + verify._MAX_CHUNK == 2053
+        for spec in SAMPLER_SPECS.values():
+            self.assert_same_draws(spec, np.random.default_rng, max_tries,
+                                   max_tries, 2)
+
+    # 300 ends inside the first screened chunk
     @pytest.mark.parametrize("max_tries", [17, 40, 300])
     @pytest.mark.parametrize("rng_kind", [k for k in RNGS if k != "PCG64"])
     def test_same_draws_with_every_bit_generator(self, rng_kind, max_tries):
