@@ -27,6 +27,7 @@ Every CSV, the `verify` report included, goes through one writer.
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -293,7 +294,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abs-tol", dest="abs_tol", type=float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (a build costs about 30
+    parses); each subcommand's func default names the function of this
+    module that runs it."""
     parser = argparse.ArgumentParser(
         prog="curvint",
         description="Curved Kepler-type systems: simulation and "
@@ -302,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate and write trajectory CSV")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("verify", help="run the verification suite")
     _add_common(p)
     p.add_argument("--negative-control", action="store_true",
                    help="include deliberately corrupted invariants")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("potential-curve",
                        help="Kepler potential branches for kappa = +1/0/-1")
@@ -317,20 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", dest="r_max", type=float, default=3.0)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_potential_curve)
+    p.set_defaults(func="cmd_potential_curve")
 
     p = sub.add_parser("dump-config", help="print the resolved configuration")
     _add_common(p)
-    p.set_defaults(func=cmd_dump_config)
+    p.set_defaults(func="cmd_dump_config")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the command is looked up at call time, so a cmd_* function replaced
+    # on this module after the parser was built is the one that runs
+    command = globals()[args.func]
     try:
         with np.errstate(all="ignore"):     # inf and nan are output values
-            return args.func(args)
+            return command(args)
     except (ConfigError, DomainError, SamplingError, SpanError) as exc:
         # a start beyond the float range, no verification-grid state, or
         # a span too short for the rotation check

@@ -11,9 +11,11 @@ and C = Cos_k(r):
 (d/dr of 1/Tan_k(r) is -1/S^2 for every curvature, by the Pythagorean
 identity C^2 + kappa S^2 = 1.)  `_rhs_for(spec, array)` writes them once
 per integration, with (S, C) from kappa_trig.sin_cos_k_for and (F, F')
-from systems.angular_profile_for: a function of 4 floats for the stepper,
-or of 4 arrays (nan or inf where the float one raises) for the dense
-output and the interpolant a guard crossing is located on.
+from systems.angular_profile_for: a function of r, phi, p_r and p_phi,
+passed as four positional values, that returns the 4-tuple of their
+rates.  The values are floats for the stepper, or arrays (nan or inf where
+the float one raises) for the dense output and the interpolant a guard
+crossing is located on, which call it as fun(*Y) on a (4, n) array Y.
 
 `solve_ivp` integrates them with DOP853, the explicit Runge-Kutta method
 of order 8 with error estimators of orders 5 and 3 (Hairer, Norsett and
@@ -28,6 +30,11 @@ crossing and the trajectory ends there with the guard's tag instead of
 running into infinities; a run ends with a tag after MAX_STEPS accepted
 steps, too.  The 7th-order dense output of a step is built when a read
 first touches it, from the stages the stepper kept.
+
+Each stage, B and error sum of the stepper is one BLAS gemv that writes
+into a (4,) buffer made once per solve, read back as four floats through
+a memoryview: an attempted step allocates no array, and an accepted one
+only the copy of its stages that the dense output keeps.
 """
 
 import math
@@ -106,7 +113,7 @@ def _interpolant(fun, h, y_old, y_new, K):
     with np.errstate(all="ignore"):     # stages beyond a guard may be nan
         for s in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
             dy = (_A_ROWS[s] @ K[:, :s]) * h
-            K[:, s] = np.transpose(fun((y_old + dy).T))
+            K[:, s] = np.transpose(fun(*(y_old + dy).T))
     delta_y = y_new - y_old
     F = np.empty((n, _dop853.INTERPOLATOR_POWER, 4))
     F[:, 0] = delta_y
@@ -203,21 +210,21 @@ class Trajectory:
 
 
 def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
-    """Hamilton's equations of spec as a function of y = (r, phi, p_r,
-    p_phi), four floats or with array four arrays, with every choice that
-    depends on spec made here, once per integration."""
+    """Hamilton's equations of spec as a function of r, phi, p_r and p_phi,
+    four positional floats or with array four arrays, that returns the
+    4-tuple of their rates, with every choice that depends on spec made
+    here, once per integration."""
     sin_cos = sin_cos_k_for(spec.kappa, array)
     profile = angular_profile_for(spec, array)
     g = spec.coupling
 
-    def rhs(y):
-        r, phi, p_r, p_phi = y
+    def rhs(r, phi, p_r, p_phi):
         S, C = sin_cos(r)
         S2 = S * S
         S3 = S2 * S
         F, dF = profile(phi)
         dUdr = g / S2 - 2.0 * F * C / S3
-        return [p_r, p_phi / S2, p_phi * p_phi * C / S3 - dUdr, -dF / S2]
+        return p_r, p_phi / S2, p_phi * p_phi * C / S3 - dUdr, -dF / S2
     return rhs
 
 
@@ -254,18 +261,19 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     """Integrate y' = fun(y) (autonomous, 4 components) from t = 0 to t_end
     with DOP853; t_end < 0 integrates backwards.
 
-    fun takes and returns a sequence of 4 floats; fun_array is the same
-    function of a (4, n) array, for the dense output and the interpolant a
-    guard's root is located on.  A step with a stage that fun cannot
-    evaluate is rejected, as SciPy rejects it on fun_array's nan error
-    norm.  guards maps a Termination to a function of the state (4 floats)
-    that is >= 0 where the state is admissible: PoleError if one is
-    negative at y0.  The integration ends at the first root, in the
-    direction of time, of a guard that goes from >= 0 to <= 0 over a step,
-    with that guard's tag; after MAX_STEPS accepted steps short of t_end it
-    ends with STEP_LIMIT, and with STEP_UNDERFLOW at a step too short to
-    move y accepted after a rejection (SciPy creeps on).  An rtol below
-    100 EPS is raised to that value with a warning, as SciPy does.
+    fun takes the 4 components as positional floats and returns a sequence
+    of 4 floats; fun_array is the same function of 4 arrays, for the dense
+    output and the interpolant a guard's root is located on.  A step with
+    a stage that fun cannot evaluate is rejected, as SciPy rejects it on
+    fun_array's nan error norm.  guards maps a Termination to a function
+    of the state (a sequence of 4 floats) that is >= 0 where the state is
+    admissible: PoleError if one is negative at y0.  The integration ends
+    at the first root, in the direction of time, of a guard that goes from
+    >= 0 to <= 0 over a step, with that guard's tag; after MAX_STEPS
+    accepted steps short of t_end it ends with STEP_LIMIT, and with
+    STEP_UNDERFLOW at a step too short to move y accepted after a
+    rejection (SciPy creeps on).  An rtol below 100 EPS is raised to that
+    value with a warning, as SciPy does.
     """
     tags, checks = list(guards), list(guards.values())
     y = np.array(y0, dtype=float)
@@ -279,7 +287,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                       stacklevel=3)
         rtol = 100 * EPS
     direction = -1.0 if t_end < 0 else 1.0
-    f = np.array(fun(y.tolist()))
+    f = np.array(fun(*y.tolist()))
     nfev = 1
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
@@ -294,9 +302,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         h0 = min(h0, interval)
         y1 = y + h0 * direction * f
         try:
-            f1 = np.array(fun(y1.tolist()))
+            f1 = np.array(fun(*y1.tolist()))
         except _RAISES:         # the nan or inf SciPy's norm sees
-            f1 = np.array(fun_array(y1[:, None]))[:, 0]
+            f1 = np.array(fun_array(*y1[:, None]))[:, 0]
         nfev += 1
         d2 = np.linalg.norm((f1 - f) / scale) / 2.0 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -310,9 +318,12 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     # Stage values go into K through a flat view of its 52 doubles, four
     # element stores a stage.  Each sum of a K is a dot method of K[:s].T,
     # bound once: the same BLAS gemv as np.dot, without numpy's Python-level
-    # dispatch.  A sum in Python floats would not do: the BLAS kernels round
-    # with fused multiply-adds, so its bits would differ from SciPy's.
+    # dispatch, written into buf and read back through bv.  A sum in Python
+    # floats would not do: the BLAS kernels round with fused multiply-adds,
+    # so its bits would differ from SciPy's.
     flat = memoryview(K).cast("B").cast("d")
+    buf = np.empty(4)
+    bv = memoryview(buf)
     dots = [K[:s].T.dot for s in range(_N_STAGES + 2)]
     stages_plan = [(4 * s, dots[s], _A_ROWS[s]) for s in range(1, _N_STAGES)]
     last = 4 * _N_STAGES                # K[_N_STAGES] in flat
@@ -356,13 +367,15 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
             nfev += _N_STAGES
             try:
                 for i, stage_dot, a in stages_plan:
-                    d0, d1, d2, d3 = stage_dot(a).tolist()
+                    stage_dot(a, buf)
+                    d0, d1, d2, d3 = bv
                     flat[i], flat[i + 1], flat[i + 2], flat[i + 3] = fun(
-                        [y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h])
-                d0, d1, d2, d3 = b_dot(B).tolist()
+                        y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+                b_dot(B, buf)
+                d0, d1, d2, d3 = bv
                 y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
                 flat[last], flat[last + 1], flat[last + 2], flat[last + 3] = (
-                    fun(y_new))
+                    fun(*y_new))
             except _RAISES:     # SciPy's error norm is nan: rejected
                 error_norm = math.nan
             else:
@@ -377,10 +390,12 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 s2 = atol + (b if b > a2 else a2) * rtol
                 b = abs(n3)
                 s3 = atol + (b if b > a3 else a3) * rtol
-                e0, e1, e2, e3 = err_dot(E5).tolist()
+                err_dot(E5, buf)
+                e0, e1, e2, e3 = bv
                 err_flat[0], err_flat[1], err_flat[2], err_flat[3] = (
                     e0 / s0, e1 / s1, e2 / s2, e3 / s3)
-                e0, e1, e2, e3 = err_dot(E3).tolist()
+                err_dot(E3, buf)
+                e0, e1, e2, e3 = bv
                 err_flat[4], err_flat[5], err_flat[6], err_flat[7] = (
                     e0 / s0, e1 / s1, e2 / s2, e3 / s3)
                 # np.linalg.norm(x) ** 2, which is sqrt(x.dot(x)) ** 2
@@ -420,10 +435,12 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         elif len(hs) == MAX_STEPS:
             termination = Termination.STEP_LIMIT
 
-        g_new = [check(y) for check in checks]
-        fired = [i for i in range(len(checks))
-                 if g[i] >= 0 and g_new[i] <= 0]
-        g = g_new
+        fired = []
+        for i, check in enumerate(checks):
+            value = check(y)
+            if g[i] >= 0 and value <= 0:
+                fired.append(i)
+            g[i] = value
         if fired:
             y_old = np.array(ys[-1])
             F = _interpolant(fun_array, np.array([h]), y_old[None],

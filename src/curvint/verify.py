@@ -215,12 +215,13 @@ def euclidean_limit_scan(spec: SystemSpec,
     quantities = {"H": hamiltonian, "M_r": m_r, "N_phi": n_phi,
                   "lambda": lambda_k}
     flat = replace(spec, kappa=0.0)
+    curved = [(kap, replace(spec, kappa=kap)) for k in range(4, 13)
+              for kap in (10.0 ** -k, -(10.0 ** -k))]
     reports = []
     for name, fn in quantities.items():
         f0 = fn(state, flat)
-        devs = tuple((kap, abs(fn(state, replace(spec, kappa=kap)) - f0))
-                     for k in range(4, 13)
-                     for kap in (10.0 ** -k, -(10.0 ** -k)))
+        devs = tuple((kap, abs(fn(state, spec_k) - f0))
+                     for kap, spec_k in curved)
         # linear-in-kappa envelope with a generous constant
         scale = 1.0 + abs(f0)
         envelope = all(dev <= 100.0 * abs(kap) * scale + 1e-13
@@ -238,11 +239,12 @@ def euclidean_limit_scan(spec: SystemSpec,
 # --- seeded state sampling for verification grids ---
 
 # Candidates per chunk: 1 and 4, decided by the float hamiltonian alone,
-# then the tries left in screened chunks of at most _MAX_CHUNK.  One array
-# call of hamiltonian costs about ten float calls, so a chunk smaller than
+# then _SCREEN_MIN (a draw that accepts soon draws few), then the tries
+# left in chunks of at most _MAX_CHUNK, each screened.  One array call of
+# hamiltonian costs about ten float calls, so a chunk smaller than
 # _SCREEN_MIN is decided by the float hamiltonian alone too.
-_FLOAT_CHUNKS = (1, 4)
 _SCREEN_MIN = 16
+_CHUNKS = (1, 4, _SCREEN_MIN)
 _MAX_CHUNK = 2048
 
 # The array hamiltonian may differ from the float one in the last ulps
@@ -357,15 +359,16 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     The result, a PhaseState of floats, and the state rng is left in are
     those of a loop that draws up to max_tries candidates one at a time
     (one rng.random(4) and one rng.integers(2) each) and decides each with
-    the float hamiltonian.  Candidates are drawn in chunks of 1, 4 and then
-    all the tries left, at most _MAX_CHUNK at a time, so that a draw that
-    accepts nothing takes few chunks.  Each chunk comes from one
+    the float hamiltonian.  Candidates are drawn in chunks of 1, 4, 16 and
+    then all the tries left, at most _MAX_CHUNK at a time, so that a draw
+    that accepts nothing takes few chunks.  Each chunk comes from one
     bit_generator.random_raw call (see _draw), which needs a PCG64
     (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
     for another, such as MT19937, before rng is used.  A chunk of
-    _SCREEN_MIN or more is screened with one array call of hamiltonian.  The screen is never trusted with a decision: it only
-    skips candidates it shows, beyond rounding, to be rejected and not the
-    lowest so far, and the float hamiltonian decides the rest, in order.
+    _SCREEN_MIN or more is screened with one array call of hamiltonian.
+    The screen is never trusted with a decision: it only skips candidates
+    it shows, beyond rounding, to be rejected and not the lowest so far,
+    and the float hamiltonian decides the rest, in order.
     When one is accepted before the end of its chunk, rng is rewound to the
     start of the chunk and the candidates up to it are drawn again.
     SamplingError (a RuntimeError) when no candidate qualifies.
@@ -380,7 +383,7 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     best = None
     best_H = math.inf
     tries = 0
-    for chunk in itertools.chain(_FLOAT_CHUNKS, itertools.repeat(_MAX_CHUNK)):
+    for chunk in itertools.chain(_CHUNKS, itertools.repeat(_MAX_CHUNK)):
         if tries >= max_tries:
             break
         n = min(chunk, max_tries - tries)

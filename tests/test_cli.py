@@ -332,6 +332,26 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error: CURVINT_SEED" in capsys.readouterr().err
 
+    def test_replaced_command_runs_on_a_later_call(self, tmp_path,
+                                                   monkeypatch):
+        # the parser is built once per process; a cmd_verify replaced
+        # after a first main() call is still the function that runs
+        cfg = write(tmp_path, PW_SPHERE)
+        assert main(["dump-config", "--config", cfg]) == 0
+        seen = []
+
+        def fake_verify(args):
+            seen.append(args.config)
+            return 42
+        monkeypatch.setattr(cli, "cmd_verify", fake_verify)
+        assert main(["verify", "--config", cfg]) == 42
+        assert main(["verify", "--config", cfg]) == 42
+        assert seen == [cfg, cfg]
+        monkeypatch.undo()
+        assert cli.cmd_verify is not fake_verify
+        assert main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / "report.csv")]) == 0
+
     @pytest.mark.parametrize("text, code, termination", [
         # regular start; the orbit falls into the attractive angular
         # singularity, where J2 loses every digit to cancellation

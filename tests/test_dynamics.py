@@ -38,13 +38,13 @@ def all_kind_specs(kappa):
 class TestEquationsOfMotion:
     def test_circular_kepler_balance(self):
         # centrifugal 1/r^3 balances gravity g/r^2 at r = 1
-        rhs = dynamics._rhs_for(kepler_spec())((1.0, 0.0, 0.0, 1.0))
+        rhs = dynamics._rhs_for(kepler_spec())(1.0, 0.0, 0.0, 1.0)
         assert rhs == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_radial_geodesic(self, kappa):
         spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa)
-        rhs = dynamics._rhs_for(spec)((0.7, 0.3, 0.4, 0.0))
+        rhs = dynamics._rhs_for(spec)(0.7, 0.3, 0.4, 0.0)
         assert rhs == pytest.approx((0.4, 0.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
@@ -64,7 +64,7 @@ class TestEquationsOfMotion:
                            - hamiltonian(PhaseState.from_tuple(ym), spec)) \
                     / (2 * h)
             expected = (grad[2], grad[3], -grad[0], -grad[1])
-            assert rhs(s.as_tuple()) == pytest.approx(
+            assert rhs(*s.as_tuple()) == pytest.approx(
                 expected, rel=1e-6, abs=1e-6)
 
 
@@ -475,9 +475,11 @@ class TestRhsFactory:
             rhs = dynamics._rhs_for(spec)
             rhs_array = dynamics._rhs_for(spec, array=True)
             states = rhs_states(spec)
-            columns = np.array(rhs_array(np.array(states).T)).T
+            columns = np.array(rhs_array(*np.array(states).T)).T
             for y, column in zip(states, columns):
-                got = rhs(y)
+                got = rhs(*y)
+                # the stepper stores the four rates by tuple unpacking
+                assert type(got) is tuple and len(got) == 4
                 assert bits(got) == bits(
                     reference_rhs(0.0, np.array(y), spec)), (spec, y)
                 # numpy's sin/sinh may differ from math's in the last ulp
@@ -492,11 +494,12 @@ class TestRhsFactory:
             rhs = dynamics._rhs_for(spec)
             for y in states:
                 with pytest.raises(DomainError):
-                    rhs(y)
+                    rhs(*y)
             # an array r = nan gives nan; an infinite one propagates as IEEE
             # arithmetic does (kappa_trig)
             with np.errstate(invalid="ignore"):
-                out = dynamics._rhs_for(spec, array=True)(np.array(states).T)
+                out = dynamics._rhs_for(spec, array=True)(
+                    *np.array(states).T)
             assert all(math.isnan(out[i][0]) for i in (1, 2, 3))
 
     @pytest.mark.parametrize("kappa", RHS_KAPPAS)
@@ -511,8 +514,8 @@ class TestRhsFactory:
             rhs = dynamics._rhs_for(spec)
             for y in states:
                 with pytest.raises(AngularSingularityError):
-                    rhs(y)
-            out = dynamics._rhs_for(spec, array=True)(np.array(states).T)
+                    rhs(*y)
+            out = dynamics._rhs_for(spec, array=True)(*np.array(states).T)
             assert np.all(np.isnan(out[2])) and np.all(np.isnan(out[3]))
             assert np.all(np.isfinite(out[1]))
 

@@ -525,25 +525,25 @@ class TestChunkedSampler:
                                11, 2000, 2)
 
     # 1 and 5 end the two float-decided chunks; 17 ends inside the first
-    # screened one, as a float-decided chunk of 12, and 40 inside it as a
-    # screened one
-    @pytest.mark.parametrize("max_tries", [1, 5, 17, 40])
+    # screened one, as a float-decided chunk of 12; 21 ends the screened
+    # chunk of 16, and 40 ends inside the next as a screened one
+    @pytest.mark.parametrize("max_tries", [1, 5, 17, 21, 40])
     def test_same_draws_at_chunk_boundaries(self, max_tries):
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, np.random.default_rng, max_tries,
                                    max_tries, 6)
 
-    # 2053 ends the first screened chunk of verify._MAX_CHUNK; 2054 ends
+    # 2069 ends the first screened chunk of verify._MAX_CHUNK; 2070 ends
     # one try into the next.  Two draws each: a draw that accepts nothing
     # costs the per-try loop max_tries float calls.
-    @pytest.mark.parametrize("max_tries", [2053, 2054])
+    @pytest.mark.parametrize("max_tries", [2069, 2070])
     def test_same_draws_at_the_chunk_cap(self, max_tries):
-        assert 5 + verify._MAX_CHUNK == 2053
+        assert 21 + verify._MAX_CHUNK == 2069
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, np.random.default_rng, max_tries,
                                    max_tries, 2)
 
-    # 300 ends inside the first screened chunk
+    # 300 ends inside the first chunk of up to verify._MAX_CHUNK
     @pytest.mark.parametrize("max_tries", [17, 40, 300])
     @pytest.mark.parametrize("rng_kind", [k for k in RNGS if k != "PCG64"])
     def test_same_draws_with_every_bit_generator(self, rng_kind, max_tries):
