@@ -9,8 +9,7 @@ from .errors import (AngularSingularityError, ConfigError, CurvintError,
                      DomainError, NegativeCasimirError, PoleError,
                      SamplingError, SpanError, StencilError)
 from .kappa_trig import cos_k, cot_k, r_domain, sin_k, tan_k
-from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
-                      angular_F_m, angular_profile_for, hamiltonian,
+from .systems import (PhaseState, SystemKind, SystemSpec, hamiltonian,
                       potential)
 from .dynamics import IntegratorConfig, Termination, Trajectory, integrate
 from .invariants import (evaluators_for, j2, k_constant, lambda_k, m_r,

@@ -10,8 +10,8 @@ and C = Cos_k(r):
 
 (d/dr of 1/Tan_k(r) is -1/S^2 for every curvature, by the Pythagorean
 identity C^2 + kappa S^2 = 1.)  `_rhs_for(spec, array)` writes them once
-per integration, with (S, C) from kappa_trig.sin_cos_k_for and (F, F')
-from systems.angular_profile_for: a function of r, phi, p_r and p_phi,
+per integration, with (S, C) and (F, F') from spec's float or array
+closures (`SystemSpec.formulas`): a function of r, phi, p_r and p_phi,
 passed as four positional values, that returns the 4-tuple of their
 rates.  The values are floats for the stepper, or arrays (nan or inf where
 the float one raises) for the dense output and the interpolant a guard
@@ -47,9 +47,8 @@ import numpy as np
 
 from . import _dop853
 from .errors import CurvintError, PoleError
-from .kappa_trig import sin_cos_k_for, sin_k
-from .systems import (PhaseState, SystemSpec, angular_profile_for,
-                      angular_sin_cos_for)
+from .kappa_trig import sin_k
+from .systems import PhaseState, SystemSpec
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
 # step-size controller: new |h| = old |h| * SAFETY * err^(-1/8), the factor
@@ -212,11 +211,10 @@ class Trajectory:
 def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     """Hamilton's equations of spec as a function of r, phi, p_r and p_phi,
     four positional floats or with array four arrays, that returns the
-    4-tuple of their rates, with every choice that depends on spec made
-    here, once per integration."""
-    sin_cos = sin_cos_k_for(spec.kappa, array)
-    profile = angular_profile_for(spec, array)
-    g = spec.coupling
+    4-tuple of their rates, built from spec's closures, in which every
+    choice that depends on spec is already made."""
+    f = spec.tables[array]
+    sin_cos, profile, g = f.sin_cos_k, f.profile, spec.coupling
 
     def rhs(r, phi, p_r, p_phi):
         S, C = sin_cos(r)
@@ -476,7 +474,7 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     cfg = cfg or IntegratorConfig()
     margin = cfg.singularity_margin
 
-    # through kappa_trig.sin_k, not a bound sin_cos_k_for closure: the
+    # through kappa_trig.sin_k, not spec's sin_cos_k closure: the
     # benchmark's tracer counts kappa_trig calls at sin_k and friends, and
     # expects more of them than accepted steps
     def radial_guard(y):
@@ -484,7 +482,7 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     guards = {Termination.HIT_RADIAL_POLE: radial_guard}
 
     if spec.has_F_m:
-        sin_cos = angular_sin_cos_for(spec.m, eps=0.0)
+        sin_cos = spec.tables[False].angle_regular
 
         def angular_guard(y):
             s = sin_cos(y[1])[0]

@@ -18,8 +18,9 @@ is a constant of the motion.  Its real and imaginary parts are the third
 and fourth real integrals (J3, J4).  Integer powers are taken by repeated
 squaring, never via log/exp branch cuts.  Like the Hamiltonian, every
 invariant takes a PhaseState of floats or of numpy arrays (a trajectory,
-say); where a float raises (PoleError, AngularSingularityError, or
-NegativeCasimirError at J2 <= 0) an array element is nan instead.
+say), through its spec's closures (`SystemSpec.formulas`); where a float
+raises (PoleError, AngularSingularityError, or NegativeCasimirError at
+J2 <= 0) an array element is nan instead.
 """
 
 import math
@@ -28,25 +29,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NegativeCasimirError
-from .kappa_trig import cot_k, sin_cos_k_off_pole
-from .systems import (PhaseState, SystemKind, SystemSpec, angular_F,
-                      angular_sin_cos, angular_sin_cos_for, hamiltonian)
+from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
 
 
 def noether_p1(state: PhaseState, spec: SystemSpec):
     """First Noether momentum; reduces to p_x in the plane."""
-    xp = np if isinstance(state.phi, np.ndarray) else math
-    ck = cot_k(spec.kappa, state.r)
+    S, C = spec.formulas(state.r).sin_cos_k_off_pole(state.r)
+    xp = spec.formulas(state.phi).xp
     return (xp.cos(state.phi) * state.p_r
-            - ck * xp.sin(state.phi) * state.p_phi)
+            - C / S * xp.sin(state.phi) * state.p_phi)
 
 
 def noether_p2(state: PhaseState, spec: SystemSpec):
     """Second Noether momentum; reduces to p_y in the plane."""
-    xp = np if isinstance(state.phi, np.ndarray) else math
-    ck = cot_k(spec.kappa, state.r)
+    S, C = spec.formulas(state.r).sin_cos_k_off_pole(state.r)
+    xp = spec.formulas(state.phi).xp
     return (xp.sin(state.phi) * state.p_r
-            + ck * xp.cos(state.phi) * state.p_phi)
+            + C / S * xp.cos(state.phi) * state.p_phi)
 
 
 def j2(state: PhaseState, spec: SystemSpec):
@@ -56,12 +55,12 @@ def j2(state: PhaseState, spec: SystemSpec):
         p_phi2 = state.p_phi ** 2
     except OverflowError:
         raise DomainError(f"p_phi^2 overflows at {state.p_phi!r}") from None
-    return p_phi2 + 2.0 * angular_F(spec, state.phi)
+    return p_phi2 + 2.0 * spec.formulas(state.phi).F(state.phi)
 
 
 def runge_lenz(state: PhaseState, spec: SystemSpec) -> tuple:
     """Curved Runge-Lenz pair (I3, I4) of the Kepler problem."""
-    xp = np if isinstance(state.phi, np.ndarray) else math
+    xp = spec.formulas(state.phi).xp
     return (noether_p2(state, spec) * state.p_phi
             - spec.g * xp.cos(state.phi),
             noether_p1(state, spec) * state.p_phi
@@ -73,9 +72,10 @@ def vc_integrals(state: PhaseState, spec: SystemSpec) -> tuple:
 
     k_a, k_b of the spec play the roles of the k2, k3 coefficients; I2 = J2.
     """
-    s, c = angular_sin_cos(state.phi, spec.m)
+    s, c = spec.formulas(state.phi).angle(state.phi)
     s2 = s * s
-    ck = cot_k(spec.kappa, state.r)
+    S, C = spec.formulas(state.r).sin_cos_k_off_pole(state.r)
+    ck = C / S
     i3 = (noether_p2(state, spec) * state.p_phi - spec.g * c
           + 2.0 * spec.k_a * ck * (c / s2)
           + spec.k_b * ck * ((1.0 + c * c) / s2))
@@ -95,8 +95,8 @@ def _sqrt_j2(state: PhaseState, spec: SystemSpec):
 def m_r(state: PhaseState, spec: SystemSpec):
     """Radial complex factor M_r."""
     sq = _sqrt_j2(state, spec)
-    return (state.p_r * sq
-            + 1j * (spec.g - sq * sq * cot_k(spec.kappa, state.r)))
+    S, C = spec.formulas(state.r).sin_cos_k_off_pole(state.r)
+    return state.p_r * sq + 1j * (spec.g - sq * sq * (C / S))
 
 
 def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
@@ -127,14 +127,13 @@ def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
 def n_phi(state: PhaseState, spec: SystemSpec):
     """Angular complex factor N_phi."""
     sq = _sqrt_j2(state, spec)
-    s, c = angular_sin_cos_for(spec.m, isinstance(state.phi, np.ndarray),
-                               0.0)(state.phi)  # regular at sin(m phi) = 0
+    s, c = spec.formulas(state.phi).angle_regular(state.phi)
     return spec.k_b + sq * sq * c + 1j * (state.p_phi * sq * s)
 
 
 def lambda_k(state: PhaseState, spec: SystemSpec):
     """Common phase-rotation rate sqrt(J2) / Sin_k(r)^2."""
-    S = sin_cos_k_off_pole(spec.kappa, state.r)[0]
+    S = spec.formulas(state.r).sin_cos_k_off_pole(state.r)[0]
     return _sqrt_j2(state, spec) / (S * S)
 
 

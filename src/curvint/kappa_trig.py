@@ -9,15 +9,14 @@ kappa = 0 Euclidean plane, kappa < 0 hyperbolic plane.  The functions
 interpolate smoothly through kappa = 0, so every formula built on them is
 valid for all three geometries at once.
 
-`sin_cos_k_for(kappa, array)` is their one implementation; sin_k, cos_k,
-tan_k, cot_k and sin_cos_k_off_pole call it with array set by the type of
-x.  A float x is evaluated with `math`: DomainError where kappa or x is
-not finite or sinh/cosh overflow, PoleError at a pole.  An array x is
-evaluated by numpy in the same formulas, with nan where a float raises
-PoleError and non-finite elements propagated (last ulps may differ).
+`sin_cos_k_for(kappa, array, off_pole)` is their one implementation; a
+SystemSpec builds its closures once, and sin_k, cos_k, tan_k and cot_k per
+call, with array set by the type of x.  A float x is evaluated with `math`:
+DomainError where kappa or x is not finite or sinh/cosh overflow,
+PoleError at a pole.  An array x is evaluated by numpy in the same
+formulas, with nan where a float raises PoleError (last ulps may differ).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -35,12 +34,11 @@ _POLE_EPS = 1e-12
 _ndarray = np.ndarray   # bound once: the float path tests it on every call
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def sin_cos_k_for(kappa: float, array: bool = False):
+def sin_cos_k_for(kappa: float, array: bool = False, off_pole: bool = False):
     """The function x -> (sin_k(kappa, x), cos_k(kappa, x)) of a float x,
     or with array of an array x, with kappa's branch chosen once.  Below
     _SERIES_CUTOFF, as everywhere at kappa = 0, both take the series.
-    Cached, so that sin_k and the others do not build one per call."""
+    With off_pole, PoleError (nan in an array) where |sin_k| < _POLE_EPS."""
     if not math.isfinite(kappa):
         raise DomainError(f"non-finite input: kappa={kappa}")
     xp = np if array else math
@@ -49,8 +47,9 @@ def sin_cos_k_for(kappa: float, array: bool = False):
     else:
         s, trig_sin, trig_cos = math.sqrt(-kappa), xp.sinh, xp.cosh
 
+    isfinite = math.isfinite
     if array:
-        def sin_cos_array(x):
+        def sin_cos(x):
             u = kappa * x * x
             sin_x, cos_x = x * (1.0 - u / 6.0), 1.0 - 0.5 * u
             if kappa != 0.0:
@@ -58,28 +57,35 @@ def sin_cos_k_for(kappa: float, array: bool = False):
                 sin_x = np.where(series, sin_x, trig_sin(sx) / s)
                 cos_x = np.where(series, cos_x, trig_cos(sx))
             return sin_x, cos_x
-        return sin_cos_array
-
-    isfinite = math.isfinite
-    if kappa == 0.0:                # the series at u = 0, bit for bit
-        def sin_cos_flat(x):
+    elif kappa == 0.0:              # the series at u = 0, bit for bit
+        def sin_cos(x):
             if not isfinite(x):
                 raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
             return x * 1.0, 1.0
-        return sin_cos_flat
+    else:
+        def sin_cos(x):
+            u = kappa * x * x
+            if abs(u) < _SERIES_CUTOFF:
+                return x * (1.0 - u / 6.0), 1.0 - 0.5 * u
+            if not isfinite(x):
+                raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
+            sx = s * x
+            try:
+                return trig_sin(sx) / s, trig_cos(sx)
+            except (OverflowError, ValueError):  # sinh, cosh or s x overflow
+                raise DomainError(
+                    f"overflow at kappa={kappa}, x={x}") from None
+    if not off_pole:
+        return sin_cos
 
-    def sin_cos(x):
-        u = kappa * x * x
-        if abs(u) < _SERIES_CUTOFF:
-            return x * (1.0 - u / 6.0), 1.0 - 0.5 * u
-        if not isfinite(x):
-            raise DomainError(f"non-finite input: kappa={kappa}, x={x}")
-        sx = s * x
-        try:
-            return trig_sin(sx) / s, trig_cos(sx)
-        except (OverflowError, ValueError):     # sinh, cosh or s x overflow
-            raise DomainError(f"overflow at kappa={kappa}, x={x}") from None
-    return sin_cos
+    def sin_cos_off_pole(x):
+        S, C = sin_cos(x)
+        if array:
+            return np.where(abs(S) < _POLE_EPS, np.nan, S), C
+        if abs(S) < _POLE_EPS:
+            raise PoleError(f"pole: sin_k({kappa}, {x}) = {S}")
+        return S, C
+    return sin_cos_off_pole
 
 
 def sin_k(kappa: float, x):
@@ -92,26 +98,14 @@ def cos_k(kappa: float, x):
     return sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)[1]
 
 
-def _off_pole(v, what: str, kappa: float, x):
-    """v; PoleError (nan in an array) where |v| < _POLE_EPS."""
-    if isinstance(v, _ndarray):
-        return np.where(abs(v) < _POLE_EPS, np.nan, v)
-    if abs(v) < _POLE_EPS:
-        raise PoleError(f"pole: {what}({kappa}, {x}) = {v}")
-    return v
-
-
 def tan_k(kappa: float, x):
     """sin_k / cos_k.  PoleError (nan for an array) where cos_k vanishes."""
     S, C = sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)
-    return S / _off_pole(C, "cos_k", kappa, x)
-
-
-def sin_cos_k_off_pole(kappa: float, x):
-    """(sin_k, cos_k); PoleError (nan for an array) where sin_k, the
-    divisor of every 1/Sin_k factor, vanishes (r = 0, the antipode)."""
-    S, C = sin_cos_k_for(kappa, isinstance(x, _ndarray))(x)
-    return _off_pole(S, "sin_k", kappa, x), C
+    if isinstance(x, _ndarray):
+        return S / np.where(abs(C) < _POLE_EPS, np.nan, C)
+    if abs(C) < _POLE_EPS:
+        raise PoleError(f"pole: cos_k({kappa}, {x}) = {C}")
+    return S / C
 
 
 def cot_k(kappa: float, x):
@@ -120,7 +114,7 @@ def cot_k(kappa: float, x):
     Preferred over 1/tan_k inside potentials: the cos_k zero (equator of
     the sphere) is a regular point of every formula written with 1/Tan.
     """
-    S, C = sin_cos_k_off_pole(kappa, x)
+    S, C = sin_cos_k_for(kappa, isinstance(x, _ndarray), off_pole=True)(x)
     return C / S
 
 

@@ -12,26 +12,27 @@ and a caller-supplied profile for the generic separable family.
 The angle enters as m phi, m = p/q an exact Fraction:
 `angular_sin_cos_for(m, array)` is the one implementation of the angle
 (p phi)/q and of (sin m phi, cos m phi), and `m_rate` of the float p/q.
-The functions take a PhaseState (phi alone for the profiles) of floats,
-evaluated with `math` (PoleError / AngularSingularityError at a
-singularity, DomainError beyond the float range), or of numpy arrays of
-one shape, evaluated in the same formulas with nan at a singularity (see
-kappa_trig).  A generic profile's callables are mapped over an array phi
-element by element, so callables written for floats serve array states
-too.
+A SystemSpec builds its `Formulas`, its closures of floats and of arrays,
+once, at first use; `SystemSpec.formulas(x)` picks one by the type of x.
+The functions take a PhaseState of floats, evaluated with `math`
+(PoleError / AngularSingularityError at a singularity, DomainError beyond
+the float range), or of numpy arrays of one shape, evaluated in the same
+formulas with nan at a singularity (see kappa_trig).  A generic profile's
+callables are mapped over an array phi element by element, so callables
+written for floats serve array states too.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AngularSingularityError, DomainError
-from .kappa_trig import sin_cos_k_off_pole
+from .kappa_trig import sin_cos_k_for
 
 # |sin(m phi)| below this counts as sitting on the angular singularity.
 _ANGULAR_EPS = 1e-12
@@ -68,6 +69,17 @@ class PhaseState:
         return PhaseState(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
 
+class Formulas(NamedTuple):
+    """The closures of one SystemSpec, all of floats or all of arrays."""
+    sin_cos_k: Callable             # r -> (Sin_k(r), Cos_k(r))
+    sin_cos_k_off_pole: Callable    # the same, singular where Sin_k vanishes
+    angle: Callable     # phi -> (sin m phi, cos m phi), singular at sin = 0
+    angle_regular: Callable         # the same, regular there
+    F: Callable                     # phi -> F(phi)
+    profile: Callable               # phi -> (F(phi), F'(phi))
+    xp: object                      # math or numpy: sin and cos of phi
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Immutable description of which system is being simulated.
@@ -84,8 +96,7 @@ class SystemSpec:
     # (F, dF/dphi) pair for GENERIC_F
     generic_F: Optional[tuple[Callable[[float], float],
                               Callable[[float], float]]] = None
-    # F is a nonzero F_m, singular at sin(m phi) = 0; stored, as are m's
-    # p and q, since every float potential reads it
+    # F is a nonzero F_m, singular at sin(m phi) = 0; m = m_num / m_den
     has_F_m: bool = field(init=False, repr=False, compare=False)
     m_num: int = field(init=False, repr=False, compare=False)
     m_den: int = field(init=False, repr=False, compare=False)
@@ -111,6 +122,19 @@ class SystemSpec:
         object.__setattr__(self, "has_F_m",
                            self.kind in (SystemKind.VC, SystemKind.PW)
                            and (self.k_a != 0.0 or self.k_b != 0.0))
+
+    def __reduce__(self):   # pickled by its fields: closures are rebuilt
+        return SystemSpec, tuple(getattr(self, f.name)
+                                 for f in fields(self) if f.init)
+
+    @functools.cached_property
+    def tables(self) -> tuple[Formulas, Formulas]:
+        """The float and the array Formulas of this spec."""
+        return _formulas(self, False), _formulas(self, True)
+
+    def formulas(self, x) -> Formulas:
+        """The array Formulas for a numpy array x, else the float ones."""
+        return self.tables[isinstance(x, _ndarray)]
 
     @property
     def coupling(self) -> float:
@@ -138,12 +162,7 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
     m = p/q: of a float phi, with AngularSingularityError where
     |sin(m phi)| < eps, or with array of an array, with nan there.
     DomainError where p, q or a float m phi leave the float range."""
-    return _angular_sin_cos_pq(m.numerator, m.denominator, array, eps)
-
-
-@functools.lru_cache(maxsize=64)    # keyed on ints: hashing m costs ~1 us
-def _angular_sin_cos_pq(p: int, q: int, array: bool, eps: float):
-    m = Fraction(p, q)
+    p, q = m.numerator, m.denominator
     sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
 
     def sin_cos(phi):
@@ -162,55 +181,44 @@ def _angular_sin_cos_pq(p: int, q: int, array: bool, eps: float):
     return sin_cos
 
 
-def angular_sin_cos(phi, m: Fraction):
-    """angular_sin_cos_for(m) of a float or an array phi."""
-    return angular_sin_cos_for(m, isinstance(phi, _ndarray))(phi)
-
-
 def _F_m(s, c, k_a: float, k_b: float):
-    """F_m from s = sin(m phi), c = cos(m phi)."""
+    """F_m = (k_a + k_b cos(m phi)) / sin^2(m phi) from s = sin(m phi)."""
     return (k_a + k_b * c) / (s * s)
 
 
-def angular_F_m(phi, k_a: float, k_b: float, m: Fraction):
-    """Deformed angular profile k_a/sin^2(m phi) + k_b cos(m phi)/sin^2(m phi)."""
-    return _F_m(*angular_sin_cos(phi, m), k_a, k_b)
-
-
-def _elementwise(f, phi):
-    """f(phi); f is mapped over an array phi, so it need not accept arrays."""
-    if isinstance(phi, _ndarray):
-        return np.vectorize(f, otypes=[float])(phi)
-    return f(phi)
-
-
-def angular_F(spec: SystemSpec, phi):
-    """F(phi) for the given system; 0 for central kinds."""
-    if spec.kind is SystemKind.GENERIC_F:
-        return _elementwise(spec.generic_F[0], phi)
-    if not spec.has_F_m:
-        return 0.0
-    return angular_F_m(phi, spec.k_a, spec.k_b, spec.m)
-
-
-def angular_profile_for(spec: SystemSpec, array: bool = False):
-    """The function phi -> (F(phi), F'(phi)) of the given system, (0, 0) for
-    central kinds, of a float phi or with array of an array phi, with the
-    choices that depend on spec made once, for the equations of motion."""
+def _formulas(spec: SystemSpec, array: bool) -> Formulas:
+    """spec's closures, of floats or with array of arrays (F = 0 for the
+    central kinds, a generic profile's callables mapped element by element
+    over an array phi, so that callables written for floats serve arrays)."""
+    angle = angular_sin_cos_for(spec.m, array)
     if spec.kind is SystemKind.GENERIC_F:
         F, dF = spec.generic_F
-        return lambda phi: (_elementwise(F, phi), _elementwise(dF, phi))
-    if not spec.has_F_m:
-        return lambda phi: (0.0, 0.0)
-    sin_cos = angular_sin_cos_for(spec.m, array)
-    k_a, k_b, rate = spec.k_a, spec.k_b, m_rate(spec.m_num, spec.m_den)
+        if array:
+            F, dF = (np.vectorize(f, otypes=[float]) for f in (F, dF))
 
-    def profile(phi):
-        s, c = sin_cos(phi)     # one sin/cos pair for F and F'
-        # dF_m/dphi, rate = float(m); written here, its only use
-        return (_F_m(s, c, k_a, k_b),
-                -rate * (2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
-    return profile
+        def profile(phi):
+            return F(phi), dF(phi)
+    elif not spec.has_F_m:
+        F, profile = (lambda phi: 0.0), (lambda phi: (0.0, 0.0))
+    else:
+        k_a, k_b = spec.k_a, spec.k_b
+        try:
+            rate = m_rate(spec.m_num, spec.m_den)
+        except DomainError:     # then p phi overflows too, and angle raises
+            rate = math.inf
+
+        def F(phi):
+            return _F_m(*angle(phi), k_a, k_b)
+
+        def profile(phi):
+            s, c = angle(phi)   # one sin/cos pair for F and F'
+            # dF_m/dphi, rate = float(m); written here, its only use
+            return (_F_m(s, c, k_a, k_b), -rate * (
+                2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
+    return Formulas(sin_cos_k_for(spec.kappa, array),
+                    sin_cos_k_for(spec.kappa, array, off_pole=True), angle,
+                    angular_sin_cos_for(spec.m, array, 0.0), F, profile,
+                    np if array else math)
 
 
 def potential(state: PhaseState, spec: SystemSpec, sin_cos=None):
@@ -218,15 +226,15 @@ def potential(state: PhaseState, spec: SystemSpec, sin_cos=None):
     off its poles where the caller has it."""
     if spec.kind is SystemKind.FREE_GEODESIC:
         return 0.0
-    S, C = sin_cos or sin_cos_k_off_pole(spec.kappa, state.r)
-    return -spec.g * (C / S) + angular_F(spec, state.phi) / (S * S)
+    S, C = sin_cos or spec.formulas(state.r).sin_cos_k_off_pole(state.r)
+    return -spec.g * (C / S) + spec.formulas(state.phi).F(state.phi) / (S * S)
 
 
 def hamiltonian(state: PhaseState, spec: SystemSpec):
     """Total energy (p_r^2 + p_phi^2/Sin_k^2)/2 + U; PoleError (nan for an
     array) where Sin_k(r) vanishes, for every kind, and DomainError where a
     float kinetic energy overflows."""
-    S, C = sin_cos_k_off_pole(spec.kappa, state.r)
+    S, C = spec.formulas(state.r).sin_cos_k_off_pole(state.r)
     try:
         T = 0.5 * (state.p_r ** 2 + (state.p_phi / S) ** 2)
     except OverflowError:

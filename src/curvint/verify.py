@@ -130,24 +130,25 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
 
     Time derivatives come from central differences over dense output, so
     the check is independent of the analytic equations of motion; their
-    step dt = min(2e-4, 1e-3 / max(1, m) max lambda) turns either factor
-    by at most 1e-3 rad (O(dt^2) truncation near 2e-7).  Each factor's
-    largest relative error over 200 evenly spaced sample times must stay
-    below 1e-5.  flip_sign injects a wrong-sign lambda (negative control).
-    The samples are evaluated as arrays, with drift's rule at a non-finite
-    error.  SpanError when the trajectory has fewer than 3 steps or spans
-    2 dt or less.  Known limit: at m = 10^12, dt ~ 1e-15 is below what the
-    dense output resolves, and the N_phi row fails on a correct orbit.
+    step dt = min(2e-4, 1e-3 / max(1, m) max lambda), 2e-4 where max lambda
+    is nan (J2 <= 0; the samples raise) or 0 (Sin_k^2 overflows), turns
+    either factor by at most 1e-3 rad (O(dt^2) truncation near 2e-7).
+    Each factor's largest relative error over 200 evenly spaced times of
+    the span, either way in time, must stay below 1e-5.  flip_sign injects
+    a wrong-sign lambda (negative control).  The samples are evaluated as
+    arrays, with drift's rule at a non-finite error.  SpanError when the
+    trajectory has fewer than 3 steps or spans 2 dt or less.  Known limit:
+    at m = 10^12, dt ~ 1e-15 is below what the dense output resolves, and
+    the N_phi row fails on a correct orbit.
     """
     if len(traj) < 3:
         raise SpanError(f"trajectory of {len(traj)} steps too sparse for "
                         f"the rotation check (needs 3)")
     mf = m_rate(spec.m_num, spec.m_den)
-    lam = lambda_k(PhaseState(*traj.states.T), spec)
-    # a nan lambda (J2 <= 0) leaves dt at 2e-4; the samples then raise
-    dt = min(2e-4, 1e-3 / (max(1.0, mf) * float(np.max(lam))))
-    t0 = float(traj.times[0]) + dt
-    t1 = float(traj.times[-1]) - dt
+    lam = float(np.max(lambda_k(PhaseState(*traj.states.T), spec)))
+    dt = min(2e-4, 1e-3 / (max(1.0, mf) * lam)) if lam > 0.0 else 2e-4
+    t0, t1 = sorted((float(traj.times[0]), float(traj.times[-1])))
+    t0, t1 = t0 + dt, t1 - dt
     if t1 <= t0:
         raise SpanError(f"trajectory span {t1 - t0 + 2.0 * dt:g} too short "
                         f"for the rotation check (needs > {2.0 * dt:g})")

@@ -390,6 +390,32 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_lambda_underflow_runs_every_check(self, tmp_path, capsys):
+        # Sin_k(400)^2 overflows at kappa = -1, so lambda is 0 along the
+        # whole orbit: the rotation step stays 2e-4 instead of dividing by
+        # zero, and only the two limit rows fail, on their merits
+        cfg = write(tmp_path, "kind = pw\nkappa = -1.0\ng = 1.0\n"
+                              "k_a = 0.1\nr0 = 400\nphi0 = 1\np_r0 = 0.1\n"
+                              "p_phi0 = 0.5\nt_end = 1\n")
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert "13/15 checks passed" in capsys.readouterr().err
+        failed = [line.split(",")[:2]
+                  for line in out.read_text().splitlines()[1:]
+                  if line.endswith(",false")]
+        assert failed == [["limit", "H"], ["limit", "M_r"]]
+
+    def test_backward_run_verifies(self, tmp_path, capsys):
+        # the rotation check samples the span in the direction of time
+        for t_end in ("20.0", "-20.0"):
+            cfg = write(tmp_path, PW_SPHERE + f"t_end = {t_end}\n")
+            out = tmp_path / "report.csv"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            assert "15/15 checks passed" in capsys.readouterr().err
+            rows = [line.split(",") for line in out.read_text().splitlines()]
+            assert [row[1] for row in rows if row[0] == "rotation"] == [
+                "M_r", "N_phi"]
+
 
 class TestStepLimit:
     def test_simulate_writes_the_csv_and_exits_7(self, tmp_path, capsys,

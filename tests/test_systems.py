@@ -1,16 +1,34 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from curvint import (AngularSingularityError, DomainError, PhaseState,
-                     PoleError, SystemKind, SystemSpec, angular_F,
-                     angular_F_m, angular_profile_for, hamiltonian, potential)
-from curvint.systems import angular_sin_cos, angular_sin_cos_for, m_rate
+                     PoleError, SystemKind, SystemSpec, hamiltonian,
+                     k_constant, potential)
+from curvint.systems import angular_sin_cos_for, m_rate
 from conftest import (REFERENCE_ANGULAR_EPS, kepler_spec, pw_spec,
                       random_interior_states, reference_angular_sin_cos,
                       reference_cos_k, reference_sin_k)
+
+
+def angular_F_m(phi, k_a, k_b, m):
+    """F_m(phi) of the float closures of a PW spec."""
+    return pw_spec(m=m, k_a=k_a, k_b=k_b).formulas(phi).F(phi)
+
+
+def profile_of(spec):
+    """The float phi -> (F, F') of spec."""
+    return spec.formulas(0.0).profile
+
+
+def angle_of(phi, m):
+    """(sin m phi, cos m phi) from a PW spec's closures for phi's type."""
+    return pw_spec(m=m).formulas(phi).angle(phi)
 
 
 class TestAngularProfile:
@@ -34,15 +52,14 @@ class TestAngularProfile:
     def test_singularity_raises(self):
         with pytest.raises(AngularSingularityError):
             angular_F_m(math.pi, 1.0, 0.0, Fraction(1))
-        profile = angular_profile_for(pw_spec(m=Fraction(1, 2), k_a=1.0,
-                                              k_b=0.0))
+        profile = profile_of(pw_spec(m=Fraction(1, 2), k_a=1.0, k_b=0.0))
         with pytest.raises(AngularSingularityError):
             profile(2 * math.pi)
 
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for m in (Fraction(1), Fraction(2), Fraction(3, 2)):
-            profile = angular_profile_for(pw_spec(m=m, k_a=0.8, k_b=0.3))
+            profile = profile_of(pw_spec(m=m, k_a=0.8, k_b=0.3))
             for phi in np.linspace(0.3, 1.4, 7):
                 fd = (profile(phi + h)[0] - profile(phi - h)[0]) / (2 * h)
                 assert profile(phi)[1] == pytest.approx(fd, rel=1e-7,
@@ -53,7 +70,7 @@ def alpha_beta_profile(alpha, beta, m):
     """The profile of index 2m with k_a = 2(alpha + beta) and
     k_b = 2(beta - alpha), which is alpha/cos^2(m phi) + beta/sin^2(m phi)."""
     spec = pw_spec(m=2 * m, k_a=2.0 * (alpha + beta), k_b=2.0 * (beta - alpha))
-    return angular_profile_for(spec)
+    return profile_of(spec)
 
 
 class TestReparam:
@@ -197,8 +214,8 @@ class TestArrayPath:
                 assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected)), s
 
 
-# --- the angle m phi: one factory and two helpers, against the frozen
-# angular_sin_cos ---
+# --- the angle m phi: the factory and a spec's closures, against the
+# frozen angular_sin_cos ---
 
 FACTORY_MS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
               Fraction(3, 2)]
@@ -238,10 +255,10 @@ class TestAngularFactory:
                 with pytest.raises(AngularSingularityError):
                     sin_cos(phi)
                 with pytest.raises(AngularSingularityError):
-                    angular_sin_cos(phi, m)
+                    angle_of(phi, m)
             else:
                 assert bits(sin_cos(phi)) == bits(expected), phi
-                assert bits(angular_sin_cos(phi, m)) == bits(expected), phi
+                assert bits(angle_of(phi, m)) == bits(expected), phi
         assert raised >= 10
 
     @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
@@ -250,7 +267,7 @@ class TestAngularFactory:
         expected = reference_angular_sin_cos(phis, m)
         assert np.isnan(expected[0]).sum() >= 10
         assert bits(angular_sin_cos_for(m, True)(phis)) == bits(expected)
-        assert bits(angular_sin_cos(phis, m)) == bits(expected)
+        assert bits(angle_of(phis, m)) == bits(expected)
 
     @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
     def test_non_finite_phi(self, m):
@@ -313,7 +330,7 @@ class TestAngleHelpers:
         m = Fraction(7, 3)
         s, c = reference_angular_sin_cos(0.4, m)
         expected = -(7 / 3) * (2.0 * 0.8 * c + 0.3 * (1.0 + c * c)) / (s ** 3)
-        dF = angular_profile_for(pw_spec(m=m, k_a=0.8, k_b=0.3))(0.4)[1]
+        dF = profile_of(pw_spec(m=m, k_a=0.8, k_b=0.3))(0.4)[1]
         assert dF == pytest.approx(expected, rel=1e-15, abs=0)
 
 
@@ -331,7 +348,7 @@ def reference_potential(state, spec):
         return 0.0
     S = reference_off_pole(reference_sin_k(spec.kappa, state.r))
     return (-spec.g * (reference_cos_k(spec.kappa, state.r) / S)
-            + angular_F(spec, state.phi) / (S * S))
+            + spec.formulas(state.phi).F(state.phi) / (S * S))
 
 
 def reference_hamiltonian(state, spec):
@@ -360,3 +377,63 @@ class TestOneRadialEvaluation:
                         f(s, spec)
                 else:
                     assert bits(f(s, spec)) == bits(expected), (f, s)
+
+
+# --- a spec's closures: built once per spec, invisible to its value ---
+
+def table_specs(kappa=1.0):
+    return [pw_spec(kappa=kappa, m=Fraction(3, 2)),
+            SystemSpec(kind=SystemKind.VC, kappa=kappa, g=1.0, k_a=0.8,
+                       k_b=0.3),
+            kepler_spec(kappa=kappa),
+            SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa),
+            SystemSpec(kind=SystemKind.GENERIC_F, kappa=kappa, g=1.0,
+                       generic_F=(math.cos, math.sin))]
+
+
+def evaluations(spec):
+    """The IEEE bytes of H and K (H alone for kinds without K) at float
+    states and at the same states as one array batch."""
+    states = random_interior_states(spec, 8, seed=21)
+    batch = PhaseState(*np.array([s.as_tuple() for s in states]).T)
+    fns = [hamiltonian]
+    if spec.kind in (SystemKind.PW, SystemKind.VC):
+        fns.append(k_constant)
+    return [np.asarray(fn(s, spec)).tobytes()
+            for fn in fns for s in states + [batch]]
+
+
+class TestSpecTables:
+    def test_table_picked_by_type(self):
+        spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
+        floats, arrays = spec.tables
+        assert spec.formulas(0.5) is floats
+        assert spec.formulas(np.float64(0.5)) is floats
+        assert spec.formulas(np.ones(3)) is arrays
+        assert spec.tables is spec.tables       # built once per spec
+
+    def test_equality_and_hash_ignore_the_tables(self):
+        for used, fresh in zip(table_specs(), table_specs()):
+            evaluations(used)
+            assert "tables" in vars(used) and "tables" not in vars(fresh)
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+
+    @pytest.mark.parametrize("clone", [
+        lambda spec: pickle.loads(pickle.dumps(spec)), copy.deepcopy,
+        copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_clone_evaluates_bit_for_bit(self, clone):
+        for spec in table_specs():
+            expected = evaluations(spec)        # the tables are built
+            twin = clone(spec)
+            assert twin == spec and hash(twin) == hash(spec)
+            assert evaluations(twin) == expected
+
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-9, 0.0, 1e-9, 0.5])
+    def test_replace_evaluates_like_a_new_spec(self, kappa):
+        for spec, fresh in zip(table_specs(1.0), table_specs(kappa)):
+            evaluations(spec)
+            moved = replace(spec, kappa=kappa)
+            assert moved == fresh
+            assert evaluations(moved) == evaluations(fresh)
+            assert evaluations(moved) != evaluations(spec)
