@@ -17,6 +17,7 @@ from .invariants import (evaluators_for, j2, k_constant, lambda_k, m_r,
                          runge_lenz, vc_integrals)
 from .verify import (CheckResult, DriftReport, bracket_with_scale,
                      closure_detect, drift, euclidean_limit_scan,
-                     random_bounded_state, rotation_check, run_suite)
+                     random_bounded_state, random_bounded_states,
+                     rotation_check, run_suite)
 
 __version__ = "0.1.0"

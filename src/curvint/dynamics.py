@@ -79,8 +79,10 @@ class IntegratorConfig:
     singularity_margin: float = 1e-6
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # an infinite tolerance makes the error scale nan (0 * inf) or
+        # the error control vacuous
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
         if not (0.0 < self.singularity_margin < 1.0):
@@ -213,7 +215,7 @@ def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     four positional floats or with array four arrays, that returns the
     4-tuple of their rates, built from spec's closures, in which every
     choice that depends on spec is already made."""
-    f = spec.tables[array]
+    f = spec.array_formulas if array else spec.float_formulas
     sin_cos, profile, g = f.sin_cos_k, f.profile, spec.coupling
 
     def rhs(r, phi, p_r, p_phi):
@@ -482,7 +484,7 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     guards = {Termination.HIT_RADIAL_POLE: radial_guard}
 
     if spec.has_F_m:
-        sin_cos = spec.tables[False].angle_regular
+        sin_cos = spec.float_formulas.angle_regular
 
         def angular_guard(y):
             s = sin_cos(y[1])[0]

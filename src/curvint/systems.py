@@ -12,8 +12,9 @@ and a caller-supplied profile for the generic separable family.
 The angle enters as m phi, m = p/q an exact Fraction:
 `angular_sin_cos_for(m, array)` is the one implementation of the angle
 (p phi)/q and of (sin m phi, cos m phi), and `m_rate` of the float p/q.
-A SystemSpec builds its `Formulas`, its closures of floats and of arrays,
-once, at first use; `SystemSpec.formulas(x)` picks one by the type of x.
+A SystemSpec builds its `Formulas`, its closures of floats and those of
+arrays, each once, at its first use; `SystemSpec.formulas(x)` picks one by
+the type of x.
 The functions take a PhaseState of floats, evaluated with `math`
 (PoleError / AngularSingularityError at a singularity, DomainError beyond
 the float range), or of numpy arrays of one shape, evaluated in the same
@@ -128,13 +129,20 @@ class SystemSpec:
                                  for f in fields(self) if f.init)
 
     @functools.cached_property
-    def tables(self) -> tuple[Formulas, Formulas]:
-        """The float and the array Formulas of this spec."""
-        return _formulas(self, False), _formulas(self, True)
+    def float_formulas(self) -> Formulas:
+        """The float Formulas of this spec, built at their first use."""
+        return _formulas(self, False)
+
+    @functools.cached_property
+    def array_formulas(self) -> Formulas:
+        """The array Formulas of this spec, built at their first use."""
+        return _formulas(self, True)
 
     def formulas(self, x) -> Formulas:
         """The array Formulas for a numpy array x, else the float ones."""
-        return self.tables[isinstance(x, _ndarray)]
+        if isinstance(x, _ndarray):
+            return self.array_formulas
+        return self.float_formulas
 
     @property
     def coupling(self) -> float:

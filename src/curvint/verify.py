@@ -239,13 +239,11 @@ def euclidean_limit_scan(spec: SystemSpec,
 
 # --- seeded state sampling for verification grids ---
 
-# Candidates per chunk: 1 and 4, decided by the float hamiltonian alone,
-# then _SCREEN_MIN (a draw that accepts soon draws few), then the tries
-# left in chunks of at most _MAX_CHUNK, each screened.  One array call of
-# hamiltonian costs about ten float calls, so a chunk smaller than
-# _SCREEN_MIN is decided by the float hamiltonian alone too.
+# Candidates per chunk for n draws: n, 4n and 16n (draws that accept soon
+# draw few), then the tries left in chunks of at most _MAX_CHUNK.  One
+# array call of hamiltonian costs about ten float calls, so a chunk smaller
+# than _SCREEN_MIN is decided by the float hamiltonian alone.
 _SCREEN_MIN = 16
-_CHUNKS = (1, 4, _SCREEN_MIN)
 _MAX_CHUNK = 2048
 
 # The array hamiltonian may differ from the float one in the last ulps
@@ -347,9 +345,9 @@ def _undecided(screen, threshold: float, best_H: Optional[float]):
     return np.flatnonzero(~settled)
 
 
-def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
-                         max_tries: int = 2000) -> PhaseState:
-    """Random interior phase point, bounded whenever the system admits it.
+def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
+                          n: int, max_tries: int = 2000) -> list[PhaseState]:
+    """n random interior phase points, bounded whenever the system admits it.
 
     kappa > 0: every non-singular state is bounded.  kappa = 0: rejection
     sample for H < 0.  kappa < 0: the escape energy is -g'*sqrt(-kappa),
@@ -357,22 +355,24 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
     fits under it, and for the free geodesic at kappa <= 0, fall back to
     low-energy states with inward radial momentum.
 
-    The result, a PhaseState of floats, and the state rng is left in are
-    those of a loop that draws up to max_tries candidates one at a time
-    (one rng.random(4) and one rng.integers(2) each) and decides each with
-    the float hamiltonian.  Candidates are drawn in chunks of 1, 4, 16 and
-    then all the tries left, at most _MAX_CHUNK at a time, so that a draw
-    that accepts nothing takes few chunks.  Each chunk comes from one
+    The states, PhaseStates of floats, and the state rng is left in are
+    those of n successive draws of a loop that tries up to max_tries
+    candidates one at a time (one rng.random(4) and one rng.integers(2)
+    each) and decides each with the float hamiltonian.  All n draws walk
+    one candidate stream, drawn in chunks of n, 4n, 16n and then at most
+    _MAX_CHUNK, never more than the draws left can use, so that a grid
+    whose draws accept nothing takes few chunks.  Each chunk comes from one
     bit_generator.random_raw call (see _draw), which needs a PCG64
     (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
     for another, such as MT19937, before rng is used.  A chunk of
     _SCREEN_MIN or more is screened with one array call of hamiltonian.
     The screen is never trusted with a decision: it only skips candidates
-    it shows, beyond rounding, to be rejected and not the lowest so far,
-    and the float hamiltonian decides the rest, in order.
-    When one is accepted before the end of its chunk, rng is rewound to the
-    start of the chunk and the candidates up to it are drawn again.
-    SamplingError (a RuntimeError) when no candidate qualifies.
+    it shows, beyond rounding, to be rejected and not the lowest so far in
+    their draw, and the float hamiltonian decides the rest, in order.
+    When the last draw ends before the end of its chunk, rng is rewound to
+    the start of the chunk and the candidates up to it are drawn again.
+    SamplingError (a RuntimeError) when no candidate of a draw qualifies;
+    rng is then left after that draw's last candidate.
     """
     kap = spec.kappa
     if kap > 0:
@@ -381,42 +381,71 @@ def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
         threshold = 0.65 * (1.0 + abs(spec.g))
     else:
         threshold = _escape_energy(spec) - 0.02
-    best = None
-    best_H = math.inf
-    tries = 0
-    for chunk in itertools.chain(_CHUNKS, itertools.repeat(_MAX_CHUNK)):
-        if tries >= max_tries:
-            break
-        n = min(chunk, max_tries - tries)
+    states = []
+    # the draw under way: its lowest-energy candidate, and its tries so far
+    best, best_H, tries = None, math.inf, 0
+    chunks = itertools.chain((n, 4 * n, 16 * n),
+                             itertools.repeat(_MAX_CHUNK))
+    # tries reaches max_tries only in a draw that finds no candidate
+    while len(states) < n and tries < max_tries:
+        size = min(next(chunks),
+                   max_tries - tries + (n - 1 - len(states)) * max_tries)
         rewind = rng.bit_generator.state
-        batch = _candidates(spec, *_draw(rng, n, rewind))
-        if n < _SCREEN_MIN or spec.kind is SystemKind.GENERIC_F:
-            # a generic profile's callables need not accept arrays
-            undecided = range(n)
-        else:
-            undecided = _undecided(hamiltonian(batch, spec), threshold,
-                                   best_H if kap <= 0 else None)
-        for j in undecided:
-            state = PhaseState(float(batch.r[j]), float(batch.phi[j]),
-                               float(batch.p_r[j]), float(batch.p_phi[j]))
-            try:
-                H = hamiltonian(state, spec)
-            except CurvintError:
-                continue
-            if H < threshold:
-                if j + 1 < n:
-                    rng.bit_generator.state = rewind
-                    _draw(rng, j + 1, rewind)
-                return state
-            if kap <= 0 and H < best_H:
-                best, best_H = state, H
-        tries += n
-    if best is None:
+        batch = _candidates(spec, *_draw(rng, size, rewind))
+        # a generic profile's callables need not accept arrays
+        screen = (hamiltonian(batch, spec) if size >= _SCREEN_MIN
+                  and spec.kind is not SystemKind.GENERIC_F else None)
+        start = 0               # the draw under way's first candidate here
+        while start < size and len(states) < n:
+            stop = min(size, start + max_tries - tries)
+            undecided = (range(start, stop) if screen is None
+                         else start + _undecided(
+                             screen[start:stop], threshold,
+                             best_H if kap <= 0 else None))
+            for j in undecided:
+                state = PhaseState(float(batch.r[j]), float(batch.phi[j]),
+                                   float(batch.p_r[j]),
+                                   float(batch.p_phi[j]))
+                try:
+                    H = hamiltonian(state, spec)
+                except CurvintError:
+                    continue
+                if H < threshold:
+                    start = j + 1
+                    break
+                if kap <= 0 and H < best_H:
+                    best, best_H = state, H
+            else:
+                tries += stop - start
+                start = stop
+                if tries < max_tries:
+                    continue
+                if best is None:
+                    break
+                # no bounded orbit exists under this angular barrier; take
+                # the lowest-energy candidate, biased inward so the run
+                # stays moderate
+                state = PhaseState(best.r, best.phi, -abs(best.p_r),
+                                   best.p_phi)
+            states.append(state)
+            best, best_H, tries = None, math.inf, 0
+        if start < size:
+            # the grid ended inside the chunk: rng goes back to its start
+            # and draws the candidates up to the end again
+            rng.bit_generator.state = rewind
+            _draw(rng, start, rewind)
+    if len(states) < n:
         raise SamplingError(f"could not sample an interior state in "
                             f"{max_tries} tries")
-    # no bounded orbit exists under this angular barrier; return the
-    # lowest-energy candidate, biased inward so the run stays moderate
-    return PhaseState(best.r, best.phi, -abs(best.p_r), best.p_phi)
+    return states
+
+
+def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
+                         max_tries: int = 2000) -> PhaseState:
+    """random_bounded_states(spec, rng, 1, max_tries)[0]: one draw, whose
+    candidates come in chunks of 1, 4, 16 and then the tries left, at most
+    _MAX_CHUNK at a time (1979 with the default max_tries)."""
+    return random_bounded_states(spec, rng, 1, max_tries)[0]
 
 
 # --- the verification suite ---
@@ -435,7 +464,7 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
 
     Drift of each evaluators_for(traj.spec) entry along traj; FD brackets
     with H of J2 and J3, J4 (PW, VC) or p_phi (central kinds only) on a
-    grid of 20 random_bounded_state(spec, rng) draws; for PW and VC, the
+    grid of random_bounded_states(spec, rng, 20); for PW and VC, the
     rotation laws along traj, the moduli identities of M_r and N_phi on
     the same grid and the Euclidean limit at traj's start (a row passes
     when the O(kappa) envelope holds and the value is within its
@@ -458,8 +487,8 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
         rows.append(CheckResult("drift", name, rep.rel_drift, rep.tolerance,
                                 rep.passed))
 
-    grid = PhaseState(*np.array([random_bounded_state(spec, rng).as_tuple()
-                                 for _ in range(20)]).T)
+    grid = PhaseState(*np.array([s.as_tuple() for s in
+                                 random_bounded_states(spec, rng, 20)]).T)
 
     H = lambda s: hamiltonian(s, spec)
     named = {"J2~H": lambda s: j2(s, spec)}

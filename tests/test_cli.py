@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +203,20 @@ class TestSimulate:
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "out.csv"), *flags]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    def test_infinite_tolerance_exit_2(self, tmp_path, key):
+        # in a subprocess with a timeout: rel_tol = inf once hung simulate
+        cfg = write(tmp_path, CIRCULAR_KEPLER + f"{key} = inf\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "curvint.cli", "simulate", "--config",
+             cfg, "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2, run.stderr
+        assert "config error:" in run.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_generic_is_no_kind_choice(self, capsys):
         # a config cannot supply the profile callables of GENERIC_F

@@ -406,16 +406,30 @@ def evaluations(spec):
 class TestSpecTables:
     def test_table_picked_by_type(self):
         spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
-        floats, arrays = spec.tables
+        floats, arrays = spec.float_formulas, spec.array_formulas
         assert spec.formulas(0.5) is floats
         assert spec.formulas(np.float64(0.5)) is floats
         assert spec.formulas(np.ones(3)) is arrays
-        assert spec.tables is spec.tables       # built once per spec
+        # each built once per spec
+        assert spec.float_formulas is floats
+        assert spec.array_formulas is arrays
+
+    def test_each_table_is_built_at_its_first_use(self):
+        spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
+        hamiltonian(PhaseState(1.0, 1.0, 0.1, 0.5), spec)
+        assert "float_formulas" in vars(spec)
+        assert "array_formulas" not in vars(spec)
+        spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
+        hamiltonian(PhaseState(*np.ones((4, 3))), spec)
+        assert "array_formulas" in vars(spec)
+        assert "float_formulas" not in vars(spec)
 
     def test_equality_and_hash_ignore_the_tables(self):
+        tables = {"float_formulas", "array_formulas"}
         for used, fresh in zip(table_specs(), table_specs()):
             evaluations(used)
-            assert "tables" in vars(used) and "tables" not in vars(fresh)
+            assert tables <= set(vars(used))
+            assert not tables & set(vars(fresh))
             assert used == fresh and hash(used) == hash(fresh)
             assert repr(used) == repr(fresh)
 

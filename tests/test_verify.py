@@ -6,11 +6,11 @@ import pytest
 from scipy.optimize import brentq
 
 from curvint import (CheckResult, CurvintError, NegativeCasimirError,
-                     PhaseState, StencilError, SystemKind, SystemSpec,
-                     closure_detect, evaluators_for, hamiltonian, integrate,
-                     j2, k_constant, euclidean_limit_scan, lambda_k, m_r,
-                     n_phi, random_bounded_state, rotation_check,
-                     run_suite, tan_k)
+                     PhaseState, SamplingError, StencilError, SystemKind,
+                     SystemSpec, closure_detect, evaluators_for, hamiltonian,
+                     integrate, j2, k_constant, euclidean_limit_scan,
+                     lambda_k, m_r, n_phi, random_bounded_state,
+                     random_bounded_states, rotation_check, run_suite, tan_k)
 from curvint import verify
 from curvint.cli import main, parse_config
 from curvint.verify import bracket_with_scale, drift
@@ -504,29 +504,59 @@ class TestChunkedSampler:
     """random_bounded_state against the per-try loop it replaced."""
 
     @staticmethod
-    def assert_same_draws(spec, make_rng, seed, max_tries, draws):
+    def assert_same_draws(spec, make_rng, seed, max_tries, draws,
+                          grids=(1, 2, 20)):
+        """draws successive random_bounded_state calls, and each grid of
+        random_bounded_states(spec, rng, n) for n in grids, from a fresh
+        rng, against successive calls of the per-try loop: the states, a
+        RuntimeError at the same draw, and the state rng is left in."""
         oracle_rng = make_rng(seed)
-        rng = make_rng(seed)
-        for _ in range(draws):
+        # (the state or None for an error, the bit generator's state)
+        expected = []
+        for _ in range(max(draws, *grids)):
             try:
-                expected = per_try_sampler(spec, oracle_rng, max_tries)
+                state = per_try_sampler(spec, oracle_rng, max_tries)
             except RuntimeError:
+                state = None
+            expected.append((state, oracle_rng.bit_generator.state))
+        rng = make_rng(seed)
+        for state, after in expected[:draws]:
+            if state is None:
                 with pytest.raises(RuntimeError):
                     random_bounded_state(spec, rng, max_tries)
             else:
                 got = random_bounded_state(spec, rng, max_tries)
-                assert got == expected
+                assert got == state
                 assert all(type(v) is float for v in got.as_tuple())
-            assert rng_state(rng) == rng_state(oracle_rng)
+            assert rng_state(rng) == str(after)
+        for n in grids:
+            rng = make_rng(seed)
+            states = [state for state, _ in expected[:n]]
+            if None in states:
+                k = states.index(None)
+                with pytest.raises(RuntimeError):
+                    random_bounded_states(spec, rng, n, max_tries)
+            else:
+                k = n - 1
+                got = random_bounded_states(spec, rng, n, max_tries)
+                assert got == states
+                assert all(type(v) is float
+                           for s in got for v in s.as_tuple())
+            assert rng_state(rng) == str(expected[k][1])
 
+    # a grid of 20 that accepts nothing costs the per-try loop 40000 tries:
+    # grids of 20 are compared at the smaller max_tries below
     @pytest.mark.parametrize("name", SAMPLER_SPECS)
     def test_same_draws_as_per_try_loop(self, name):
         self.assert_same_draws(SAMPLER_SPECS[name], np.random.default_rng,
-                               11, 2000, 2)
+                               11, 2000, 2, grids=(1, 2))
 
-    # 1 and 5 end the two float-decided chunks; 17 ends inside the first
-    # screened one, as a float-decided chunk of 12; 21 ends the screened
-    # chunk of 16, and 40 ends inside the next as a screened one
+    # One draw: 1 and 5 end the two float-decided chunks; 17 ends inside
+    # the first screened one, as a float-decided chunk of 12; 21 ends the
+    # screened chunk of 16, and 40 ends inside the next as a screened one.
+    # A grid of 20 that accepts nothing ends draws inside its first chunk
+    # of 20 at 1, 5 and 17, and inside its chunks of 80 and 320 at 21 and
+    # 40.
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 21, 40])
     def test_same_draws_at_chunk_boundaries(self, max_tries):
         for spec in SAMPLER_SPECS.values():
@@ -541,15 +571,18 @@ class TestChunkedSampler:
         assert 21 + verify._MAX_CHUNK == 2069
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, np.random.default_rng, max_tries,
-                                   max_tries, 2)
+                                   max_tries, 2, grids=(2,))
 
-    # 300 ends inside the first chunk of up to verify._MAX_CHUNK
+    # 300 ends inside the first chunk of up to verify._MAX_CHUNK; at 17 a
+    # grid of 20 ends draws inside its first chunk (the per-try loop's 20
+    # draws are the cost of these cases, so 40 and 300 compare grids of 2)
     @pytest.mark.parametrize("max_tries", [17, 40, 300])
     @pytest.mark.parametrize("rng_kind", [k for k in RNGS if k != "PCG64"])
     def test_same_draws_with_every_bit_generator(self, rng_kind, max_tries):
+        grids = (1, 2, 20) if max_tries == 17 else (1, 2)
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(spec, RNGS[rng_kind], max_tries,
-                                   max_tries, 3)
+                                   max_tries, 3, grids)
 
     @pytest.mark.parametrize("rng_kind", RNGS)
     def test_draw_matches_per_candidate_loop(self, rng_kind):
@@ -566,6 +599,56 @@ class TestChunkedSampler:
             assert rng_state(rng) == rng_state(oracle_rng)
         assert rng.random() == oracle_rng.random()
         assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
+
+    def test_sampling_error_inside_a_grid(self):
+        # max_tries = 1 on the sphere: the first rejected candidate ends
+        # the grid, here at draw 15 of 20, inside the first chunk
+        spec = SAMPLER_SPECS["kepler-1.0"]
+        oracle_rng = np.random.default_rng(3)
+        failed_at = None
+        for k in range(20):
+            try:
+                per_try_sampler(spec, oracle_rng, 1)
+            except RuntimeError:
+                failed_at = k
+                break
+        assert failed_at == 15
+        rng = np.random.default_rng(3)
+        with pytest.raises(SamplingError):
+            random_bounded_states(spec, rng, 20, 1)
+        assert rng_state(rng) == rng_state(oracle_rng)
+
+    @staticmethod
+    def chunk_sizes(monkeypatch):
+        sizes = []
+        draw = verify._draw
+
+        def spy(rng, n, state):
+            sizes.append(n)
+            return draw(rng, n, state)
+        monkeypatch.setattr(verify, "_draw", spy)
+        return sizes
+
+    def test_chunk_plan_of_one_exhausted_draw(self, monkeypatch):
+        # the n = 1 path of every random_bounded_state caller
+        spec = SAMPLER_SPECS["free--1.0"]
+        sizes = self.chunk_sizes(monkeypatch)
+        random_bounded_state(spec, np.random.default_rng(2))
+        assert sizes == [1, 4, 16, 1979]
+
+    def test_chunk_plan_of_an_exhausted_grid(self, monkeypatch):
+        spec = SAMPLER_SPECS["free--1.0"]
+        sizes = self.chunk_sizes(monkeypatch)
+        random_bounded_states(spec, np.random.default_rng(2), 20)
+        assert sizes[:4] == [20, 80, 320, verify._MAX_CHUNK]
+        assert max(sizes) == verify._MAX_CHUNK
+        assert sum(sizes) == 20 * 2000
+
+    def test_no_draws(self):
+        rng = np.random.default_rng(2)
+        before = rng_state(rng)
+        assert random_bounded_states(pw_spec(kappa=1.0), rng, 0) == []
+        assert rng_state(rng) == before
 
     def test_mt19937_is_a_type_error(self):
         rng = np.random.Generator(np.random.MT19937(1))
