@@ -10,6 +10,8 @@ suite of `curvint verify` on one trajectory, one CheckResult a row.
 
 import itertools
 import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -36,39 +38,66 @@ def _float_recheck(values, evaluate) -> None:
 
 # --- finite-difference Poisson brackets ---
 
-def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
-                       state: PhaseState, h: float = 1e-5):
-    """O(h^2) estimate of ({f, g}, cancellation scale) at a point or a grid.
+def _stencil(state: PhaseState, h: float):
+    """(points, step): the central stencils of state's point or grid.
 
-    state holds floats (plain floats come back) or arrays of one shape.  f
-    and g are each called once, on the central stencils of every point
-    (step h*(1 + |y_i|)) as one PhaseState of shape (8, ...), and again as
-    floats at their first non-finite value: StencilError if that raises, a
-    nan bracket if it does not.  The scale is the sum of absolute values of
-    the four products; a bracket that vanishes only through cancellation
-    is judged against it.
+    step = h (1 + |y_i|) per coordinate, of state's shape; points has shape
+    (4, 8, ...), point k < 4 of a stencil y + step along coordinate k and
+    point k + 4 y - step along it.  ValueError unless h is finite and > 0.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"stencil step h = {h} must be finite and > 0")
     y = np.array(state.as_tuple(), dtype=float)
     step = h * (1.0 + np.abs(y))
     points = np.repeat(y[:, np.newaxis], 8, axis=1)
     i = np.arange(4)
     points[i, i] += step            # + step along coordinate i
     points[i, i + 4] -= step        # - step along coordinate i
+    return points, step
 
-    def gradient(fn):
-        values = fn(PhaseState(*points))
-        try:
-            _float_recheck(values, lambda i: fn(
-                PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
-        except CurvintError as exc:
-            raise StencilError(f"pole inside stencil: {exc}") from exc
-        return (values[:4] - values[4:]) / (2.0 * step)
 
-    df, dg = gradient(f), gradient(g)
+def _gradient(fn: PhaseFunction, values, points, step):
+    """Central differences of fn from its values on _stencil's points.
+
+    At the first non-finite value fn is called on that point as floats:
+    StencilError if that raises; a value that stays non-finite gives a nan
+    partial.
+    """
+    try:
+        _float_recheck(values, lambda i: fn(
+            PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
+    except CurvintError as exc:
+        raise StencilError(f"pole inside stencil: {exc}") from exc
+    return (values[:4] - values[4:]) / (2.0 * step)
+
+
+def _bracket(df, dg):
+    """({f, g}, cancellation scale) from the two gradients."""
     # terms dq f dp g and -dp f dq g, for q = r, phi
     plus, minus = df[:2] * dg[2:], df[2:] * dg[:2]
     value = (plus[0] - minus[0]) + (plus[1] - minus[1])
     scale = (abs(plus[0]) + abs(minus[0])) + (abs(plus[1]) + abs(minus[1]))
+    return value, scale
+
+
+def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
+                       state: PhaseState, h: float = 1e-5):
+    """O(h^2) estimate of ({f, g}, cancellation scale) at a point or a grid.
+
+    state holds floats (plain floats come back) or arrays of one shape.  f
+    and g are each called once, on the central stencils of every point
+    (step h*(1 + |y_i|), h finite and > 0, else ValueError) as one
+    PhaseState of shape (8, ...), and again as floats at their first
+    non-finite value: StencilError if that raises, a nan bracket if it
+    does not.  The scale is the sum of absolute values of the four
+    products; a bracket that vanishes only through cancellation is judged
+    against it.  run_suite shares one stencil, and H's gradient, between
+    its rows through the same helpers.
+    """
+    points, step = _stencil(state, h)
+    stencil = PhaseState(*points)
+    df = _gradient(f, f(stencil), points, step)
+    value, scale = _bracket(df, _gradient(g, g(stencil), points, step))
     return (value, scale) if value.ndim else (float(value), float(scale))
 
 
@@ -135,8 +164,12 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
     either factor by at most 1e-3 rad (O(dt^2) truncation near 2e-7).
     Each factor's largest relative error over 200 evenly spaced times of
     the span, either way in time, must stay below 1e-5.  flip_sign injects
-    a wrong-sign lambda (negative control).  The samples are evaluated as
-    arrays, with drift's rule at a non-finite error.  SpanError when the
+    a wrong-sign lambda (negative control).  The dense output is read once,
+    at the 3 x 200 times t - dt, t, t + dt, and M_r and N_phi are each
+    evaluated once on those states as arrays, lambda on the middle ones,
+    with drift's rule at a non-finite error: the states of its sample are
+    evaluated again as floats, as the invariants of a per-sample loop
+    would be, so that a singular state raises.  SpanError when the
     trajectory has fewer than 3 steps or spans 2 dt or less.  Known limit:
     at m = 10^12, dt ~ 1e-15 is below what the dense output resolves, and
     the N_phi row fails on a correct orbit.
@@ -153,21 +186,28 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
         raise SpanError(f"trajectory span {t1 - t0 + 2.0 * dt:g} too short "
                         f"for the rotation check (needs > {2.0 * dt:g})")
     sgn = -1.0 if flip_sign else 1.0
-
-    def errors(t):
-        sm, sc, sp = (PhaseState(*traj.dense(t + h)) for h in (-dt, 0.0, dt))
-        lam = sgn * lambda_k(sc, spec)
-        M = m_r(sc, spec)
-        N = n_phi(sc, spec)
-        dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
-        dN = (n_phi(sp, spec) - n_phi(sm, spec)) / (2.0 * dt)
-        return (abs(dM - 1j * lam * M) / np.maximum(1.0, abs(lam) * abs(M)),
-                abs(dN - 1j * mf * lam * N)
-                / np.maximum(1.0, mf * abs(lam) * abs(N)))
-
     ts = np.linspace(t0, t1, 200)
-    err_m, err_n = errors(ts)
-    _float_recheck(err_m + err_n, lambda i: errors(float(ts[i])))
+    # DenseOutput reverses every axis: y[:, k, i] is the state at
+    # ts[i] + (-dt, 0, dt)[k]
+    y = traj.dense(ts[:, np.newaxis] + (-dt, 0.0, dt))
+    stacked = PhaseState(*y)
+    M, N = m_r(stacked, spec), n_phi(stacked, spec)
+    lam = sgn * lambda_k(PhaseState(*y[:, 1]), spec)
+    dM = (M[2] - M[0]) / (2.0 * dt)
+    dN = (N[2] - N[0]) / (2.0 * dt)
+    err_m = (abs(dM - 1j * lam * M[1])
+             / np.maximum(1.0, abs(lam) * abs(M[1])))
+    err_n = (abs(dN - 1j * mf * lam * N[1])
+             / np.maximum(1.0, mf * abs(lam) * abs(N[1])))
+
+    def as_floats(i):
+        # sample i's float evaluations, in the order that picks the error
+        sm, sc, sp = (PhaseState(*y[:, k, i]) for k in range(3))
+        for fn, s in ((lambda_k, sc), (m_r, sc), (n_phi, sc), (m_r, sp),
+                      (m_r, sm), (n_phi, sp), (n_phi, sm)):
+            fn(s, spec)
+
+    _float_recheck(err_m + err_n, as_floats)
     err_m, err_n = float(np.max(err_m)), float(np.max(err_n))
     return RotationReport(max_rel_err_m=err_m, max_rel_err_n=err_n,
                           tolerance=_ROTATION_TOL,
@@ -274,37 +314,39 @@ def _draw(rng: np.random.Generator, n: int, state: dict):
     state is rng.bit_generator.state at entry.  rng.integers(2) is the top
     bit of a 32-bit draw (Lemire's method never rejects a range of 2).  A
     32-bit draw takes the low half of a fresh word and buffers the high
-    half in the state's has_uint32/uinteger for the next one, so with
-    b = has_uint32 at entry, candidate i starts at word
-    4i + (i + 1 - b) // 2.  TypeError unless rng's bit generator is PCG64,
-    PCG64DXSM, Philox or SFC64 (MT19937 makes its doubles from two 32-bit
-    draws).
+    half in the state's has_uint32/uinteger for the next one, so the words
+    come in blocks of 9 per pair of candidates: four doubles, the coin
+    word (bit 31 the first candidate's coin, bit 63 the second's), four
+    doubles.  With b = has_uint32 at entry the first candidate is the
+    second of a block whose coin word is the buffered half, and an odd
+    last candidate the first of a block of its own; the words they do not
+    draw are zeros.  Doubles are (word >> 11) 2^-53, decoded a block at a
+    time.  TypeError unless rng's bit generator is PCG64, PCG64DXSM,
+    Philox or SFC64 (MT19937 makes its doubles from two 32-bit draws).
     """
     bits = rng.bit_generator
     if not isinstance(bits, _RAW_BIT_GENERATORS):
         raise TypeError(f"the sampler needs a PCG64, PCG64DXSM, Philox or "
                         f"SFC64 bit generator, not {type(bits).__name__}")
     b = state["has_uint32"]
-    i = np.arange(n)
-    start = 4 * i + (i + 1 - b) // 2
-    # words[0] holds the buffered half as its high half; raw word j is
-    # words[j + 1]
-    words = np.empty(4 * n + (n + 1 - b) // 2 + 1, dtype=np.uint64)
-    words[0] = state["uinteger"] << 32
-    words[1:] = bits.random_raw(words.size - 1)
-    u = (words[start[:, np.newaxis] + np.arange(1, 5)] >> 11) * 2.0 ** -53
-    fresh = (i + b) % 2 == 0        # nothing buffered at candidate i's draw
-    # a fresh draw's low half follows the four doubles; a buffered one is
-    # the high half of the word before them
-    source = words[start + 5 * fresh]
-    flip = np.where(fresh, source >> 31, source >> 63) & 1
+    blocks = (n + b + 1) // 2
+    words = np.zeros((blocks, 9), dtype=np.uint64)
+    words[0, 4] = state["uinteger"] << 32
+    raw = 4 * n + (n + 1 - b) // 2
+    words.reshape(-1)[5 * b:5 * b + raw] = bits.random_raw(raw)
+    doubles = (words >> 11) * 2.0 ** -53
+    u = np.concatenate((doubles[:, :4], doubles[:, 5:]), axis=1)
+    coins = words[:, 4]
+    flip = np.empty((blocks, 2), dtype=np.intp)
+    flip[:, 0] = (coins >> 31) & 1
+    flip[:, 1] = coins >> 63
     # numpy keeps uinteger when a draw takes it, so either way it ends as
-    # the high half of the last candidate's source word
+    # the high half of the last candidate's coin word
     end = bits.state
     end["has_uint32"] = (b + n) % 2
-    end["uinteger"] = int(source[-1] >> 32)
+    end["uinteger"] = int(coins[-1] >> 32)
     bits.state = end
-    return u.T, flip.astype(np.intp)
+    return u.reshape(-1, 4)[b:b + n].T, flip.reshape(-1)[b:b + n]
 
 
 def _uniform(low: float, high: float, u):
@@ -364,16 +406,23 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     whose draws accept nothing takes few chunks.  Each chunk comes from one
     bit_generator.random_raw call (see _draw), which needs a PCG64
     (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
-    for another, such as MT19937, before rng is used.  A chunk of
-    _SCREEN_MIN or more is screened with one array call of hamiltonian.
-    The screen is never trusted with a decision: it only skips candidates
-    it shows, beyond rounding, to be rejected and not the lowest so far in
-    their draw, and the float hamiltonian decides the rest, in order.
+    for another, such as MT19937, and for an n that is no integer,
+    ValueError for n < 0, all before rng is used.  A chunk of _SCREEN_MIN
+    or more is screened with one array call of hamiltonian.  The screen is
+    never trusted with a decision: it only skips candidates it shows,
+    beyond rounding, to be rejected and not the lowest so far in their
+    draw (on the sphere, where no running minimum counts, that is decided
+    once a chunk), and the float hamiltonian decides the rest, in order.
     When the last draw ends before the end of its chunk, rng is rewound to
     the start of the chunk and the candidates up to it are drawn again.
     SamplingError (a RuntimeError) when no candidate of a draw qualifies;
     rng is then left after that draw's last candidate.
     """
+    if not isinstance(n, numbers.Integral):
+        raise TypeError(f"the number of draws must be an integer, not "
+                        f"{type(n).__name__} {n!r}")
+    if n < 0:
+        raise ValueError(f"the number of draws must be >= 0, not {n}")
     kap = spec.kappa
     if kap > 0:
         # every interior state is bounded; keep the energy moderate so
@@ -395,13 +444,21 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
         # a generic profile's callables need not accept arrays
         screen = (hamiltonian(batch, spec) if size >= _SCREEN_MIN
                   and spec.kind is not SystemKind.GENERIC_F else None)
+        if screen is not None and kap > 0:
+            # without a running minimum, no draw changes what is undecided
+            chunk_undecided = _undecided(screen, threshold, None).tolist()
         start = 0               # the draw under way's first candidate here
         while start < size and len(states) < n:
             stop = min(size, start + max_tries - tries)
-            undecided = (range(start, stop) if screen is None
-                         else start + _undecided(
-                             screen[start:stop], threshold,
-                             best_H if kap <= 0 else None))
+            if screen is None:
+                undecided = range(start, stop)
+            elif kap > 0:
+                undecided = chunk_undecided[
+                    bisect_left(chunk_undecided, start):
+                    bisect_left(chunk_undecided, stop)]
+            else:
+                undecided = start + _undecided(screen[start:stop], threshold,
+                                               best_H)
             for j in undecided:
                 state = PhaseState(float(batch.r[j]), float(batch.phi[j]),
                                    float(batch.p_r[j]),
@@ -469,7 +526,9 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
     the same grid and the Euclidean limit at traj's start (a row passes
     when the O(kappa) envelope holds and the value is within its
     threshold).  Brackets and moduli are array evaluations over the grid,
-    and a non-finite value fails its row.  negative_control adds J2 + t to
+    and a non-finite value fails its row; the bracket rows share one
+    stencil of the grid and H's gradient on it, and J3 and J4 one
+    evaluation of K, with bracket_with_scale's bits.  negative_control adds J2 + t to
     the drifts and J2 + r to the brackets, both of which must fail.
     Raises SamplingError or SpanError when the grid or traj's span leaves
     a check nothing to work on, and the float path's CurvintError at a
@@ -491,16 +550,32 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
                                  random_bounded_states(spec, rng, 20)]).T)
 
     H = lambda s: hamiltonian(s, spec)
-    named = {"J2~H": lambda s: j2(s, spec)}
+    # each row's function, as a source evaluated on the stencil once and
+    # the part of its value the row takes: J3 and J4 share K's evaluation
+    whole = lambda v: v
+    named = {"J2~H": (lambda s: j2(s, spec), whole)}
     if spec.kind in (SystemKind.PW, SystemKind.VC):
-        named["J3~H"] = lambda s: k_constant(s, spec).real
-        named["J4~H"] = lambda s: k_constant(s, spec).imag
+        K = lambda s: k_constant(s, spec)
+        named["J3~H"] = (K, lambda v: v.real)
+        named["J4~H"] = (K, lambda v: v.imag)
     elif not spec.has_angular_term:
-        named["p_phi~H"] = lambda s: s.p_phi
+        named["p_phi~H"] = (lambda s: s.p_phi, whole)
     if negative_control:
-        named["J2+r~H"] = lambda s: j2(s, spec) + s.r
-    for name, fn in named.items():
-        value, scale = bracket_with_scale(fn, H, grid)
+        named["J2+r~H"] = (lambda s: j2(s, spec) + s.r, whole)
+    points, step = _stencil(grid, 1e-5)
+    stencil = PhaseState(*points)
+    on_stencil = {}
+    dH = None
+    for name, (source, part) in named.items():
+        if source not in on_stencil:
+            on_stencil[source] = source(stencil)
+        df = _gradient(lambda s: part(source(s)), part(on_stencil[source]),
+                       points, step)
+        if dH is None:
+            # H after the first row's function, as with a stencil per row,
+            # so that the first StencilError is the same
+            dH = _gradient(H, H(stencil), points, step)
+        value, scale = _bracket(df, dH)
         # np.max propagates nan, and nan <= 1e-6 is false
         worst = float(np.max(abs(value) / (1.0 + scale)))
         rows.append(CheckResult("bracket", name, worst, 1e-6, worst <= 1e-6))

@@ -40,6 +40,33 @@ def reference_bracket(f, g, state, h=1e-5):
     return (sum(terms), sum(abs(t) for t in terms))
 
 
+def frozen_bracket_with_scale(f, g, state, h=1e-5):
+    """bracket_with_scale before its stencil and gradient were factored
+    out, one stencil built per call: the oracle of run_suite's shared
+    stencil and H gradient.  Keep it frozen."""
+    y = np.array(state.as_tuple(), dtype=float)
+    step = h * (1.0 + np.abs(y))
+    points = np.repeat(y[:, np.newaxis], 8, axis=1)
+    i = np.arange(4)
+    points[i, i] += step
+    points[i, i + 4] -= step
+
+    def gradient(fn):
+        values = fn(PhaseState(*points))
+        try:
+            verify._float_recheck(values, lambda i: fn(
+                PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
+        except CurvintError as exc:
+            raise StencilError(f"pole inside stencil: {exc}") from exc
+        return (values[:4] - values[4:]) / (2.0 * step)
+
+    df, dg = gradient(f), gradient(g)
+    plus, minus = df[:2] * dg[2:], df[2:] * dg[:2]
+    value = (plus[0] - minus[0]) + (plus[1] - minus[1])
+    scale = (abs(plus[0]) + abs(minus[0])) + (abs(plus[1]) + abs(minus[1]))
+    return (value, scale) if value.ndim else (float(value), float(scale))
+
+
 class TestPoissonBracket:
     def test_canonical_pair(self):
         s = PhaseState(1.3, 0.7, 0.4, 0.9)
@@ -120,6 +147,13 @@ class TestPoissonBracket:
             bracket_with_scale(spiky, lambda s: s.p_r,
                                PhaseState(1.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf,
+                                   -math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            bracket_with_scale(lambda x: x.r, lambda x: x.p_r,
+                               PhaseState(1.3, 0.7, 0.4, 0.9), h)
+
 
 class TestDrift:
     def test_energy_on_completed_trajectory(self):
@@ -188,6 +222,33 @@ def reference_rotation(traj, spec, n_samples=200, flip_sign=False):
         err_n = max(err_n, abs(dN - 1j * mf * lam * N)
                     / max(1.0, mf * abs(lam) * abs(N)))
     return err_m, err_n
+
+
+def frozen_rotation_check(traj, spec, flip_sign=False):
+    """rotation_check's two maximum errors as first vectorised, three dense
+    reads and three evaluations of each factor: the oracle of the stacked
+    read.  Keep it frozen."""
+    mf = spec.m_num / spec.m_den
+    lam = float(np.max(lambda_k(PhaseState(*traj.states.T), spec)))
+    dt = min(2e-4, 1e-3 / (max(1.0, mf) * lam)) if lam > 0.0 else 2e-4
+    t0, t1 = sorted((float(traj.times[0]), float(traj.times[-1])))
+    sgn = -1.0 if flip_sign else 1.0
+
+    def errors(t):
+        sm, sc, sp = (PhaseState(*traj.dense(t + h)) for h in (-dt, 0.0, dt))
+        lam = sgn * lambda_k(sc, spec)
+        M = m_r(sc, spec)
+        N = n_phi(sc, spec)
+        dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
+        dN = (n_phi(sp, spec) - n_phi(sm, spec)) / (2.0 * dt)
+        return (abs(dM - 1j * lam * M) / np.maximum(1.0, abs(lam) * abs(M)),
+                abs(dN - 1j * mf * lam * N)
+                / np.maximum(1.0, mf * abs(lam) * abs(N)))
+
+    ts = np.linspace(t0 + dt, t1 - dt, 200)
+    err_m, err_n = errors(ts)
+    verify._float_recheck(err_m + err_n, lambda i: errors(float(ts[i])))
+    return float(np.max(err_m)), float(np.max(err_n))
 
 
 GENERIC = (lambda p: 0.5 * math.cos(p), lambda p: -0.5 * math.sin(p))
@@ -600,6 +661,26 @@ class TestChunkedSampler:
         assert rng.random() == oracle_rng.random()
         assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 2048])
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    @pytest.mark.parametrize("rng_kind", RNGS)
+    def test_draw_blocks_match_per_candidate_loop(self, rng_kind,
+                                                  has_uint32, n):
+        # with a buffered half the first candidate stands alone, and so
+        # does an odd last one
+        oracle_rng, rng = (RNGS[rng_kind](8) for _ in range(2))
+        for r in (oracle_rng, rng):
+            if r.bit_generator.state["has_uint32"] != has_uint32:
+                r.integers(2)
+        assert rng.bit_generator.state["has_uint32"] == has_uint32
+        u_expected, flip_expected = per_candidate_draw(oracle_rng, n)
+        u, flip = verify._draw(rng, n, rng.bit_generator.state)
+        assert u.shape == u_expected.shape and (u == u_expected).all()
+        assert flip.dtype == flip_expected.dtype
+        assert (flip == flip_expected).all()
+        assert rng_state(rng) == rng_state(oracle_rng)
+        assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
+
     def test_sampling_error_inside_a_grid(self):
         # max_tries = 1 on the sphere: the first rejected candidate ends
         # the grid, here at draw 15 of 20, inside the first chunk
@@ -650,6 +731,44 @@ class TestChunkedSampler:
         assert random_bounded_states(pw_spec(kappa=1.0), rng, 0) == []
         assert rng_state(rng) == before
 
+    @pytest.mark.parametrize("n, error", [(-3, ValueError),
+                                          (-1, ValueError),
+                                          (2.5, TypeError),
+                                          (2.0, TypeError),
+                                          ("2", TypeError)])
+    def test_bad_number_of_draws(self, n, error):
+        rng = np.random.default_rng(2)
+        before = rng_state(rng)
+        with pytest.raises(error, match="number of draws"):
+            random_bounded_states(pw_spec(kappa=1.0), rng, n)
+        assert rng_state(rng) == before
+        # a numpy integer is an integer
+        assert random_bounded_states(pw_spec(kappa=1.0), rng, np.int64(2)) \
+            == random_bounded_states(pw_spec(kappa=1.0),
+                                     np.random.default_rng(2), 2)
+
+    def test_sphere_decides_undecided_once_per_chunk(self, monkeypatch):
+        # on the sphere no draw's running minimum enters the screen's
+        # verdict, so each screened chunk is decided once, not per draw
+        sizes = self.chunk_sizes(monkeypatch)
+        calls = []
+        undecided = verify._undecided
+
+        def spy(*args):
+            calls.append(args)
+            return undecided(*args)
+        monkeypatch.setattr(verify, "_undecided", spy)
+        spec = SAMPLER_SPECS["kepler-1.0"]
+        states = random_bounded_states(spec, np.random.default_rng(4), 20)
+        oracle_rng = np.random.default_rng(4)
+        assert states == [per_try_sampler(spec, oracle_rng)
+                          for _ in range(20)]
+        # two screened chunks, the grid ending one candidate into the
+        # second (the last size is the rewind's redraw); one call per
+        # draw made 20 calls
+        assert sizes == [20, 80, 1]
+        assert [len(screen) for screen, _, _ in calls] == [20, 80]
+
     def test_mt19937_is_a_type_error(self):
         rng = np.random.Generator(np.random.MT19937(1))
         before = rng_state(rng)
@@ -692,6 +811,23 @@ def expected_checks(kind, negative_control):
                  ("moduli", "|M_r|^2"), ("moduli", "|N_phi|^2")]
         rows += [("limit", name) for name in ("H", "M_r", "N_phi", "lambda")]
     return rows
+
+
+def bracket_functions(spec, negative_control):
+    """run_suite's bracket rows, in report order: name -> f of {f, H}."""
+    named = {"J2~H": lambda s: j2(s, spec)}
+    if spec.kind in (SystemKind.PW, SystemKind.VC):
+        named["J3~H"] = lambda s: k_constant(s, spec).real
+        named["J4~H"] = lambda s: k_constant(s, spec).imag
+    elif not spec.has_angular_term:
+        named["p_phi~H"] = lambda s: s.p_phi
+    if negative_control:
+        named["J2+r~H"] = lambda s: j2(s, spec) + s.r
+    return named
+
+
+# r (or phi) at which the minus point of the stencil is exactly 0
+ON_STENCIL_POLE = 1e-5 / (1.0 - 1e-5)
 
 
 class TestRunSuite:
@@ -771,6 +907,69 @@ class TestRunSuite:
             assert abs(row.value - worst) <= 1e-10, name
             assert row.passed == (worst <= 1e-6), name
         assert not rows["J2+r~H"].passed
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("kind", [SystemKind.FREE_GEODESIC,
+                                      SystemKind.KEPLER, SystemKind.VC,
+                                      SystemKind.PW])
+    def test_rows_match_frozen_brackets_and_rotation(self, kind, kappa):
+        # one stencil, one H gradient and one K evaluation for all rows,
+        # and one stacked dense read: the same bits as a stencil per row
+        # and three reads
+        spec = suite_spec(kind, kappa)
+        state0 = random_bounded_state(spec, np.random.default_rng(6))
+        traj = integrate(state0, spec, 20.0)
+        rows = run_suite(traj, np.random.default_rng(7),
+                         negative_control=True)
+        grid = PhaseState(*np.array([s.as_tuple() for s in
+                                     random_bounded_states(
+                                         spec, np.random.default_rng(7),
+                                         20)]).T)
+        H = lambda s: hamiltonian(s, spec)
+        expected = []
+        for name, fn in bracket_functions(spec, True).items():
+            value, scale = frozen_bracket_with_scale(fn, H, grid)
+            worst = float(np.max(abs(value) / (1.0 + scale)))
+            expected.append(CheckResult("bracket", name, worst, 1e-6,
+                                        worst <= 1e-6))
+        if kind in (SystemKind.PW, SystemKind.VC):
+            for flip in (True, False):
+                err_m, err_n = frozen_rotation_check(traj, spec, flip)
+                rep = rotation_check(traj, spec, flip)
+                assert (rep.max_rel_err_m, rep.max_rel_err_n) \
+                    == (err_m, err_n)
+            expected += [CheckResult("rotation", "M_r", err_m, 1e-5,
+                                     err_m < 1e-5),
+                         CheckResult("rotation", "N_phi", err_n, 1e-5,
+                                     err_n < 1e-5)]
+        assert [row for row in rows
+                if row.check in ("bracket", "rotation")] == expected
+
+    @pytest.mark.parametrize("spec, bad", [
+        # H's pole at r = 0; J2 is regular there
+        (kepler_spec(kappa=1.0), PhaseState(ON_STENCIL_POLE, 0.5, 0.1, 0.5)),
+        (pw_spec(kappa=-1.0, m=Fraction(3, 2)),
+         PhaseState(ON_STENCIL_POLE, 1.0, 0.1, 0.5)),
+        # sin(m phi) = 0 at one stencil point and r = 0 at an earlier one:
+        # J2 raises at the first, H would raise at the second
+        (pw_spec(kappa=1.0, m=Fraction(3, 2)),
+         PhaseState(ON_STENCIL_POLE, ON_STENCIL_POLE, 0.1, 0.5)),
+    ])
+    def test_stencil_pole_raises_the_first_rows_error(self, monkeypatch,
+                                                      spec, bad):
+        good = random_bounded_state(spec, np.random.default_rng(6))
+        traj = integrate(good, spec, 2.0)
+        grid = PhaseState(*np.array([good.as_tuple(), bad.as_tuple()]).T)
+        H = lambda s: hamiltonian(s, spec)
+        with pytest.raises(StencilError) as expected:
+            for fn in bracket_functions(spec, False).values():
+                frozen_bracket_with_scale(fn, H, grid)
+        monkeypatch.setattr(verify, "random_bounded_states",
+                            lambda spec, rng, n: [good, bad])
+        with pytest.raises(StencilError) as got:
+            run_suite(traj, np.random.default_rng(7))
+        assert str(got.value) == str(expected.value)
+        assert type(got.value.__cause__) is type(expected.value.__cause__)
 
     def test_generic_profile_fails_no_bracket_row(self):
         # F = 0.5 cos(phi): p_phi is no integral, J2 is
