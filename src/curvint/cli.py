@@ -18,10 +18,11 @@ values.  The env var CURVINT_SEED seeds the random-state grids used by
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also an
 --out path that cannot be opened, a start whose values overflow the float
-range, a system that leaves no verification-grid state, or a span too
-short for the rotation check), 3 singular initial state, 4/5/6/7 the
-trajectory ended early at the radial pole / angular singularity / step
-underflow / step limit (`verify` then runs no checks).
+range, a system that leaves no verification-grid state, a span too short
+for the rotation check, or a singular state met by the checks of a
+completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
+early at the radial pole / angular singularity / step underflow / step
+limit (`verify` then runs no checks).
 Every CSV, the `verify` report included, goes through one writer.
 """
 
@@ -107,15 +108,6 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _convert(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    if ftype is int:
-        return int(raw)
-    if ftype is float:
-        return float(raw)
-    return raw.strip()
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value config text; diagnostics carry line numbers."""
     cfg = RunConfig()
@@ -130,7 +122,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         try:
-            setattr(cfg, key, _convert(key, raw))
+            setattr(cfg, key, _FIELD_TYPES[key](raw))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}", line=lineno)
     return cfg
@@ -156,22 +148,16 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = RunConfig()
-    overrides = {
-        "kappa": "kappa", "g": "g", "ka": "k_a", "kb": "k_b",
-        "t_end": "t_end", "rel_tol": "rel_tol", "abs_tol": "abs_tol",
-    }
-    for argname, key in overrides.items():
-        value = getattr(args, argname, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    # each flag's dest is the key it overrides, except --m's two
+    for key in _FIELD_TYPES:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     if getattr(args, "m", None) is not None:
         try:
             frac = Fraction(args.m)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for --m: {exc}") from exc
         cfg.m_num, cfg.m_den = frac.numerator, frac.denominator
-    if getattr(args, "kind", None) is not None:
-        cfg.kind = args.kind
     for key in ("r0", "phi0", "p_r0", "p_phi0", "t_end"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
@@ -241,7 +227,14 @@ def cmd_verify(args) -> int:
               f"{cfg.t_end:g}: no checks run", file=sys.stderr)
         return _EXIT_BY_TERMINATION[traj.termination]
     rng = np.random.default_rng(seed)
-    rows = run_suite(traj, rng, args.negative_control)
+    try:
+        rows = run_suite(traj, rng, args.negative_control)
+    except (SamplingError, SpanError):
+        raise
+    except CurvintError as exc:
+        # the start is regular and its run completed: a grid, stencil or
+        # sample state of the checks is singular
+        raise ConfigError(f"verification checks: {exc}") from exc
 
     _write_csv(args.out or None,
                {"check": "%s", "name": "%s", "value": _FLOAT,
@@ -287,8 +280,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float)
     p.add_argument("--m", help="rational index p/q, e.g. 3/2")
     p.add_argument("--g", type=float)
-    p.add_argument("--ka", type=float)
-    p.add_argument("--kb", type=float)
+    p.add_argument("--ka", dest="k_a", type=float)
+    p.add_argument("--kb", dest="k_b", type=float)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
     p.add_argument("--abs-tol", dest="abs_tol", type=float)

@@ -38,13 +38,14 @@ def _float_recheck(values, evaluate) -> None:
 
 # --- finite-difference Poisson brackets ---
 
-def _stencil(state: PhaseState, h: float):
-    """(points, step): the central stencils of state's point or grid.
-
-    step = h (1 + |y_i|) per coordinate, of state's shape; points has shape
-    (4, 8, ...), point k < 4 of a stencil y + step along coordinate k and
-    point k + 4 y - step along it.  ValueError unless h is finite and > 0.
-    """
+def _stencil_gradient(state: PhaseState, h: float):
+    """(stencil, gradient) of state's point or grid: its central stencils,
+    one PhaseState of shape (8, ...) whose point k < 4 is y + step along
+    coordinate k and point k + 4 y - step (step = h (1 + |y_i|); ValueError
+    unless h is finite and > 0), and gradient(fn, values=None), fn's
+    central differences from its values on the stencil (fn(stencil) by
+    default).  At the first non-finite value fn is called on that point as
+    floats: StencilError if that raises, else that partial is nan."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"stencil step h = {h} must be finite and > 0")
     y = np.array(state.as_tuple(), dtype=float)
@@ -53,22 +54,19 @@ def _stencil(state: PhaseState, h: float):
     i = np.arange(4)
     points[i, i] += step            # + step along coordinate i
     points[i, i + 4] -= step        # - step along coordinate i
-    return points, step
+    stencil = PhaseState(*points)
 
+    def gradient(fn: PhaseFunction, values=None):
+        if values is None:
+            values = fn(stencil)
+        try:
+            _float_recheck(values, lambda i: fn(
+                PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
+        except CurvintError as exc:
+            raise StencilError(f"pole inside stencil: {exc}") from exc
+        return (values[:4] - values[4:]) / (2.0 * step)
 
-def _gradient(fn: PhaseFunction, values, points, step):
-    """Central differences of fn from its values on _stencil's points.
-
-    At the first non-finite value fn is called on that point as floats:
-    StencilError if that raises; a value that stays non-finite gives a nan
-    partial.
-    """
-    try:
-        _float_recheck(values, lambda i: fn(
-            PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
-    except CurvintError as exc:
-        raise StencilError(f"pole inside stencil: {exc}") from exc
-    return (values[:4] - values[4:]) / (2.0 * step)
+    return stencil, gradient
 
 
 def _bracket(df, dg):
@@ -91,13 +89,10 @@ def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
     non-finite value: StencilError if that raises, a nan bracket if it
     does not.  The scale is the sum of absolute values of the four
     products; a bracket that vanishes only through cancellation is judged
-    against it.  run_suite shares one stencil, and H's gradient, between
-    its rows through the same helpers.
+    against it.
     """
-    points, step = _stencil(state, h)
-    stencil = PhaseState(*points)
-    df = _gradient(f, f(stencil), points, step)
-    value, scale = _bracket(df, _gradient(g, g(stencil), points, step))
+    gradient = _stencil_gradient(state, h)[1]
+    value, scale = _bracket(gradient(f), gradient(g))
     return (value, scale) if value.ndim else (float(value), float(scale))
 
 
@@ -528,8 +523,9 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
     threshold).  Brackets and moduli are array evaluations over the grid,
     and a non-finite value fails its row; the bracket rows share one
     stencil of the grid and H's gradient on it, and J3 and J4 one
-    evaluation of K, with bracket_with_scale's bits.  negative_control adds J2 + t to
-    the drifts and J2 + r to the brackets, both of which must fail.
+    evaluation of K, with bracket_with_scale's bits.  negative_control
+    adds J2 + t to the drifts and J2 + r to the brackets, both of which
+    must fail.
     Raises SamplingError or SpanError when the grid or traj's span leaves
     a check nothing to work on, and the float path's CurvintError at a
     singular state.
@@ -549,32 +545,22 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
     grid = PhaseState(*np.array([s.as_tuple() for s in
                                  random_bounded_states(spec, rng, 20)]).T)
 
-    H = lambda s: hamiltonian(s, spec)
-    # each row's function, as a source evaluated on the stencil once and
-    # the part of its value the row takes: J3 and J4 share K's evaluation
-    whole = lambda v: v
-    named = {"J2~H": (lambda s: j2(s, spec), whole)}
+    # the gradients in the order of a stencil per row (the first row's
+    # function, then H, then each later one), so that the first
+    # StencilError is the same; J3 and J4 share one evaluation of K
+    stencil, gradient = _stencil_gradient(grid, 1e-5)
+    gradients = {"J2~H": gradient(lambda s: j2(s, spec))}
+    dH = gradient(lambda s: hamiltonian(s, spec))
     if spec.kind in (SystemKind.PW, SystemKind.VC):
         K = lambda s: k_constant(s, spec)
-        named["J3~H"] = (K, lambda v: v.real)
-        named["J4~H"] = (K, lambda v: v.imag)
+        k = K(stencil)
+        gradients["J3~H"] = gradient(lambda s: K(s).real, k.real)
+        gradients["J4~H"] = gradient(lambda s: K(s).imag, k.imag)
     elif not spec.has_angular_term:
-        named["p_phi~H"] = (lambda s: s.p_phi, whole)
+        gradients["p_phi~H"] = gradient(lambda s: s.p_phi)
     if negative_control:
-        named["J2+r~H"] = (lambda s: j2(s, spec) + s.r, whole)
-    points, step = _stencil(grid, 1e-5)
-    stencil = PhaseState(*points)
-    on_stencil = {}
-    dH = None
-    for name, (source, part) in named.items():
-        if source not in on_stencil:
-            on_stencil[source] = source(stencil)
-        df = _gradient(lambda s: part(source(s)), part(on_stencil[source]),
-                       points, step)
-        if dH is None:
-            # H after the first row's function, as with a stencil per row,
-            # so that the first StencilError is the same
-            dH = _gradient(H, H(stencil), points, step)
+        gradients["J2+r~H"] = gradient(lambda s: j2(s, spec) + s.r)
+    for name, df in gradients.items():
         value, scale = _bracket(df, dH)
         # np.max propagates nan, and nan <= 1e-6 is false
         worst = float(np.max(abs(value) / (1.0 + scale)))

@@ -297,6 +297,23 @@ class TestSimulate:
         assert (parsed.m_num, parsed.m_den) == (3, 2)
         assert parsed.k_a == 0.5
 
+    def test_every_flag_overrides_its_key(self, capsys):
+        # a negative value with an exponent is passed with `=`
+        assert main(["dump-config", "--kind", "vc", "--kappa=-1e-3",
+                     "--g", "2", "--ka", "0.25", "--kb", "0.5",
+                     "--t-end", "3", "--rel-tol", "1e-9",
+                     "--abs-tol", "1e-11"]) == 0
+        parsed = parse_config(capsys.readouterr().out)
+        assert (parsed.kind, parsed.kappa, parsed.g, parsed.k_a, parsed.k_b,
+                parsed.t_end, parsed.rel_tol, parsed.abs_tol) \
+            == ("vc", -1e-3, 2.0, 0.25, 0.5, 3.0, 1e-9, 1e-11)
+
+    def test_negative_exponent_without_equals_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-config", "--kappa", "-1e-3"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path, PW_SPHERE)
         outs = []
@@ -406,6 +423,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_singular_check_state_after_a_run_exit_2(self, capsys,
+                                                      monkeypatch):
+        # the start is regular and the run completes; a stencil point of a
+        # grid state has J2 <= 0, which is no singular initial state
+        monkeypatch.setenv("CURVINT_SEED", "0")
+        assert main(["verify", "--kind", "vc", "--kappa", "-1", "--ka",
+                     "-0.3", "--kb", "0.1", "--t-end", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: verification checks: pole "
+                              "inside stencil: J2 = ")
+        assert "singular initial state" not in err
 
     def test_lambda_underflow_runs_every_check(self, tmp_path, capsys):
         # Sin_k(400)^2 overflows at kappa = -1, so lambda is 0 along the
