@@ -77,8 +77,6 @@ class RunConfig:
     t_end: float = 10.0
     rel_tol: float = IntegratorConfig.rel_tol
     abs_tol: float = IntegratorConfig.abs_tol
-    max_step: float = IntegratorConfig.max_step
-    singularity_margin: float = IntegratorConfig.singularity_margin
 
     def system_spec(self) -> SystemSpec:
         if self.kind not in _KINDS:
@@ -97,10 +95,8 @@ class RunConfig:
 
     def integrator_config(self) -> IntegratorConfig:
         try:
-            return IntegratorConfig(
-                rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                max_step=self.max_step,
-                singularity_margin=self.singularity_margin)
+            return IntegratorConfig(rel_tol=self.rel_tol,
+                                    abs_tol=self.abs_tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

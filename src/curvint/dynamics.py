@@ -14,22 +14,23 @@ per integration, with (S, C) and (F, F') from spec's float or array
 closures (`SystemSpec.formulas`): a function of r, phi, p_r and p_phi,
 passed as four positional values, that returns the 4-tuple of their
 rates.  The values are floats for the stepper, or arrays (nan or inf where
-the float one raises) for the dense output and the interpolant a guard
-crossing is located on, which call it as fun(*Y) on a (4, n) array Y.
+the float one raises) for the dense output, which calls it as fun(*Y) on a
+(4, n) array Y.
 
 `solve_ivp` integrates them with DOP853, the explicit Runge-Kutta method
 of order 8 with error estimators of orders 5 and 3 (Hairer, Norsett and
 Wanner, Solving ODEs I, Sec. II.10; coefficients in `_dop853`).  Its
 arithmetic is that of SciPy 1.17's `solve_ivp(method="DOP853")`, operation
 for operation: the initial step, the combined err5/err3 RMS norm, the step
-controller, the min-step rule and the clipping at max_step and t_end, so
-the accepted steps are SciPy's bit for bit.  A radial-pole guard and an
-angular-singularity guard are evaluated at the end of every accepted step;
-when one falls to zero, bisection on that step's interpolant finds the
-crossing and the trajectory ends there with the guard's tag instead of
-running into infinities; a run ends with a tag after MAX_STEPS accepted
-steps, too.  The 7th-order dense output of a step is built when a read
-first touches it, from the stages the stepper kept.
+controller, the min-step rule and the clipping at t_end, so the accepted
+steps are SciPy's bit for bit.  A radial-pole guard and an
+angular-singularity guard, each SINGULARITY_MARGIN from its singularity,
+are evaluated at the end of every accepted step; when one falls to zero,
+bisection on that step's dense output finds the crossing and the
+trajectory ends there with the guard's tag instead of running into
+infinities; a run ends with a tag after MAX_STEPS accepted steps, too.
+The 7th-order dense output of a step is built when a read first touches
+it, from the stages the stepper kept.
 
 Each stage, B and error sum of the stepper is one BLAS gemv that writes
 into a (4,) buffer made once per solve, read back as four floats through
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import _dop853
-from .errors import CurvintError, PoleError
+from .errors import CurvintError, DomainError, PoleError
 from .kappa_trig import sin_k
 from .systems import PhaseState, SystemSpec
 
@@ -61,6 +62,8 @@ _RAISES = (CurvintError, ArithmeticError, ValueError)  # array RHS: nan, inf
 # accepted steps before a run ends with STEP_LIMIT: about 175 times the
 # longest run of the tests and the benchmark, and ~640 MB of kept stages
 MAX_STEPS = 1_000_000
+# the guards end a run where Sin_k(r) or |sin(m phi)| falls to this margin
+SINGULARITY_MARGIN = 1e-6
 
 
 class Termination(Enum):
@@ -75,18 +78,12 @@ class Termination(Enum):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    singularity_margin: float = 1e-6
 
     def __post_init__(self):
         # an infinite tolerance makes the error scale nan (0 * inf) or
         # the error control vacuous
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if not (0.0 < self.singularity_margin < 1.0):
-            raise ValueError("singularity_margin must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,9 @@ class SolverStats:
     """What one integration cost: right-hand-side evaluations and steps.
 
     nfev counts the 2 evaluations of the initial-step choice, 12 per
-    attempted step and 3 per guard crossing (the interpolant it is located
-    on); h_min and h_max are the extreme accepted |h| (nan with no step).
+    attempted step and 3 per guard crossing (the dense output of the step
+    it is located on), or 1 at t_end = 0; h_min and h_max are the extreme
+    accepted |h| (nan with no step).
     """
     nfev: int
     accepted: int
@@ -256,14 +254,13 @@ class Solution(NamedTuple):
 
 
 def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
-              rtol: float, atol: float, max_step: float,
-              guards: dict) -> Solution:
+              rtol: float, atol: float, guards: dict) -> Solution:
     """Integrate y' = fun(y) (autonomous, 4 components) from t = 0 to t_end
     with DOP853; t_end < 0 integrates backwards.
 
     fun takes the 4 components as positional floats and returns a sequence
     of 4 floats; fun_array is the same function of 4 arrays, for the dense
-    output and the interpolant a guard's root is located on.  A step with
+    output, on which a guard's root is located too.  A step with
     a stage that fun cannot evaluate is rejected, as SciPy rejects it on
     fun_array's nan error norm.  guards maps a Termination to a function
     of the state (a sequence of 4 floats) that is >= 0 where the state is
@@ -273,7 +270,8 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     accepted steps short of t_end it ends with STEP_LIMIT, and with
     STEP_UNDERFLOW at a step too short to move y accepted after a
     rejection (SciPy creeps on).  An rtol below 100 EPS is raised to that
-    value with a warning, as SciPy does.
+    value with a warning, as SciPy does.  At t_end = 0 the solution is y0
+    at t = 0 twice, after one call of fun.
     """
     tags, checks = list(guards), list(guards.values())
     y = np.array(y0, dtype=float)
@@ -288,30 +286,31 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         rtol = 100 * EPS
     direction = -1.0 if t_end < 0 else 1.0
     f = np.array(fun(*y.tolist()))
-    nfev = 1
+    if t_end == 0.0:            # the constant solution
+        times, states = np.zeros(2), np.array([y, y])
+        return Solution(times, states, Termination.COMPLETED,
+                        SolverStats(1, 0, 0, math.nan, math.nan),
+                        DenseOutput(fun_array, times, states, [], [], y))
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     interval = abs(t_end)
-    if interval == 0.0:
-        h_abs = 0.0
+    scale = atol + np.abs(y) * rtol
+    d0 = np.linalg.norm(y / scale) / 2.0
+    d1 = np.linalg.norm(f / scale) / 2.0
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    y1 = y + h0 * direction * f
+    try:
+        f1 = np.array(fun(*y1.tolist()))
+    except _RAISES:             # the nan or inf SciPy's norm sees
+        f1 = np.array(fun_array(*y1[:, None]))[:, 0]
+    nfev = 2
+    d2 = np.linalg.norm((f1 - f) / scale) / 2.0 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
     else:
-        scale = atol + np.abs(y) * rtol
-        d0 = np.linalg.norm(y / scale) / 2.0
-        d1 = np.linalg.norm(f / scale) / 2.0
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
-        y1 = y + h0 * direction * f
-        try:
-            f1 = np.array(fun(*y1.tolist()))
-        except _RAISES:         # the nan or inf SciPy's norm sees
-            f1 = np.array(fun_array(*y1[:, None]))[:, 0]
-        nfev += 1
-        d2 = np.linalg.norm((f1 - f) / scale) / 2.0 / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        h_abs = min(100 * h0, h1, interval, max_step)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, interval)
 
     K = np.empty((_N_STAGES + 1, 4))
     K[0] = f
@@ -340,15 +339,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     ts, ys, hs, stages = [t], [y], [], []
     rejected = 0
     termination = None
-    if t_end == 0.0:
-        ts.append(t)
-        ys.append(y)
-        termination = Termination.COMPLETED
     while termination is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
         y0, y1, y2, y3 = y
@@ -442,20 +435,15 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 fired.append(i)
             g[i] = value
         if fired:
-            y_old = np.array(ys[-1])
-            F = _interpolant(fun_array, np.array([h]), y_old[None],
-                             np.array([y]), stages[-1][None])[0]
+            step = DenseOutput(fun_array, np.array([t_old, t]),
+                               np.array([ys[-1], y]), [h], stages[-1:], y)
             nfev += 3
-
-            def state_at(t_root):
-                return _interpolate(F, y_old,
-                                    (t_root - t_old) / h).tolist()
-            roots = [_bisect(lambda tt: checks[i](state_at(tt)),
+            roots = [_bisect(lambda tt: checks[i](step(tt).tolist()),
                              t_old, t) for i in fired]
             first = min(range(len(fired)),
                         key=lambda k: direction * roots[k])
             termination, t = tags[fired[first]], roots[first]
-            y = state_at(t)
+            y = step(t).tolist()
         ts.append(t)
         ys.append(y)
 
@@ -472,9 +460,13 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
               cfg: Optional[IntegratorConfig] = None) -> Trajectory:
     """Propagate to t_end with local error <= rel_tol*|y| + abs_tol per step;
-    PoleError at a state0 within the margin of a radial or angular pole."""
+    PoleError at a state0 within SINGULARITY_MARGIN of a radial or angular
+    pole, DomainError at a non-finite state0 or t_end."""
     cfg = cfg or IntegratorConfig()
-    margin = cfg.singularity_margin
+    if not all(map(math.isfinite, (*state0.as_tuple(), t_end))):
+        raise DomainError(f"non-finite start {state0.as_tuple()} or "
+                          f"t_end = {t_end!r}")
+    margin = SINGULARITY_MARGIN
 
     # through kappa_trig.sin_k, not spec's sin_cos_k closure: the
     # benchmark's tracer counts kappa_trig calls at sin_k and friends, and
@@ -493,7 +485,6 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
 
     with np.errstate(all="ignore"):     # non-finite stages are rejected
         sol = solve_ivp(_rhs_for(spec), _rhs_for(spec, array=True), t_end,
-                        state0.as_tuple(), cfg.rel_tol, cfg.abs_tol,
-                        cfg.max_step, guards)
+                        state0.as_tuple(), cfg.rel_tol, cfg.abs_tol, guards)
     return Trajectory(times=sol.t, states=sol.y, termination=sol.termination,
                       spec=spec, dense=sol.dense, stats=sol.stats)

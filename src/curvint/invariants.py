@@ -99,6 +99,12 @@ def m_r(state: PhaseState, spec: SystemSpec):
     return state.p_r * sq + 1j * (spec.g - sq * sq * (C / S))
 
 
+def _escape_energy(spec: SystemSpec) -> float:
+    """Escape energy at kappa <= 0: U(r -> inf) = -g' sqrt(-kappa), g' the
+    coupling of the equations of motion (0 for free geodesics)."""
+    return -spec.coupling * math.sqrt(-spec.kappa)
+
+
 def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
     """Period T_r of r, in which M_r turns once, on the bounded orbit through
     the float state, from H: with a = -2H, g' the coupling of the equations
@@ -106,15 +112,15 @@ def radial_period(state: PhaseState, spec: SystemSpec) -> Optional[float]:
     = 2 pi |g'| / (rho sqrt((rho + a)/2)) where a > 0, else (kappa > 0 only)
     (2 pi / sqrt(kappa)) sqrt((rho - a)/2) / rho: neither cancels at small
     |kappa|.  None for GENERIC_F, at J2 <= 0 or rho = 0, and at kappa <= 0
-    unless g' > 0 and H < -g' sqrt(-kappa), the escape energy."""
+    unless g' > 0 and H lies below the escape energy."""
     if spec.kind is SystemKind.GENERIC_F or j2(state, spec) <= 0.0:
         return None
     g = spec.coupling
     a, s = -2.0 * hamiltonian(state, spec), math.sqrt(abs(spec.kappa))
     if spec.kappa > 0.0:
         rho = math.hypot(a, 2.0 * g * s)
-    elif g > 0.0 and a > 2.0 * g * s:   # square roots apart: a^2 overflows
-        rho = math.sqrt(a - 2.0 * g * s) * math.sqrt(a + 2.0 * g * s)
+    elif g > 0.0 and a > (b := -2.0 * _escape_energy(spec)):
+        rho = math.sqrt(a - b) * math.sqrt(a + b)   # a^2 may overflow
     else:
         return None
     if rho == 0.0:

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CurvintError, SamplingError, SpanError, StencilError
-from .invariants import (evaluators_for, j2, k_constant, lambda_k, m_r,
-                         n_phi, radial_period)
+from .invariants import (_escape_energy, evaluators_for, j2, k_constant,
+                         lambda_k, m_r, n_phi, radial_period)
 from .systems import (PhaseState, SystemKind, SystemSpec, hamiltonian,
                       m_rate)
 from .dynamics import Trajectory
@@ -288,14 +288,6 @@ _MAX_CHUNK = 2048
 _SCREEN_MARGIN = 1e-9
 
 
-def _escape_energy(spec: SystemSpec) -> float:
-    """Escape energy at kappa <= 0: U(r -> inf) = -g' sqrt(-kappa), g' the
-    coupling of the dynamics.  The free geodesic's is 0: its H = T >= 0
-    never falls below the threshold 0 - 0.02, so free kappa <= 0 admits no
-    bounded orbit and its draws are always the fallback."""
-    return -spec.coupling * math.sqrt(-spec.kappa)
-
-
 # Bit generators whose rng.random() is (raw >> 11) 2^-53, one word a double
 _RAW_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM,
                        np.random.Philox, np.random.SFC64)
@@ -401,13 +393,14 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     whose draws accept nothing takes few chunks.  Each chunk comes from one
     bit_generator.random_raw call (see _draw), which needs a PCG64
     (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
-    for another, such as MT19937, and for an n that is no integer,
-    ValueError for n < 0, all before rng is used.  A chunk of _SCREEN_MIN
-    or more is screened with one array call of hamiltonian.  The screen is
-    never trusted with a decision: it only skips candidates it shows,
-    beyond rounding, to be rejected and not the lowest so far in their
-    draw (on the sphere, where no running minimum counts, that is decided
-    once a chunk), and the float hamiltonian decides the rest, in order.
+    for another, such as MT19937, and for an n or a max_tries that is no
+    integer, ValueError for n < 0, all before rng is used.  A chunk of
+    _SCREEN_MIN or more is screened with one array call of hamiltonian.
+    The screen is never trusted with a decision: it only skips candidates
+    it shows, beyond rounding, to be rejected and not the lowest so far in
+    their draw (on the sphere, where no running minimum counts, that is
+    decided once a chunk), and the float hamiltonian decides the rest, in
+    order.
     When the last draw ends before the end of its chunk, rng is rewound to
     the start of the chunk and the candidates up to it are drawn again.
     SamplingError (a RuntimeError) when no candidate of a draw qualifies;
@@ -418,12 +411,17 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                         f"{type(n).__name__} {n!r}")
     if n < 0:
         raise ValueError(f"the number of draws must be >= 0, not {n}")
+    if not isinstance(max_tries, numbers.Integral):
+        raise TypeError(f"max_tries must be an integer, not "
+                        f"{type(max_tries).__name__} {max_tries!r}")
     kap = spec.kappa
     if kap > 0:
         # every interior state is bounded; keep the energy moderate so
         # the orbit is representative rather than a near-pole slingshot
         threshold = 0.65 * (1.0 + abs(spec.g))
     else:
+        # the free geodesic's escape energy is 0: its H = T >= 0 never
+        # falls below -0.02, so its draws at kappa <= 0 are the fallback
         threshold = _escape_energy(spec) - 0.02
     states = []
     # the draw under way: its lowest-energy candidate, and its tries so far
@@ -436,7 +434,8 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                    max_tries - tries + (n - 1 - len(states)) * max_tries)
         rewind = rng.bit_generator.state
         batch = _candidates(spec, *_draw(rng, size, rewind))
-        # a generic profile's callables need not accept arrays
+        # a generic profile is never screened: the screen would call the
+        # user's callables on candidates the per-try loop never reaches
         screen = (hamiltonian(batch, spec) if size >= _SCREEN_MIN
                   and spec.kind is not SystemKind.GENERIC_F else None)
         if screen is not None and kap > 0:

@@ -1,11 +1,26 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvint import (AngularSingularityError, DomainError, PhaseState,
                      SystemKind, SystemSpec)
+
+
+def run_python(code, timeout=30):
+    """Run code in a child Python that imports curvint and this directory's
+    conftest; subprocess.TimeoutExpired after timeout seconds, so that a
+    call that never returns fails its test instead of stalling the suite."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def pw_spec(kappa=0.0, m=Fraction(1), g=1.0, k_a=0.8, k_b=0.3):

@@ -80,6 +80,14 @@ class TestConfigParsing:
     def test_dump_defaults_round_trip(self):
         assert parse_config(dump_config(RunConfig())) == RunConfig()
 
+    def test_dump_lists_the_fourteen_keys(self, capsys):
+        assert main(["dump-config"]) == 0
+        keys = [line.split(" = ")[0]
+                for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["kind", "kappa", "g", "k_a", "k_b", "m_num", "m_den",
+                        "r0", "phi0", "p_r0", "p_phi0", "t_end", "rel_tol",
+                        "abs_tol"]
+
     def test_sampled_state_round_trip(self):
         cfg = RunConfig(kind="pw", kappa=-1.0, k_a=0.8, k_b=0.3)
         s = random_bounded_state(cfg.system_spec(),
@@ -181,6 +189,7 @@ class TestSimulate:
         ("", ["--rel-tol", "nan"]),
         ("max_step = 0\n", []),
         ("max_step = -1\n", []),
+        ("singularity_margin = 1e-6\n", []),
         ("", ["--g", "nan"]),
         ("", ["--ka", "inf"]),
         ("", ["--kb", "nan"]),
@@ -193,9 +202,10 @@ class TestSimulate:
         ("kappa = 1\nr0 = 4\n", []),
         ("r0 = 3.2\n", ["--kappa", "1"]),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
-            "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "max_step-0",
-            "max_step-negative", "g-nan", "ka-inf", "kb-nan", "t_end-nan",
-            "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic",
+            "rel-tol-0", "rel-tol-negative", "rel-tol-nan",
+            "unknown-key-max_step-0", "unknown-key-max_step-negative",
+            "unknown-key-singularity_margin", "g-nan", "ka-inf", "kb-nan",
+            "t_end-nan", "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic",
             "r0-negative", "r0-beyond-antipode", "r0-beyond-antipode-flag"])
     def test_parse_error_exit_2(self, tmp_path, capsys, command, text,
                                 flags):
@@ -551,7 +561,7 @@ def test_any_config_text_exits_0_or_2(tmp_path, capsys, lines):
 
 # A run of simulate or verify reads a config whose lines all parse, each a
 # key with a value of its type: numbers 0 or of magnitude 1e-3 to 10, and
-# |t_end| <= 0.5, as a large momentum or curvature or a tiny max_step can
+# |t_end| <= 0.5, as a large momentum or curvature or a tight tolerance can
 # ask for millions of steps.  dump-config above covers parse errors and
 # the whole float range.
 RUN_NUMBERS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),

@@ -15,7 +15,7 @@ from curvint import verify
 from curvint.cli import main, parse_config
 from curvint.verify import bracket_with_scale, drift
 from conftest import (closure_mismatch, kepler_spec, pw_spec,
-                      random_interior_states)
+                      random_interior_states, run_python)
 from test_cli import PW_SPHERE, write
 
 
@@ -746,6 +746,36 @@ class TestChunkedSampler:
         assert random_bounded_states(pw_spec(kappa=1.0), rng, np.int64(2)) \
             == random_bounded_states(pw_spec(kappa=1.0),
                                      np.random.default_rng(2), 2)
+
+    @pytest.mark.parametrize("max_tries, error, message", [
+        (2.5, TypeError, "max_tries must be an integer"),
+        (2000.0, TypeError, "max_tries must be an integer"),
+        ("5", TypeError, "max_tries must be an integer"),
+        (0, SamplingError, "could not sample"),
+        (-1, SamplingError, "could not sample")])
+    def test_bad_max_tries(self, max_tries, error, message):
+        rng = np.random.default_rng(2)
+        before = rng_state(rng)
+        with pytest.raises(error, match=message):
+            random_bounded_states(pw_spec(kappa=1.0), rng, 3, max_tries)
+        assert rng_state(rng) == before
+
+    def test_infinite_max_tries_is_a_type_error(self):
+        # in a subprocess with a timeout: on a system without bounded
+        # states, max_tries = inf drew candidates forever
+        run = run_python(
+            "import math\n"
+            "import numpy as np\n"
+            "from curvint import SystemKind, SystemSpec, "
+            "random_bounded_states\n"
+            "spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=-1.0)\n"
+            "try:\n"
+            "    random_bounded_states(spec, np.random.default_rng(1), 1, "
+            "math.inf)\n"
+            "except TypeError as exc:\n"
+            "    print('TypeError:', exc)\n")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("TypeError: max_tries must be")
 
     def test_sphere_decides_undecided_once_per_chunk(self, monkeypatch):
         # on the sphere no draw's running minimum enters the screen's
