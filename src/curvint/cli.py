@@ -249,10 +249,16 @@ def cmd_verify(args) -> int:
 def cmd_potential_curve(args) -> int:
     if not (0.0 < args.r_min < args.r_max < math.pi):
         raise ConfigError("require 0 < r-min < r-max < pi")
+    if not math.isfinite(args.g):
+        raise ConfigError(f"non-finite g = {args.g}")
     if args.samples < 0:
         raise ConfigError("require samples >= 0")
     out = args.out or "potential_curve.csv"
-    r = np.linspace(args.r_min, args.r_max, args.samples)
+    try:
+        r = np.linspace(args.r_min, args.r_max, args.samples)
+    except (ValueError, MemoryError) as exc:    # more than numpy can hold
+        raise ConfigError(f"cannot make {args.samples} samples: {exc}") \
+            from None
     _write_csv(out, dict.fromkeys(["r", "U_plus", "U_flat", "U_minus"],
                                   _FLOAT),
                zip(r, -args.g * cot_k(1.0, r), -args.g / r,

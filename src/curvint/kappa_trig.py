@@ -51,11 +51,14 @@ def sin_cos_k_for(kappa: float, array: bool = False, off_pole: bool = False):
     if array:
         def sin_cos(x):
             u = kappa * x * x
-            sin_x, cos_x = x * (1.0 - u / 6.0), 1.0 - 0.5 * u
-            if kappa != 0.0:
-                series, sx = abs(u) < _SERIES_CUTOFF, s * x
-                sin_x = np.where(series, sin_x, trig_sin(sx) / s)
-                cos_x = np.where(series, cos_x, trig_cos(sx))
+            if kappa == 0.0:
+                return x * (1.0 - u / 6.0), 1.0 - 0.5 * u
+            sx = s * x
+            sin_x, cos_x = trig_sin(sx) / s, trig_cos(sx)
+            series = abs(u) < _SERIES_CUTOFF
+            if series.any():    # the series only where it is taken
+                sin_x = np.where(series, x * (1.0 - u / 6.0), sin_x)
+                cos_x = np.where(series, 1.0 - 0.5 * u, cos_x)
             return sin_x, cos_x
     elif kappa == 0.0:              # the series at u = 0, bit for bit
         def sin_cos(x):
@@ -81,7 +84,8 @@ def sin_cos_k_for(kappa: float, array: bool = False, off_pole: bool = False):
     def sin_cos_off_pole(x):
         S, C = sin_cos(x)
         if array:
-            return np.where(abs(S) < _POLE_EPS, np.nan, S), C
+            pole = abs(S) < _POLE_EPS
+            return (np.where(pole, np.nan, S) if pole.any() else S), C
         if abs(S) < _POLE_EPS:
             raise PoleError(f"pole: sin_k({kappa}, {x}) = {S}")
         return S, C

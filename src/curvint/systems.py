@@ -181,7 +181,9 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
             raise DomainError(f"m*phi beyond the float range: m = {m}, "
                               f"phi = {phi!r}") from None
         if array:
-            s = np.where(abs(s) < eps, np.nan, s)
+            singular = abs(s) < eps
+            if singular.any():
+                s = np.where(singular, np.nan, s)
         elif abs(s) < eps:
             raise AngularSingularityError(
                 f"sin(m*phi) = {s} at phi = {phi}, m = {m}")

@@ -42,10 +42,12 @@ def _stencil_gradient(state: PhaseState, h: float):
     """(stencil, gradient) of state's point or grid: its central stencils,
     one PhaseState of shape (8, ...) whose point k < 4 is y + step along
     coordinate k and point k + 4 y - step (step = h (1 + |y_i|); ValueError
-    unless h is finite and > 0), and gradient(fn, values=None), fn's
-    central differences from its values on the stencil (fn(stencil) by
-    default).  At the first non-finite value fn is called on that point as
-    floats: StencilError if that raises, else that partial is nan."""
+    unless h is finite and > 0 and every point moves its finite coordinate,
+    since a step below y's resolution differences to 0), and gradient(fn,
+    values=None), fn's central differences from its values on the stencil
+    (fn(stencil) by default).  At the first non-finite value fn is called
+    on that point as floats: StencilError if that raises, else that
+    partial is nan."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"stencil step h = {h} must be finite and > 0")
     y = np.array(state.as_tuple(), dtype=float)
@@ -54,6 +56,10 @@ def _stencil_gradient(state: PhaseState, h: float):
     i = np.arange(4)
     points[i, i] += step            # + step along coordinate i
     points[i, i + 4] -= step        # - step along coordinate i
+    if np.any(((points[i, i] == y) | (points[i, i + 4] == y))
+              & np.isfinite(y)):
+        raise ValueError(f"stencil step h = {h} leaves a coordinate of "
+                         f"the state unmoved")
     stencil = PhaseState(*points)
 
     def gradient(fn: PhaseFunction, values=None):
@@ -361,17 +367,24 @@ def _candidates(spec: SystemSpec, u, flip) -> PhaseState:
 def _undecided(screen, threshold: float, best_H: Optional[float]):
     """Indices of the candidates the float hamiltonian has to decide.
 
-    The others are rejected beyond rounding and, when best_H is given,
-    lie above the running minimum beyond rounding too.  A nan or infinite
-    screen (a singular candidate) settles nothing.
+    The others are settled: their screened H less its rounding slack
+    _SCREEN_MARGIN (1 + |H|) exceeds the threshold and, when best_H is
+    given (the screen is then one draw's candidates in order), best_H and
+    the lowest H + slack of the screen too, so they are rejected and some
+    candidate decided here, or the one behind best_H, is lower in the
+    float hamiltonian.  A nan or infinite screen (a singular candidate)
+    settles nothing.
     """
     H = np.where(np.isfinite(screen), screen, np.nan)
-    slack = _SCREEN_MARGIN * (1.0 + abs(H))
-    settled = H >= threshold + slack
+    low = threshold
     if best_H is not None:
-        prior = np.fmin.accumulate(np.concatenate(([best_H], H)))[:-1]
-        settled &= H - prior > slack
-    return np.flatnonzero(~settled)
+        lowest = np.fmin.reduce(H, initial=math.inf)
+        low = max(low, min(best_H,
+                           lowest + _SCREEN_MARGIN * (1.0 + abs(lowest))))
+    # H - slack grows with H, so H - slack > low is H above one cut
+    low += _SCREEN_MARGIN
+    cut = low / (1.0 + math.copysign(_SCREEN_MARGIN, -low))
+    return np.flatnonzero(~(H > cut))
 
 
 def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
@@ -397,10 +410,13 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     integer, ValueError for n < 0, all before rng is used.  A chunk of
     _SCREEN_MIN or more is screened with one array call of hamiltonian.
     The screen is never trusted with a decision: it only skips candidates
-    it shows, beyond rounding, to be rejected and not the lowest so far in
-    their draw (on the sphere, where no running minimum counts, that is
-    decided once a chunk), and the float hamiltonian decides the rest, in
-    order.
+    it shows, beyond rounding, to be rejected and, at kappa <= 0, where a
+    draw that accepts nothing takes its lowest candidate, not that lowest
+    either: above the lowest float H of the draw so far and the lowest
+    screened H of the draw's stretch of the chunk (see _undecided), so that
+    such a draw costs about one float call per chunk.  On the sphere, where
+    no minimum counts, that is decided once a chunk.  The float
+    hamiltonian decides the rest, in order.
     When the last draw ends before the end of its chunk, rng is rewound to
     the start of the chunk and the candidates up to it are drawn again.
     SamplingError (a RuntimeError) when no candidate of a draw qualifies;

@@ -130,3 +130,13 @@ def reference_angular_sin_cos(phi, m):
         raise AngularSingularityError(
             f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
     return s, xp.cos(u)
+
+
+def assert_same_bits(got, expected, name=""):
+    """Each array of the tuple got has the shape, dtype and bytes of its
+    partner in expected.  A 0-d input may come back as a numpy scalar where
+    np.where gave a 0-d array: np.asarray makes the two alike."""
+    for g, e in zip(got, expected, strict=True):
+        g, e = np.asarray(g), np.asarray(e)
+        assert (g.shape, g.dtype) == (e.shape, e.dtype), name
+        assert g.tobytes() == e.tobytes(), name

@@ -532,6 +532,26 @@ class TestPotentialCurve:
                      str(tmp_path / "curve.csv"), *flags]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+    def test_non_finite_g_rejected(self, tmp_path, capsys, g):
+        # simulate and verify reject it through SystemSpec; the curve
+        # wrote nan or inf in every potential column
+        out = tmp_path / "curve.csv"
+        assert main(["potential-curve", f"--g={g}", "--samples", "3",
+                     "--out", str(out)]) == 2
+        assert f"config error: non-finite g = {float(g)}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_samples_rejected(self, tmp_path, capsys):
+        # numpy refuses this size before it allocates anything
+        out = tmp_path / "curve.csv"
+        assert main(["potential-curve", "--samples",
+                     "100000000000000000000", "--out", str(out)]) == 2
+        assert "config error: cannot make 100000000000000000000 samples" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 # lines of config text: arbitrary, or a known key with a value that is
 # arbitrary, numeric or a system kind

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from curvint import DomainError, PoleError, cos_k, cot_k, r_domain, sin_k, tan_k
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
-from conftest import (REFERENCE_SERIES_CUTOFF, reference_cos_k,
-                      reference_sin_k)
+from conftest import (REFERENCE_SERIES_CUTOFF, assert_same_bits,
+                      reference_cos_k, reference_sin_k)
 
 finite_kappa = st.floats(min_value=-5.0, max_value=5.0)
 finite_x = st.floats(min_value=-10.0, max_value=10.0)
@@ -218,6 +218,79 @@ class TestFactoryMatchesFrozenBodies:
             sin_k(kappa, x)
         with pytest.raises(DomainError, match="overflow"):
             cot_k(kappa, x)
+
+
+def frozen_array_sin_cos(kappa, off_pole=False):
+    """sin_cos_k_for(kappa, True, off_pole) as it was before its masks were
+    applied only where set: np.where at every call.  Keep it frozen."""
+    if kappa > 0.0:
+        s, trig_sin, trig_cos = math.sqrt(kappa), np.sin, np.cos
+    else:
+        s, trig_sin, trig_cos = math.sqrt(-kappa), np.sinh, np.cosh
+
+    def sin_cos(x):
+        u = kappa * x * x
+        sin_x, cos_x = x * (1.0 - u / 6.0), 1.0 - 0.5 * u
+        if kappa != 0.0:
+            series, sx = abs(u) < _SERIES_CUTOFF, s * x
+            sin_x = np.where(series, sin_x, trig_sin(sx) / s)
+            cos_x = np.where(series, cos_x, trig_cos(sx))
+        return sin_x, cos_x
+    if not off_pole:
+        return sin_cos
+
+    def sin_cos_off_pole(x):
+        S, C = sin_cos(x)
+        return np.where(abs(S) < POLE_EPS, np.nan, S), C
+    return sin_cos_off_pole
+
+
+def mask_cases(kappa):
+    """name -> x: arrays whose series and pole masks are set at some, all
+    or no elements, 0-d and empty arrays, and a 2-d mix."""
+    r_cut = (math.sqrt(_SERIES_CUTOFF / abs(kappa)) if kappa != 0.0
+             else 1e-4)
+    mixed = np.array(factory_xs(kappa))
+    return {
+        "mixed": mixed,
+        "mixed-2d": mixed[:48].reshape(6, 8),
+        # series everywhere, and a pole (|sin_k| < 1e-12) everywhere
+        "all-series": r_cut * np.array([0.0, -0.0, 0.1, -0.5, 0.99]),
+        "all-poles": np.array([0.0, -0.0, 5e-324, 1e-13, -1e-300]),
+        # neither the series nor a pole anywhere
+        "none": r_cut * np.array([1.01, 2.0, -3.0, 10.0]),
+        "0-d-series": np.array(0.5 * r_cut),
+        "0-d-pole": np.array(0.0),
+        "0-d-closed": np.array(2.0 * r_cut),
+        "empty": np.array([]),
+        "empty-2d": np.empty((0, 3)),
+    }
+
+
+class TestMasksOnlyWhereSet:
+    """The array closures against their always-np.where bodies."""
+
+    @pytest.mark.parametrize("off_pole", [False, True])
+    @pytest.mark.parametrize("kappa", FACTORY_KAPPAS)
+    def test_sin_cos_bit_for_bit(self, kappa, off_pole):
+        sin_cos = sin_cos_k_for(kappa, True, off_pole)
+        frozen = frozen_array_sin_cos(kappa, off_pole)
+        for name, x in mask_cases(kappa).items():
+            assert_same_bits(sin_cos(x), frozen(x), name)
+
+    def test_cases_cover_every_mask_state(self):
+        # the series mask and the pole mask each set at some, all and no
+        # elements of the cases
+        kappa = 1.0
+        cases = mask_cases(kappa)
+        series = {name: abs(kappa * x * x) < _SERIES_CUTOFF
+                  for name, x in cases.items()}
+        poles = {name: abs(frozen_array_sin_cos(kappa)(x)[0]) < POLE_EPS
+                 for name, x in cases.items()}
+        for masks in (series, poles):
+            assert masks["mixed"].any() and not masks["mixed"].all()
+            assert not masks["none"].any()
+        assert series["all-series"].all() and poles["all-poles"].all()
 
 
 # --- an independent oracle: 50-digit mpmath ---

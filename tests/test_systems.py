@@ -11,9 +11,10 @@ from curvint import (AngularSingularityError, DomainError, PhaseState,
                      PoleError, SystemKind, SystemSpec, hamiltonian,
                      k_constant, potential)
 from curvint.systems import angular_sin_cos_for, m_rate
-from conftest import (REFERENCE_ANGULAR_EPS, kepler_spec, pw_spec,
-                      random_interior_states, reference_angular_sin_cos,
-                      reference_cos_k, reference_sin_k)
+from conftest import (REFERENCE_ANGULAR_EPS, assert_same_bits, kepler_spec,
+                      pw_spec, random_interior_states,
+                      reference_angular_sin_cos, reference_cos_k,
+                      reference_sin_k)
 
 
 def angular_F_m(phi, k_a, k_b, m):
@@ -284,6 +285,45 @@ class TestAngularFactory:
         with np.errstate(invalid="ignore"):
             assert bits(angular_sin_cos_for(m, True)(phis)) == bits(
                 reference_angular_sin_cos(phis, m))
+
+
+def frozen_array_angular_sin_cos(m, eps):
+    """angular_sin_cos_for(m, True, eps) as it was before its nan mask was
+    applied only where set: np.where at every call.  Keep it frozen."""
+    p, q = m.numerator, m.denominator
+
+    def sin_cos(phi):
+        u = (p * phi) / q
+        s = np.sin(u)
+        s = np.where(abs(s) < eps, np.nan, s)
+        return s, np.cos(u)
+    return sin_cos
+
+
+class TestAngularMaskOnlyWhereSet:
+    @pytest.mark.parametrize("eps", [REFERENCE_ANGULAR_EPS, 0.0])
+    @pytest.mark.parametrize("m", FACTORY_MS, ids=str)
+    def test_bit_for_bit(self, m, eps):
+        # phi with sin(m phi) masked at some, all and no elements, 0-d and
+        # empty arrays
+        zeros = [k * math.pi * m.denominator / m.numerator
+                 for k in range(-2, 3)]
+        cases = {"mixed": np.array(factory_phis(m)),
+                 "mixed-2d": np.array(factory_phis(m)[:60]).reshape(5, 12),
+                 "all": np.array([0.0, -0.0, 1e-300] + zeros),
+                 "none": np.array([0.1, -2.0, 0.5]) * m.denominator
+                 / m.numerator,
+                 "0-d-masked": np.array(0.0), "0-d": np.array(0.7),
+                 "empty": np.array([]), "empty-2d": np.empty((0, 2))}
+        sin_cos = angular_sin_cos_for(m, True, eps)
+        frozen = frozen_array_angular_sin_cos(m, eps)
+        for name, phi in cases.items():
+            assert_same_bits(sin_cos(phi), frozen(phi), name)
+        if eps:
+            masked = {name: abs(np.sin((m.numerator * phi) / m.denominator))
+                      < eps for name, phi in cases.items()}
+            assert masked["mixed"].any() and not masked["mixed"].all()
+            assert masked["all"].all() and not masked["none"].any()
 
 
 class TestAngleHelpers:

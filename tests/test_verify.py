@@ -154,6 +154,26 @@ class TestPoissonBracket:
             bracket_with_scale(lambda x: x.r, lambda x: x.p_r,
                                PhaseState(1.3, 0.7, 0.4, 0.9), h)
 
+    def test_step_below_resolution_is_a_value_error(self):
+        # every y +- step rounded back to y: each difference was 0, and
+        # the negative control's bracket (0.0, 0.0) passed
+        spec = pw_spec(kappa=1.0, m=Fraction(1))
+        H = lambda s: hamiltonian(s, spec)
+        control = lambda s: j2(s, spec) + s.r
+        s = PhaseState(1.1, 0.8, 0.2, 0.6)
+        with pytest.raises(ValueError, match="unmoved"):
+            bracket_with_scale(control, H, s, h=1e-17)
+        # in a grid, one state whose step is below its resolution is
+        # enough: the same step moves every coordinate of 0.01
+        small = PhaseState(0.01, 0.01, 0.01, 0.01)
+        bracket_with_scale(control, H, small, h=1e-17)
+        grid = PhaseState(*np.array([small.as_tuple(), s.as_tuple()]).T)
+        with pytest.raises(ValueError, match="unmoved"):
+            bracket_with_scale(control, H, grid, h=1e-17)
+        # a step that moves every coordinate still fails the control
+        value, scale = bracket_with_scale(control, H, s, h=1e-12)
+        assert abs(value) > 1e-6 * (1.0 + scale)
+
 
 class TestDrift:
     def test_energy_on_completed_trajectory(self):
@@ -798,6 +818,53 @@ class TestChunkedSampler:
         # draw made 20 calls
         assert sizes == [20, 80, 1]
         assert [len(screen) for screen, _, _ in calls] == [20, 80]
+
+    def test_exhausted_draws_float_decide_their_minimum(self, monkeypatch):
+        # pw at kappa = -1 with the default parameters has no orbit under
+        # the escape energy: all 20 draws exhaust 2000 candidates each.
+        # The float hamiltonian decides each draw's lowest candidate per
+        # chunk, not every record of the screen's running minimum (158
+        # float calls when it did)
+        spec = SAMPLER_SPECS["pw--1.0-m1"]
+        calls = []
+
+        def spy(state, system):
+            if not isinstance(state.r, np.ndarray):
+                calls.append(state)
+            return hamiltonian(state, system)
+        monkeypatch.setattr(verify, "hamiltonian", spy)
+        states = random_bounded_states(spec, np.random.default_rng(5), 20)
+        threshold = verify._escape_energy(spec) - 0.02
+        assert all(hamiltonian(s, spec) >= threshold and s.p_r <= 0.0
+                   for s in states)
+        assert len(calls) <= 2 * 20
+
+    @pytest.mark.parametrize("threshold", [-1.02, 0.0, 1.3])
+    @pytest.mark.parametrize("best_H", [None, math.inf, -1.3, 0.0, 2.0])
+    def test_undecided_is_the_per_candidate_rule(self, threshold, best_H):
+        # the one cut on the screen against its rule, candidate by
+        # candidate, with candidates a thousandth of a slack either side of
+        # each edge, and non-finite screens
+        margin = verify._SCREEN_MARGIN
+        lowest = -3.5
+        edges = [threshold + margin * (1.0 + abs(threshold)),
+                 lowest + 2.0 * margin * (1.0 + abs(lowest))]
+        screen = np.concatenate((
+            [lowest, np.nan, np.inf, -np.inf],
+            [e + k * 1e-3 * margin * (1.0 + abs(e))
+             for e in edges for k in (-1, 1)],
+            np.random.default_rng(12).uniform(-3.0, 3.0, 300)))
+        finite = [h for h in screen if math.isfinite(h)]
+        bound = min([margin * (1.0 + abs(h)) + h for h in finite]
+                    + [math.inf if best_H is None else best_H])
+        expected = []
+        for i, h in enumerate(screen):
+            slack = margin * (1.0 + abs(h))
+            if not (math.isfinite(h) and h >= threshold + slack
+                    and (best_H is None or h - slack > bound)):
+                expected.append(i)
+        assert verify._undecided(screen, threshold, best_H).tolist() \
+            == expected
 
     def test_mt19937_is_a_type_error(self):
         rng = np.random.Generator(np.random.MT19937(1))
