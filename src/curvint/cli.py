@@ -17,10 +17,10 @@ values.  The env var CURVINT_SEED seeds the random-state grids used by
 
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also an
---out path that cannot be opened, a start whose values overflow the float
-range, a system that leaves no verification-grid state, a span too short
-for the rotation check, or a singular state met by the checks of a
-completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
+--out file or stdout that cannot be written, a start whose values overflow
+the float range, a system that leaves no verification-grid state, a span
+too short for the rotation check, or a singular state met by the checks of
+a completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
 early at the radial pole / angular singularity / step underflow / step
 limit (`verify` then runs no checks).
 Every CSV, the `verify` report included, goes through one writer.
@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import (ConfigError, CurvintError, DomainError, SamplingError,
                      SpanError)
-from .kappa_trig import cot_k, r_domain
-from .systems import PhaseState, SystemKind, SystemSpec, hamiltonian
+from .kappa_trig import r_domain
+from .systems import (PhaseState, SystemKind, SystemSpec, hamiltonian,
+                      potential)
 from .dynamics import IntegratorConfig, Termination, integrate
 from .invariants import evaluators_for
 from .verify import run_suite
@@ -167,18 +168,25 @@ def _load_config(args) -> RunConfig:
 _FLOAT = "%.17g"
 
 
+@contextlib.contextmanager
+def _output(path):
+    """path, or stdout when path is None, open for writing and flushed at
+    the end; ConfigError where an open, a write or the close fails."""
+    try:
+        with (open(path, "w") if path is not None
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            yield fh
+            fh.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
 def _write_csv(path, columns: dict, rows) -> None:
     """Write a header of the names in columns (name -> %-format) and one
     line per row, its fields formatted by columns' formats and joined by
-    commas, to path, or to stdout when path is None.  ConfigError when path
-    cannot be opened for writing."""
+    commas, to path, or to stdout when path is None (see `_output`)."""
     line = ",".join(columns.values()) + "\n"
-    try:
-        out = (open(path, "w") if path is not None
-               else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with out as fh:
+    with _output(path) as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(line % row for row in rows)
 
@@ -249,8 +257,9 @@ def cmd_verify(args) -> int:
 def cmd_potential_curve(args) -> int:
     if not (0.0 < args.r_min < args.r_max < math.pi):
         raise ConfigError("require 0 < r-min < r-max < pi")
-    if not math.isfinite(args.g):
-        raise ConfigError(f"non-finite g = {args.g}")
+    # DomainError at a non-finite g
+    specs = [SystemSpec(SystemKind.KEPLER, kappa, args.g)
+             for kappa in (1.0, 0.0, -1.0)]
     if args.samples < 0:
         raise ConfigError("require samples >= 0")
     out = args.out or "potential_curve.csv"
@@ -261,8 +270,8 @@ def cmd_potential_curve(args) -> int:
             from None
     _write_csv(out, dict.fromkeys(["r", "U_plus", "U_flat", "U_minus"],
                                   _FLOAT),
-               zip(r, -args.g * cot_k(1.0, r), -args.g / r,
-                   -args.g * cot_k(-1.0, r)))
+               zip(r, *(potential(PhaseState(r, 0.0, 0.0, 0.0), spec)
+                        for spec in specs)))
     print(f"{args.samples} samples -> {out}")
     return EXIT_OK
 
@@ -271,7 +280,8 @@ def cmd_dump_config(args) -> int:
     cfg = _load_config(args)
     cfg.system_spec()
     cfg.integrator_config()
-    sys.stdout.write(dump_config(cfg))
+    with _output(None) as fh:
+        fh.write(dump_config(cfg))
     return EXIT_OK
 
 

@@ -136,55 +136,43 @@ class DenseOutput:
 
     Called like SciPy's OdeSolution: a scalar t gives the state, shape (4,);
     an array of n times gives shape (4, n).  Each time is evaluated on the
-    step that np.searchsorted over the trajectory's times selects (a time
-    on a step boundary takes the earlier step); the end steps extend beyond
-    the span.  A step's interpolant is built when a call first reads it and
-    kept; it is the same, bit for bit, however the steps are grouped.
+    step that one np.searchsorted over the inner step boundaries, in the
+    direction of time, selects (a time on a boundary takes the earlier
+    step); the end steps extend beyond the span.  A step's interpolant is
+    built when a call first reads it and kept; it is the same, bit for bit,
+    however the steps are grouped.
     """
 
     def __init__(self, fun, times, states, h, stages, y_end):
-        # step i runs from (times[i], states[i]) by h[i] with the 13 stages
-        # stages[i]; the last step ends at y_end, which differs from
-        # states[-1] when a guard cut that step short
-        self._fun = fun
-        self._times, self._states = times, states
-        self._h, self._stages, self._y_end = h, stages, y_end
-        self._F = None          # the interpolants, built where _todo is off
-        self._todo = None
+        # step i runs from (times[i], states[i]) by h[i] (an array) with the
+        # 13 stages stages[i] to ends[i]; the last step ends at y_end, which
+        # differs from states[-1] when a guard cut that step short
+        self._fun, self._times, self._states = fun, times, states
+        self._h, self._stages = h, stages
+        self._ends = np.concatenate((states[1:-1], [y_end]))
+        # a search of the inner boundaries, made increasing by the sign of
+        # time, gives a step from 0 to len(h) - 1: the end steps extend out
+        self._sign = 1.0 if times[-1] >= times[0] else -1.0
+        self._bounds = self._sign * times[1:-1]
+        self._F = np.empty((len(h), _dop853.INTERPOLATOR_POWER, 4))
+        self._todo = np.ones(len(h), dtype=bool)    # interpolants not built
 
-    def _build(self, steps):
-        """Build the interpolants of those of steps not built yet."""
-        if self._F is None:
-            n = len(self._h)
-            self._h = np.array(self._h)
-            self._F = np.empty((n, _dop853.INTERPOLATOR_POWER, 4))
-            self._todo = np.ones(n, dtype=bool)
-        new = np.unique(steps[self._todo[steps]])
-        if new.size == 0:
-            return
-        y_new = self._states[new + 1]
-        if new[-1] == len(self._h) - 1:
-            y_new[-1] = self._y_end
+    def _build(self, new):
+        """Build the interpolants of the steps new (sorted, not built)."""
         self._F[new] = _interpolant(
-            self._fun, self._h[new], self._states[new], y_new,
+            self._fun, self._h[new], self._states[new], self._ends[new],
             np.array([self._stages[i] for i in new]))
         self._todo[new] = False
-        if not self._todo.any():
-            self._stages = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        n_steps = len(self._h)
-        if n_steps == 0:        # t_end = 0: the constant solution
+        if len(self._h) == 0:   # t_end = 0: the constant solution
             return np.tile(self._states[0], t.shape + (1,)).T
-        times = self._times
-        if times[-1] >= times[0]:
-            i = np.searchsorted(times, t, side="left") - 1
-        else:
-            i = n_steps - np.searchsorted(times[::-1], t, side="right")
-        i = np.clip(i, 0, n_steps - 1)
-        self._build(i.ravel())
-        x = (t - times[i]) / self._h[i]
+        i = np.searchsorted(self._bounds, self._sign * t)
+        new = i[self._todo[i]]
+        if new.size:
+            self._build(np.unique(new))
+        x = (t - self._times[i]) / self._h[i]
         return _interpolate(self._F[i], self._states[i], x[..., None]).T
 
 
@@ -287,10 +275,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     direction = -1.0 if t_end < 0 else 1.0
     f = np.array(fun(*y.tolist()))
     if t_end == 0.0:            # the constant solution
-        times, states = np.zeros(2), np.array([y, y])
+        times, states, hs = np.zeros(2), np.array([y, y]), np.empty(0)
         return Solution(times, states, Termination.COMPLETED,
                         SolverStats(1, 0, 0, math.nan, math.nan),
-                        DenseOutput(fun_array, times, states, [], [], y))
+                        DenseOutput(fun_array, times, states, hs, [], y))
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     interval = abs(t_end)
@@ -334,11 +322,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     err5, err3 = errors
     # The state is kept as 4 floats: each stage's y + h * sum(a K) is the
     # same IEEE arithmetic as with arrays, with no numpy call per operation.
-    t, y = 0.0, y.tolist()
-    y_end = y                   # where the last accepted step ended
+    t, y = 0.0, y.tolist()      # y: where the last accepted step ended
     ts, ys, hs, stages = [t], [y], [], []
     rejected = 0
-    termination = None
+    termination, fired = None, []
     while termination is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -421,8 +408,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         stages.append(K.copy())
         h_abs *= factor
         flat[:4] = flat[last:]         # K[0] = K[_N_STAGES]
-        t_old, t, y = t, t_new, y_new
-        y_end = y
+        t, y = t_new, y_new
         if direction * (t - t_end) >= 0:
             termination = Termination.COMPLETED
         elif len(hs) == MAX_STEPS:
@@ -435,26 +421,27 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 fired.append(i)
             g[i] = value
         if fired:
-            step = DenseOutput(fun_array, np.array([t_old, t]),
-                               np.array([ys[-1], y]), [h], stages[-1:], y)
-            nfev += 3
-            roots = [_bisect(lambda tt: checks[i](step(tt).tolist()),
-                             t_old, t) for i in fired]
-            first = min(range(len(fired)),
-                        key=lambda k: direction * roots[k])
-            termination, t = tags[fired[first]], roots[first]
-            y = step(t).tolist()
+            break
         ts.append(t)
         ys.append(y)
 
+    hs = np.array(hs)
+    if fired:       # the run ends at the first root on its last step
+        step = DenseOutput(fun_array, np.array([ts[-1], t]),
+                           np.array([ys[-1], y]), hs[-1:], stages[-1:], y)
+        nfev += 3
+        roots = [_bisect(lambda tt: checks[i](step(tt).tolist()), ts[-1], t)
+                 for i in fired]
+        first = min(range(len(fired)), key=lambda k: direction * roots[k])
+        termination = tags[fired[first]]
+        ts.append(roots[first])
+        ys.append(step(roots[first]).tolist())
     times, states = np.array(ts), np.array(ys)
-    sizes = [abs(h) for h in hs]
+    sizes = np.abs(hs) if len(hs) else np.full(1, math.nan)
     stats = SolverStats(nfev=nfev, accepted=len(hs), rejected=rejected,
-                        h_min=float(min(sizes, default=math.nan)),
-                        h_max=float(max(sizes, default=math.nan)))
+                        h_min=float(sizes.min()), h_max=float(sizes.max()))
     return Solution(t=times, y=states, termination=termination, stats=stats,
-                    dense=DenseOutput(fun_array, times, states, hs, stages,
-                                      y_end))
+                    dense=DenseOutput(fun_array, times, states, hs, stages, y))
 
 
 def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,

@@ -51,11 +51,12 @@ def _stencil_gradient(state: PhaseState, h: float):
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"stencil step h = {h} must be finite and > 0")
     y = np.array(state.as_tuple(), dtype=float)
-    step = h * (1.0 + np.abs(y))
     points = np.repeat(y[:, np.newaxis], 8, axis=1)
     i = np.arange(4)
-    points[i, i] += step            # + step along coordinate i
-    points[i, i + 4] -= step        # - step along coordinate i
+    with np.errstate(all="ignore"):     # an infinite y_i: inf - inf = nan
+        step = h * (1.0 + np.abs(y))
+        points[i, i] += step            # + step along coordinate i
+        points[i, i + 4] -= step        # - step along coordinate i
     if np.any(((points[i, i] == y) | (points[i, i + 4] == y))
               & np.isfinite(y)):
         raise ValueError(f"stencil step h = {h} leaves a coordinate of "
@@ -70,7 +71,8 @@ def _stencil_gradient(state: PhaseState, h: float):
                 PhaseState.from_tuple(points.reshape(4, -1)[:, i])))
         except CurvintError as exc:
             raise StencilError(f"pole inside stencil: {exc}") from exc
-        return (values[:4] - values[4:]) / (2.0 * step)
+        with np.errstate(all="ignore"):     # nan partials stay nan
+            return (values[:4] - values[4:]) / (2.0 * step)
 
     return stencil, gradient
 

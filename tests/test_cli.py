@@ -9,7 +9,8 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curvint import PhaseState, cli, cot_k, dynamics, evaluators_for
+from curvint import (PhaseState, SystemKind, SystemSpec, cli, cot_k,
+                     dynamics, evaluators_for, hamiltonian)
 from curvint.cli import RunConfig, dump_config, main, parse_config
 from curvint.errors import ConfigError
 from curvint.verify import random_bounded_state
@@ -253,6 +254,32 @@ class TestSimulate:
         assert main(argv + ["--out", out]) == 2
         assert f"config error: cannot write {out}: " \
             in capsys.readouterr().err
+
+    # a full device opens but fails on a write, the flush or the close:
+    # a traceback and exit 1 while only the open sat in the try
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("argv, stdout_full, target", [
+        (["simulate", "--t-end", "1", "--out", "/dev/full"], False,
+         "/dev/full"),
+        (["verify", "--kind", "pw", "--kappa", "1", "--t-end", "1",
+          "--out", "/dev/full"], False, "/dev/full"),
+        (["verify", "--kind", "pw", "--kappa", "1", "--t-end", "1"], True,
+         "stdout"),
+        (["dump-config"], True, "stdout"),
+    ], ids=["simulate-out", "verify-out", "verify-stdout", "dump-config"])
+    def test_full_device_exit_2(self, tmp_path, argv, stdout_full, target):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open(os.devnull if not stdout_full else "/dev/full",
+                  "w") as stdout:
+            run = subprocess.run(
+                [sys.executable, "-m", "curvint.cli", *argv], stdout=stdout,
+                stderr=subprocess.PIPE, text=True, timeout=60, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"config error: cannot write {target}: "
+                                     f"[Errno 28]"), run.stderr
+        assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("text, named", [
@@ -522,6 +549,19 @@ class TestPotentialCurve:
                    fmt="%.17g", delimiter=",",
                    header="r,U_plus,U_flat,U_minus", comments="")
         assert out.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("g", [1.0, 2.5, -0.3])
+    def test_columns_are_the_kepler_potential(self, tmp_path, g):
+        # each column is U of the Kepler system at kappa = 1, 0, -1: the
+        # energy at rest, bit for bit (at g != 1 the flat column is
+        # -g * (1/r), which can differ from -g/r by one ulp)
+        out = tmp_path / "curve.csv"
+        assert main(["potential-curve", f"--g={g}", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        rest = PhaseState(data[:, 0], 0.0, 0.0, 0.0)
+        for column, kappa in zip(data[:, 1:].T, (1.0, 0.0, -1.0)):
+            spec = SystemSpec(kind=SystemKind.KEPLER, kappa=kappa, g=g)
+            assert column.tobytes() == hamiltonian(rest, spec).tobytes()
 
     @pytest.mark.parametrize("flags", [["--r-min", "2.0", "--r-max", "1.0"],
                                        ["--r-max", "4.0"],

@@ -17,8 +17,9 @@ from curvint import _dop853, dynamics
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
 from curvint.cli import main
 from curvint.verify import drift
-from conftest import (kepler_spec, pw_spec, random_interior_states,
-                      reference_cos_k, reference_sin_k, run_python)
+from conftest import (assert_same_bits, kepler_spec, pw_spec,
+                      random_interior_states, reference_cos_k,
+                      reference_sin_k, run_python)
 
 DEFAULTS = IntegratorConfig()
 
@@ -271,6 +272,119 @@ class TestDenseOutput:
         assert traj.states[-1].tobytes() == end.tobytes()
         stats = traj.stats
         assert stats.nfev == 2 + 12 * (stats.accepted + stats.rejected) + 3
+
+
+# --- DenseOutput as first written with lazy builds: it converted h and
+# allocated its tables at the first read, searched the steps per direction
+# of time and released the stages once every step was built.  The oracle of
+# the fixed-table DenseOutput; keep it frozen. ---
+
+class ReferenceDenseOutput:
+    def __init__(self, fun, times, states, h, stages, y_end):
+        self._fun = fun
+        self._times, self._states = times, states
+        self._h, self._stages, self._y_end = h, stages, y_end
+        self._F = None
+        self._todo = None
+
+    def _build(self, steps):
+        if self._F is None:
+            n = len(self._h)
+            self._h = np.array(self._h)
+            self._F = np.empty((n, _dop853.INTERPOLATOR_POWER, 4))
+            self._todo = np.ones(n, dtype=bool)
+        new = np.unique(steps[self._todo[steps]])
+        if new.size == 0:
+            return
+        y_new = self._states[new + 1]
+        if new[-1] == len(self._h) - 1:
+            y_new[-1] = self._y_end
+        self._F[new] = dynamics._interpolant(
+            self._fun, self._h[new], self._states[new], y_new,
+            np.array([self._stages[i] for i in new]))
+        self._todo[new] = False
+        if not self._todo.any():
+            self._stages = None
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        n_steps = len(self._h)
+        if n_steps == 0:
+            return np.tile(self._states[0], t.shape + (1,)).T
+        times = self._times
+        if times[-1] >= times[0]:
+            i = np.searchsorted(times, t, side="left") - 1
+        else:
+            i = n_steps - np.searchsorted(times[::-1], t, side="right")
+        i = np.clip(i, 0, n_steps - 1)
+        self._build(i.ravel())
+        x = (t - times[i]) / self._h[i]
+        return dynamics._interpolate(self._F[i], self._states[i],
+                                     x[..., None]).T
+
+
+DENSE_RUNS = {
+    "forward": (pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6),
+                40.0),
+    "backward": (pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6),
+                 -20.0),
+    "guard_cut": (kepler_spec(), PhaseState(1.0, 0.0, -0.5, 0.0), 50.0),
+    "t_end_0": (pw_spec(kappa=1.0, m=2), PhaseState(1.0, 0.45, 0.1, 0.6),
+                0.0),
+}
+
+
+def dense_reads(times):
+    """Every step boundary and step midpoint, each as one array and one by
+    one, both ends +- 0.1, a 1001-point sweep and the non-finite times."""
+    mids = 0.5 * (times[:-1] + times[1:])
+    ends = [times[0] - 0.1, times[0] + 0.1, times[-1] - 0.1,
+            times[-1] + 0.1]
+    sweep = np.linspace(times[0] - 0.1, times[-1] + 0.1, 1001)
+    return [times, *times, mids, *mids, *ends, np.array(ends), sweep,
+            np.reshape(sweep[:1000], (10, 100)), math.inf, -math.inf,
+            math.nan]
+
+
+class TestDenseOutputTables:
+    @pytest.mark.parametrize("name", DENSE_RUNS)
+    def test_reads_equal_the_reference(self, name, monkeypatch):
+        spec, s0, t_end = DENSE_RUNS[name]
+        traj = integrate(s0, spec, t_end)
+        monkeypatch.setattr(dynamics, "DenseOutput", ReferenceDenseOutput)
+        ref = integrate(s0, spec, t_end)
+        assert_same_bits((traj.times, traj.states), (ref.times, ref.states))
+        assert (traj.termination, traj.stats) == (ref.termination, ref.stats)
+        if name == "guard_cut":
+            assert traj.termination is Termination.HIT_RADIAL_POLE
+        for t in dense_reads(traj.times):
+            with np.errstate(invalid="ignore"):     # 0 * inf at t = +-inf
+                got, expected = traj.dense(t), ref.dense(t)
+            assert_same_bits((got,), (expected,), repr(t))
+
+    def test_each_read_builds_its_new_steps_in_one_call(self, monkeypatch):
+        calls = []
+
+        def spy(fun, h, y_old, y_new, K):
+            calls.append(len(h))
+            return interpolant(fun, h, y_old, y_new, K)
+        interpolant = dynamics._interpolant
+        monkeypatch.setattr(dynamics, "_interpolant", spy)
+        spec, s0, t_end = DENSE_RUNS["forward"]
+        traj = integrate(s0, spec, t_end)
+        assert calls == []
+        times = traj.times
+        mids = 0.5 * (times[:-1] + times[1:])
+        traj.dense(mids[:5])
+        assert calls == [5]
+        traj.dense(mids[:5])
+        traj.dense(mids[2])
+        traj.dense(times[1:6])          # boundaries take the earlier step
+        assert calls == [5]
+        traj.dense(np.concatenate((mids[3:12], mids[7:12])))
+        assert calls == [5, 7]
+        traj.dense(mids[20])
+        assert calls == [5, 7, 1]
 
 
 class TestCsv:

@@ -174,6 +174,28 @@ class TestPoissonBracket:
         value, scale = bracket_with_scale(control, H, s, h=1e-12)
         assert abs(value) > 1e-6 * (1.0 + scale)
 
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("v", [math.inf, -math.inf])
+    def test_infinite_coordinate_is_a_silent_nan_bracket(self, k, v):
+        # the stencil's inf - inf and the differences warned outside any
+        # np.errstate, an exception under this suite's warning filter
+        f = lambda s: s.r * s.p_phi
+        g = lambda s: s.p_r * s.phi
+        y = [1.1, 0.8, 0.2, 0.6]
+        y[k] = v
+        value, scale = bracket_with_scale(f, g, PhaseState(*y))
+        assert math.isnan(value) and math.isnan(scale)
+        assert all(map(math.isnan, bracket_with_scale(
+            lambda s: s.r, lambda s: s.p_r, PhaseState(v, 0.8, 0.2, 0.6))))
+        # in a grid, the other members keep their brackets' bits
+        rows = [(1.1, 0.8, 0.2, 0.6), tuple(y), (0.7, 1.9, -0.4, 1.3)]
+        value, scale = bracket_with_scale(f, g,
+                                          PhaseState(*np.array(rows).T))
+        assert np.isnan(value[1]) and np.isnan(scale[1])
+        for i in (0, 2):
+            one = bracket_with_scale(f, g, PhaseState(*rows[i]))
+            assert (value[i], scale[i]) == one
+
 
 class TestDrift:
     def test_energy_on_completed_trajectory(self):
