@@ -126,13 +126,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    # str of a float is its repr: a dumped value parses back to itself
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def _load_config(args) -> RunConfig:
@@ -178,6 +173,11 @@ def _output(path):
             yield fh
             fh.flush()
     except OSError as exc:
+        if path is None:
+            # a buffered stdout keeps the bytes it could not write, and its
+            # flush at exit would fail again and exit 120: send them nowhere
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 

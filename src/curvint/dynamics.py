@@ -437,9 +437,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         ts.append(roots[first])
         ys.append(step(roots[first]).tolist())
     times, states = np.array(ts), np.array(ys)
-    sizes = np.abs(hs) if len(hs) else np.full(1, math.nan)
+    sizes = np.abs(hs) if len(hs) else [math.nan]
     stats = SolverStats(nfev=nfev, accepted=len(hs), rejected=rejected,
-                        h_min=float(sizes.min()), h_max=float(sizes.max()))
+                        h_min=float(np.min(sizes)), h_max=float(np.max(sizes)))
     return Solution(t=times, y=states, termination=termination, stats=stats,
                     dense=DenseOutput(fun_array, times, states, hs, stages, y))
 

@@ -256,9 +256,13 @@ class TestSimulate:
             in capsys.readouterr().err
 
     # a full device opens but fails on a write, the flush or the close:
-    # a traceback and exit 1 while only the open sat in the try
+    # a traceback and exit 1 while only the open sat in the try; a
+    # buffered stdout that still holds the failed bytes exits 120 when the
+    # interpreter flushes it again at exit
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, stdout_full, target", [
         (["simulate", "--t-end", "1", "--out", "/dev/full"], False,
          "/dev/full"),
@@ -268,14 +272,16 @@ class TestSimulate:
          "stdout"),
         (["dump-config"], True, "stdout"),
     ], ids=["simulate-out", "verify-out", "verify-stdout", "dump-config"])
-    def test_full_device_exit_2(self, tmp_path, argv, stdout_full, target):
+    def test_full_device_exit_2(self, tmp_path, argv, stdout_full, target,
+                                unbuffered):
         src = str(Path(cli.__file__).resolve().parents[1])
         with open(os.devnull if not stdout_full else "/dev/full",
                   "w") as stdout:
             run = subprocess.run(
                 [sys.executable, "-m", "curvint.cli", *argv], stdout=stdout,
                 stderr=subprocess.PIPE, text=True, timeout=60, cwd=tmp_path,
-                env={**os.environ, "PYTHONPATH": src})
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONUNBUFFERED": unbuffered})
         assert run.returncode == 2, run.stderr
         assert run.stderr.startswith(f"config error: cannot write {target}: "
                                      f"[Errno 28]"), run.stderr
