@@ -34,12 +34,14 @@ it, from the stages the stepper kept.
 
 Each stage, B and error sum of the stepper is one BLAS gemv that writes
 into a (4,) buffer made once per solve, read back as four floats through
-a memoryview: an attempted step allocates no array, and an accepted one
-only the copy of its stages that the dense output keeps.
+a memoryview: an attempted step allocates no array.  An accepted one
+appends its t, h, state and 52 stage doubles to flat float buffers (464 B
+a step), which the trajectory and its dense output view as arrays.
 """
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -60,7 +62,8 @@ _N_STAGES = _dop853.N_STAGES        # 12, the last one at t + h
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
 _RAISES = (CurvintError, ArithmeticError, ValueError)  # array RHS: nan, inf
 # accepted steps before a run ends with STEP_LIMIT: about 175 times the
-# longest run of the tests and the benchmark, and ~640 MB of kept stages
+# longest run of the tests and the benchmark: ~530 MB of kept steps, ~750 MB
+# once all are read
 MAX_STEPS = 1_000_000
 # the guards end a run where Sin_k(r) or |sin(m phi)| falls to this margin
 SINGULARITY_MARGIN = 1e-6
@@ -140,12 +143,13 @@ class DenseOutput:
     direction of time, selects (a time on a boundary takes the earlier
     step); the end steps extend beyond the span.  A step's interpolant is
     built when a call first reads it and kept; it is the same, bit for bit,
-    however the steps are grouped.
+    however the steps are grouped.  The rows of the interpolants (224 B a
+    step) are made at the first build: a dense output never read holds none.
     """
 
     def __init__(self, fun, times, states, h, stages, y_end):
-        # step i runs from (times[i], states[i]) by h[i] (an array) with the
-        # 13 stages stages[i] to ends[i]; the last step ends at y_end, which
+        # step i runs from (times[i], states[i]) by h[i] with the stages
+        # stages[i] (13, 4) to ends[i]; the last step ends at y_end, which
         # differs from states[-1] when a guard cut that step short
         self._fun, self._times, self._states = fun, times, states
         self._h, self._stages = h, stages
@@ -154,14 +158,15 @@ class DenseOutput:
         # time, gives a step from 0 to len(h) - 1: the end steps extend out
         self._sign = 1.0 if times[-1] >= times[0] else -1.0
         self._bounds = self._sign * times[1:-1]
-        self._F = np.empty((len(h), _dop853.INTERPOLATOR_POWER, 4))
+        self._F = None                              # interpolant rows
         self._todo = np.ones(len(h), dtype=bool)    # interpolants not built
 
     def _build(self, new):
         """Build the interpolants of the steps new (sorted, not built)."""
-        self._F[new] = _interpolant(
-            self._fun, self._h[new], self._states[new], self._ends[new],
-            np.array([self._stages[i] for i in new]))
+        if self._F is None:
+            self._F = np.empty((len(self._h), _dop853.INTERPOLATOR_POWER, 4))
+        self._F[new] = _interpolant(self._fun, self._h[new], self._states[new],
+                                    self._ends[new], self._stages[new])
         self._todo[new] = False
 
     def __call__(self, t):
@@ -322,8 +327,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     err5, err3 = errors
     # The state is kept as 4 floats: each stage's y + h * sum(a K) is the
     # same IEEE arithmetic as with arrays, with no numpy call per operation.
+    # An accepted step appends to flat buffers, its stages as K's bytes.
     t, y = 0.0, y.tolist()      # y: where the last accepted step ended
-    ts, ys, hs, stages = [t], [y], [], []
+    ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
+    k_bytes = memoryview(K).cast("B")
     rejected = 0
     termination, fired = None, []
     while termination is None:
@@ -405,7 +412,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
             break
 
         hs.append(h)
-        stages.append(K.copy())
+        stages.frombytes(k_bytes)
         h_abs *= factor
         flat[:4] = flat[last:]         # K[0] = K[_N_STAGES]
         t, y = t_new, y_new
@@ -423,20 +430,22 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         if fired:
             break
         ts.append(t)
-        ys.append(y)
+        ys.extend(y)
 
-    hs = np.array(hs)
+    # views of the buffers, which can then no longer grow
+    hs = np.frombuffer(hs)
+    stages = np.frombuffer(stages).reshape(-1, _N_STAGES + 1, 4)
     if fired:       # the run ends at the first root on its last step
         step = DenseOutput(fun_array, np.array([ts[-1], t]),
-                           np.array([ys[-1], y]), hs[-1:], stages[-1:], y)
+                           np.array([ys[-4:], y]), hs[-1:], stages[-1:], y)
         nfev += 3
         roots = [_bisect(lambda tt: checks[i](step(tt).tolist()), ts[-1], t)
                  for i in fired]
         first = min(range(len(fired)), key=lambda k: direction * roots[k])
         termination = tags[fired[first]]
         ts.append(roots[first])
-        ys.append(step(roots[first]).tolist())
-    times, states = np.array(ts), np.array(ys)
+        ys.extend(step(roots[first]).tolist())
+    times, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4)
     sizes = np.abs(hs) if len(hs) else [math.nan]
     stats = SolverStats(nfev=nfev, accepted=len(hs), rejected=rejected,
                         h_min=float(np.min(sizes)), h_max=float(np.max(sizes)))

@@ -271,7 +271,11 @@ class TestSimulate:
         (["verify", "--kind", "pw", "--kappa", "1", "--t-end", "1"], True,
          "stdout"),
         (["dump-config"], True, "stdout"),
-    ], ids=["simulate-out", "verify-out", "verify-stdout", "dump-config"])
+        # the CSV goes to a file, the one-line summary to a full stdout
+        (["simulate", "--t-end", "1", "--out", "x.csv"], True, "stdout"),
+        (["potential-curve", "--out", "x.csv"], True, "stdout"),
+    ], ids=["simulate-out", "verify-out", "verify-stdout", "dump-config",
+            "simulate-summary", "potential-curve-summary"])
     def test_full_device_exit_2(self, tmp_path, argv, stdout_full, target,
                                 unbuffered):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -446,6 +450,28 @@ class TestVerifyCommand:
         assert f"{termination} at t = " in err
         assert "no checks run" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("negative_control, code", [(False, 0),
+                                                        (True, 1)])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, capsys,
+                                                   monkeypatch,
+                                                   negative_control, code):
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+        monkeypatch.setenv("CURVINT_SEED", "1")
+        monkeypatch.setattr(sys, "stderr", Full())
+        out = tmp_path / "report.csv"
+        argv = ["verify", "--config", write(tmp_path, PW_SPHERE),
+                "--t-end", "1", "--out", str(out)]
+        assert main(argv + ["--negative-control"] * negative_control) == code
+        monkeypatch.undo()
+        rows = out.read_text().splitlines()[1:]
+        assert rows and any(r.endswith("false") for r in rows) == (code == 1)
+        assert capsys.readouterr().err == ""
 
     def test_stdout_report_equals_out_file(self, tmp_path, capsys,
                                            monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from curvint import (AngularSingularityError, DomainError, IntegratorConfig,
 from curvint import _dop853, dynamics
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
 from curvint.cli import main
-from curvint.verify import drift
+from curvint.verify import drift, random_bounded_state
 from conftest import (assert_same_bits, kepler_spec, pw_spec,
                       random_interior_states, reference_cos_k,
                       reference_sin_k, run_python)
@@ -385,6 +386,75 @@ class TestDenseOutputTables:
         assert calls == [5, 7]
         traj.dense(mids[20])
         assert calls == [5, 7, 1]
+
+
+def traced(fn):
+    """fn's result, and the bytes tracemalloc saw fn hold at its peak and
+    at its end, above what was held before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+class TestStepBuffers:
+    @pytest.fixture(scope="class")
+    def long_orbit(self):
+        """The kappa = -1 Kepler orbit of the benchmark's orbit_export, 6345
+        accepted steps to t = 200, integrated under tracemalloc (which makes
+        it about 30 times slower)."""
+        spec = kepler_spec(kappa=-1.0)
+        s0 = random_bounded_state(spec, np.random.default_rng([2, 0]))
+        integrate(s0, spec, 1.0)        # the spec's closures, made once
+        return traced(lambda: integrate(s0, spec, 200.0))
+
+    def test_bytes_per_accepted_step(self, long_orbit):
+        traj, peak, held = long_orbit
+        n = traj.stats.accepted
+        assert n >= 5000
+        # 416 B of stages and 48 B of t, h and state a step, plus the dense
+        # output's step ends and boundaries; 1101 B and 868 B when each step
+        # kept a Python float, a list and an ndarray of its stages
+        assert peak < 600 * n and held < 560 * n
+
+    def test_interpolant_rows_are_made_at_the_first_read(self, long_orbit):
+        traj, _, held = long_orbit
+        n = traj.stats.accepted
+        assert held < 560 * n           # no rows: they take 224 B a step
+        mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+        _, _, first = traced(lambda: traj.dense(mids[0]))
+        assert first >= 224 * n
+        _, _, second = traced(lambda: traj.dense(mids[1]))
+        assert second < 224 * n
+
+    @pytest.mark.parametrize("name", [*DENSE_RUNS, "underflow"])
+    def test_times_and_states_are_plain_arrays(self, name, monkeypatch):
+        if name == "underflow":
+            monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+            spec, s0, t_end = (kepler_spec(kappa=-1.0),
+                               PhaseState(709.0, 1.0, 5.0, 1.0), 10.0)
+        else:
+            spec, s0, t_end = DENSE_RUNS[name]
+        solutions = []
+
+        def spy(*args):
+            solutions.append(solve_ivp(*args))
+            return solutions[-1]
+        solve_ivp = dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        traj = integrate(s0, spec, t_end)
+        if name == "underflow":
+            assert traj.termination is Termination.STEP_UNDERFLOW
+        n = len(traj)
+        sol = solutions[0]
+        for a, shape in [(traj.times, (n,)), (traj.states, (n, 4)),
+                         (sol.t, (n,)), (sol.y, (n, 4))]:
+            assert (a.shape, a.dtype) == (shape, np.float64)
+            assert a.flags.c_contiguous and a.flags.writeable
 
 
 class TestCsv:
