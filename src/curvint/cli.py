@@ -228,8 +228,9 @@ def cmd_verify(args) -> int:
         fn(state0)
     traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
     if traj.termination is not Termination.COMPLETED:
-        print(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
-              f"{cfg.t_end:g}: no checks run", file=sys.stderr)
+        with contextlib.suppress(OSError):  # the run decides the exit code
+            print(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
+                  f"{cfg.t_end:g}: no checks run", file=sys.stderr)
         return _EXIT_BY_TERMINATION[traj.termination]
     rng = np.random.default_rng(seed)
     try:

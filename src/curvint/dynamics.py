@@ -327,7 +327,6 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     err5, err3 = errors
     # The state is kept as 4 floats: each stage's y + h * sum(a K) is the
     # same IEEE arithmetic as with arrays, with no numpy call per operation.
-    # An accepted step appends to flat buffers, its stages as K's bytes.
     t, y = 0.0, y.tolist()      # y: where the last accepted step ended
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
     k_bytes = memoryview(K).cast("B")
