@@ -22,8 +22,8 @@ the float range, a system that leaves no verification-grid state, a span
 too short for the rotation check, or a singular state met by the checks of
 a completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
 early at the radial pole / angular singularity / step underflow / step
-limit (`verify` then runs no checks).
-Every CSV, the `verify` report included, goes through one writer.
+limit (`verify` then runs no checks).  One writer takes every CSV, the
+`verify` report included, and `_diag` every line printed to stderr.
 """
 
 import argparse
@@ -84,12 +84,9 @@ class RunConfig:
             raise ConfigError(f"unknown system kind {self.kind!r}")
         if self.m_den == 0:
             raise ConfigError("m_den must be nonzero")
-        try:
-            return SystemSpec(kind=_KINDS[self.kind], kappa=self.kappa,
-                              g=self.g, k_a=self.k_a, k_b=self.k_b,
-                              m=Fraction(self.m_num, self.m_den))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SystemSpec(kind=_KINDS[self.kind], kappa=self.kappa,
+                          g=self.g, k_a=self.k_a, k_b=self.k_b,
+                          m=Fraction(self.m_num, self.m_den))
 
     def initial_state(self) -> PhaseState:
         return PhaseState(self.r0, self.phi0, self.p_r0, self.p_phi0)
@@ -150,7 +147,7 @@ def _load_config(args) -> RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for --m: {exc}") from exc
         cfg.m_num, cfg.m_den = frac.numerator, frac.denominator
-    for key in ("r0", "phi0", "p_r0", "p_phi0", "t_end"):
+    for key in ("kappa", "r0", "phi0", "p_r0", "p_phi0", "t_end"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     r_min, r_max = r_domain(cfg.kappa)
@@ -179,6 +176,12 @@ def _output(path):
             with contextlib.suppress(OSError, ValueError):
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
+def _diag(*lines) -> None:
+    """Print lines to stderr, dropped if it fails: the exit code stays."""
+    with contextlib.suppress(OSError):
+        print(*lines, sep="\n", file=sys.stderr)
 
 
 def _write_csv(path, columns: dict, rows) -> None:
@@ -228,9 +231,8 @@ def cmd_verify(args) -> int:
         fn(state0)
     traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
     if traj.termination is not Termination.COMPLETED:
-        with contextlib.suppress(OSError):  # the run decides the exit code
-            print(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
-                  f"{cfg.t_end:g}: no checks run", file=sys.stderr)
+        _diag(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
+              f"{cfg.t_end:g}: no checks run")
         return _EXIT_BY_TERMINATION[traj.termination]
     rng = np.random.default_rng(seed)
     try:
@@ -248,13 +250,10 @@ def cmd_verify(args) -> int:
                [(*row[:4], "true" if row.passed else "false")
                 for row in rows])
     n_fail = sum(1 for row in rows if not row.passed)
-    with contextlib.suppress(OSError):  # the checks decide the exit code
-        for check, name, value, threshold, ok in rows:
-            status = "ok  " if ok else "FAIL"
-            print(f"  {status} {check:10s} {name:12s} {value:.3e} "
-                  f"(threshold {threshold:.1e})", file=sys.stderr)
-        print(f"{len(rows) - n_fail}/{len(rows)} checks passed",
-              file=sys.stderr)
+    _diag(*(f"  {'ok  ' if ok else 'FAIL'} {check:10s} {name:12s} "
+            f"{value:.3e} (threshold {threshold:.1e})"
+            for check, name, value, threshold, ok in rows),
+          f"{len(rows) - n_fail}/{len(rows)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAILED
 
 
@@ -352,10 +351,10 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, SamplingError, SpanError) as exc:
         # a start beyond the float range, no verification-grid state, or
         # a span too short for the rotation check
-        print(f"config error: {exc}", file=sys.stderr)
+        _diag(f"config error: {exc}")
         return EXIT_CONFIG
     except CurvintError as exc:
-        print(f"singular initial state: {exc}", file=sys.stderr)
+        _diag(f"singular initial state: {exc}")
         return EXIT_SINGULAR_START
 
 

@@ -35,8 +35,8 @@ it, from the stages the stepper kept.
 Each stage, B and error sum of the stepper is one BLAS gemv that writes
 into a (4,) buffer made once per solve, read back as four floats through
 a memoryview: an attempted step allocates no array.  An accepted one
-appends its t, h, state and 52 stage doubles to flat float buffers (464 B
-a step), which the trajectory and its dense output view as arrays.
+appends its t, h, state and 52 stage doubles to flat float buffers, which
+the trajectory and its dense output view as arrays: ~490 B a step in all.
 """
 
 import math
@@ -62,7 +62,7 @@ _N_STAGES = _dop853.N_STAGES        # 12, the last one at t + h
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
 _RAISES = (CurvintError, ArithmeticError, ValueError)  # array RHS: nan, inf
 # accepted steps before a run ends with STEP_LIMIT: about 175 times the
-# longest run of the tests and the benchmark: ~530 MB of kept steps, ~750 MB
+# longest run of the tests and the benchmark: ~490 MB of kept steps, ~715 MB
 # once all are read
 MAX_STEPS = 1_000_000
 # the guards end a run where Sin_k(r) or |sin(m phi)| falls to this margin
@@ -143,21 +143,20 @@ class DenseOutput:
     direction of time, selects (a time on a boundary takes the earlier
     step); the end steps extend beyond the span.  A step's interpolant is
     built when a call first reads it and kept; it is the same, bit for bit,
-    however the steps are grouped.  The rows of the interpolants (224 B a
-    step) are made at the first build: a dense output never read holds none.
+    however the steps are grouped.  It copies nothing of the trajectory, and
+    the interpolant rows (224 B a step) are made at the first build.
     """
 
     def __init__(self, fun, times, states, h, stages, y_end):
         # step i runs from (times[i], states[i]) by h[i] with the stages
-        # stages[i] (13, 4) to ends[i]; the last step ends at y_end, which
-        # differs from states[-1] when a guard cut that step short
+        # stages[i] (13, 4) to states[i + 1]; the last step ends at y_end,
+        # which differs from states[-1] when a guard cut that step short
         self._fun, self._times, self._states = fun, times, states
-        self._h, self._stages = h, stages
-        self._ends = np.concatenate((states[1:-1], [y_end]))
+        self._h, self._stages, self._y_end = h, stages, y_end
         # a search of the inner boundaries, made increasing by the sign of
         # time, gives a step from 0 to len(h) - 1: the end steps extend out
         self._sign = 1.0 if times[-1] >= times[0] else -1.0
-        self._bounds = self._sign * times[1:-1]
+        self._bounds = times[1:-1] if self._sign > 0 else -times[1:-1]
         self._F = None                              # interpolant rows
         self._todo = np.ones(len(h), dtype=bool)    # interpolants not built
 
@@ -165,8 +164,10 @@ class DenseOutput:
         """Build the interpolants of the steps new (sorted, not built)."""
         if self._F is None:
             self._F = np.empty((len(self._h), _dop853.INTERPOLATOR_POWER, 4))
+        ends = self._states[new + 1]
+        ends[new == len(self._h) - 1] = self._y_end
         self._F[new] = _interpolant(self._fun, self._h[new], self._states[new],
-                                    self._ends[new], self._stages[new])
+                                    ends, self._stages[new])
         self._todo[new] = False
 
     def __call__(self, t):

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CurvintError, SamplingError, SpanError, StencilError
+from .kappa_trig import r_domain
 from .invariants import (_escape_energy, evaluators_for, j2, k_constant,
                          lambda_k, m_r, n_phi, radial_period)
 from .systems import (PhaseState, SystemKind, SystemSpec, hamiltonian,
@@ -351,9 +352,8 @@ def _uniform(low: float, high: float, u):
 
 def _candidates(spec: SystemSpec, u, flip) -> PhaseState:
     """The candidate states of _draw's draws, as one PhaseState of arrays."""
-    kap = spec.kappa
-    if kap > 0:
-        r = _uniform(0.25, 0.75, u[0]) * (math.pi / math.sqrt(kap))
+    if spec.kappa > 0:
+        r = _uniform(0.25, 0.75, u[0]) * r_domain(spec.kappa)[1]
     else:
         r = _uniform(0.6, 2.2, u[0])
     if spec.has_angular_term:

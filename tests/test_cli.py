@@ -159,6 +159,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "[0.0, 3.141592653589793)" in err and "r0 = 3.2" in err
 
+    @pytest.mark.parametrize("kappa", ["inf", "-inf", "nan"])
+    def test_non_finite_kappa_exit_2(self, capsys, kappa):
+        # checked before the radial domain, which kappa = inf makes [0, 0)
+        assert main(["dump-config", f"--kappa={kappa}"]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: kappa must be finite, got {kappa}\n"
+
     def test_negative_casimir_start_verify_exit_3(self, tmp_path):
         # J2 = 0.25 - 4 < 0: the higher-order columns are undefined
         cfg = write(tmp_path, PW_SPHERE + "k_a = -2.0\nk_b = 0.0\n"
@@ -451,27 +458,32 @@ class TestVerifyCommand:
         assert "no checks run" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, extra, code", [
-        (PW_SPHERE, [], 0),
-        (PW_SPHERE, ["--negative-control"], 1),
-        (CIRCULAR_KEPLER + "p_r0 = -1.0\np_phi0 = 0.001\n", [], 4),
-    ], ids=["passing", "failing", "early-termination"])
-    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path,
-                                                   monkeypatch, text, extra,
-                                                   code):
-        # the diagnostics on stderr are dropped; no traceback, and the
-        # checks or the run decide the exit code
-        class Full:
-            def write(self, text):
-                raise OSError(28, "No space left on device")
-
-            def flush(self):
-                pass
-        monkeypatch.setenv("CURVINT_SEED", "1")
-        monkeypatch.setattr(sys, "stderr", Full())
-        out = tmp_path / "report.csv"
-        assert main(["verify", "--config", write(tmp_path, text),
-                     "--t-end", "1", "--out", str(out), *extra]) == code
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("command, text, extra, code", [
+        ("verify", PW_SPHERE, [], 0),
+        ("verify", PW_SPHERE, ["--negative-control"], 1),
+        ("verify", CIRCULAR_KEPLER + "p_r0 = -1.0\np_phi0 = 0.001\n", [],
+         4),
+        ("simulate", None, [], 2),
+        ("simulate", "kind = kepler\nr0 = 0.0\n", [], 3),
+    ], ids=["passing", "failing", "early-termination", "missing-config",
+            "singular-start"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, command,
+                                                   text, extra, code):
+        # the diagnostics on a full stderr are dropped; no traceback, and
+        # the checks, the run or the error map decide the exit code
+        cfg = (write(tmp_path, text) if text is not None
+               else str(tmp_path / "missing.cfg"))
+        out = tmp_path / "out.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as stderr:
+            run = subprocess.run(
+                [sys.executable, "-m", "curvint.cli", command, "--config",
+                 cfg, "--t-end", "1", "--out", str(out), *extra],
+                stdout=subprocess.DEVNULL, stderr=stderr, timeout=60,
+                env={**os.environ, "PYTHONPATH": src, "CURVINT_SEED": "1"})
+        assert run.returncode == code
         assert out.exists() == (code in (0, 1))
 
     def test_stdout_report_equals_out_file(self, tmp_path, capsys,
