@@ -12,8 +12,7 @@ Subcommands:
 
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are rejected with the offending line number.  CLI flags override file
-values.  The env var CURVINT_SEED seeds the random-state grids used by
-`verify`.
+values.  The env var CURVINT_SEED seeds the random-state grids of `verify`.
 
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also an
@@ -22,8 +21,8 @@ the float range, a system that leaves no verification-grid state, a span
 too short for the rotation check, or a singular state met by the checks of
 a completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
 early at the radial pole / angular singularity / step underflow / step
-limit (`verify` then runs no checks).  One writer takes every CSV, the
-`verify` report included, and `_diag` every line printed to stderr.
+limit (`verify` then runs no checks).  One writer takes every CSV, and
+`_diag` every stderr line, dropped where stderr cannot be written.
 """
 
 import argparse
@@ -128,15 +127,14 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
+    text = ""
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read the config file: {exc}") from exc
-        cfg = parse_config(text)
-    else:
-        cfg = RunConfig()
+    cfg = parse_config(text)
     # each flag's dest is the key it overrides, except --m's two
     for key in _FIELD_TYPES:
         if getattr(args, key, None) is not None:
@@ -171,23 +169,28 @@ def _output(path):
             fh.flush()
     except OSError as exc:
         if path is None:
-            # a buffered stdout keeps the bytes it could not write, and its
-            # flush at exit would fail again and exit 120: send them nowhere
-            with contextlib.suppress(OSError, ValueError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at os.devnull: a buffered stream would flush
+    the bytes it could not write at exit, fail again, and exit 120."""
+    with contextlib.suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _diag(*lines) -> None:
     """Print lines to stderr, dropped if it fails: the exit code stays."""
-    with contextlib.suppress(OSError):
+    try:
         print(*lines, sep="\n", file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _write_csv(path, columns: dict, rows) -> None:
-    """Write a header of the names in columns (name -> %-format) and one
-    line per row, its fields formatted by columns' formats and joined by
-    commas, to path, or to stdout when path is None (see `_output`)."""
+    """Write columns' names (name -> %-format) and one line per row, its
+    fields in columns' formats, as CSV to path or stdout (see `_output`)."""
     line = ",".join(columns.values()) + "\n"
     with _output(path) as fh:
         fh.write(",".join(columns) + "\n")
@@ -306,8 +309,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (a build costs about 30
-    parses); each subcommand's func default names the function of this
-    module that runs it."""
+    parses); a subcommand's func default names the cmd_* that runs it."""
     parser = argparse.ArgumentParser(
         prog="curvint",
         description="Curved Kepler-type systems: simulation and "
@@ -349,8 +351,6 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):     # inf and nan are output values
             return command(args)
     except (ConfigError, DomainError, SamplingError, SpanError) as exc:
-        # a start beyond the float range, no verification-grid state, or
-        # a span too short for the rotation check
         _diag(f"config error: {exc}")
         return EXIT_CONFIG
     except CurvintError as exc:

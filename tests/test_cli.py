@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -458,8 +459,36 @@ class TestVerifyCommand:
         assert "no checks run" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, extra, code", [
+        (PW_SPHERE, [], 0),
+        (PW_SPHERE, ["--negative-control"], 1),
+        (CIRCULAR_KEPLER + "p_r0 = -1.0\np_phi0 = 0.001\n", [], 4),
+    ], ids=["passing", "failing", "early-termination"])
+    def test_failing_stderr_keeps_the_verify_exit_code(self, tmp_path,
+                                                       monkeypatch, text,
+                                                       extra, code):
+        # in process, on a stderr whose every write fails: the checks or the
+        # run decide the exit code
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                raise io.UnsupportedOperation("fileno")
+        monkeypatch.setenv("CURVINT_SEED", "1")
+        monkeypatch.setattr(sys, "stderr", Full())
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--config", write(tmp_path, text),
+                     "--t-end", "1", "--out", str(out), *extra]) == code
+        assert out.exists() == (code in (0, 1))
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command, text, extra, code", [
         ("verify", PW_SPHERE, [], 0),
         ("verify", PW_SPHERE, ["--negative-control"], 1),
@@ -470,9 +499,11 @@ class TestVerifyCommand:
     ], ids=["passing", "failing", "early-termination", "missing-config",
             "singular-start"])
     def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, command,
-                                                   text, extra, code):
-        # the diagnostics on a full stderr are dropped; no traceback, and
-        # the checks, the run or the error map decide the exit code
+                                                   text, extra, code,
+                                                   unbuffered):
+        # the diagnostics on a full stderr are dropped, also the bytes a
+        # buffered stderr kept for its flush at exit; no traceback, and the
+        # checks, the run or the error map decide the exit code
         cfg = (write(tmp_path, text) if text is not None
                else str(tmp_path / "missing.cfg"))
         out = tmp_path / "out.csv"
@@ -482,7 +513,8 @@ class TestVerifyCommand:
                 [sys.executable, "-m", "curvint.cli", command, "--config",
                  cfg, "--t-end", "1", "--out", str(out), *extra],
                 stdout=subprocess.DEVNULL, stderr=stderr, timeout=60,
-                env={**os.environ, "PYTHONPATH": src, "CURVINT_SEED": "1"})
+                env={**os.environ, "PYTHONPATH": src, "CURVINT_SEED": "1",
+                     "PYTHONUNBUFFERED": unbuffered})
         assert run.returncode == code
         assert out.exists() == (code in (0, 1))
 
