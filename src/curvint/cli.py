@@ -90,13 +90,6 @@ class RunConfig:
     def initial_state(self) -> PhaseState:
         return PhaseState(self.r0, self.phi0, self.p_r0, self.p_phi0)
 
-    def integrator_config(self) -> IntegratorConfig:
-        try:
-            return IntegratorConfig(rel_tol=self.rel_tol,
-                                    abs_tol=self.abs_tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -204,7 +197,8 @@ def cmd_simulate(args) -> int:
     spec = cfg.system_spec()
     state0 = cfg.initial_state()
     hamiltonian(state0, spec)
-    traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
+    traj = integrate(state0, spec, cfg.t_end,
+                     IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
 
     out = args.out or "trajectory.csv"
     evals = evaluators_for(spec)
@@ -232,7 +226,8 @@ def cmd_verify(args) -> int:
     state0 = cfg.initial_state()
     for fn in evaluators_for(spec).values():
         fn(state0)
-    traj = integrate(state0, spec, cfg.t_end, cfg.integrator_config())
+    traj = integrate(state0, spec, cfg.t_end,
+                     IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
     if traj.termination is not Termination.COMPLETED:
         _diag(f"{traj.termination.value} at t = {traj.times[-1]:.6g} of "
               f"{cfg.t_end:g}: no checks run")
@@ -261,7 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_potential_curve(args) -> int:
-    if not (0.0 < args.r_min < args.r_max < math.pi):
+    if not (0.0 < args.r_min < args.r_max < r_domain(1.0)[1]):
         raise ConfigError("require 0 < r-min < r-max < pi")
     # DomainError at a non-finite g
     specs = [SystemSpec(SystemKind.KEPLER, kappa, args.g)
@@ -286,7 +281,7 @@ def cmd_potential_curve(args) -> int:
 def cmd_dump_config(args) -> int:
     cfg = _load_config(args)
     cfg.system_spec()
-    cfg.integrator_config()
+    IntegratorConfig(cfg.rel_tol, cfg.abs_tol)
     with _output(None) as fh:
         fh.write(dump_config(cfg))
     return EXIT_OK

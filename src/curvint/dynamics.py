@@ -40,7 +40,6 @@ the trajectory and its dense output view as arrays: ~490 B a step in all.
 """
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,14 +78,17 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Each step's local error bound rel_tol |y| + abs_tol: DomainError
+    unless both are finite (an inf made the error scale 0 * inf = nan),
+    abs_tol > 0 and rel_tol >= 100 EPS, SciPy's floor."""
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        # an infinite tolerance makes the error scale nan (0 * inf) or
-        # the error control vacuous
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not (100 * EPS <= self.rel_tol < math.inf
+                and 0 < self.abs_tol < math.inf):
+            raise DomainError(f"tolerances must be finite, abs_tol > 0 and "
+                              f"rel_tol >= 100 EPS = {100 * EPS!r}: {self}")
 
 
 @dataclass(frozen=True)
@@ -248,9 +250,9 @@ class Solution(NamedTuple):
 
 
 def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
-              rtol: float, atol: float, guards: dict) -> Solution:
+              cfg: IntegratorConfig, guards: dict) -> Solution:
     """Integrate y' = fun(y) (autonomous, 4 components) from t = 0 to t_end
-    with DOP853; t_end < 0 integrates backwards.
+    with DOP853 at cfg's tolerances; t_end < 0 integrates backwards.
 
     fun takes the 4 components as positional floats and returns a sequence
     of 4 floats; fun_array is the same function of 4 arrays, for the dense
@@ -263,21 +265,17 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     >= 0 to <= 0 over a step, with that guard's tag; after MAX_STEPS
     accepted steps short of t_end it ends with STEP_LIMIT, and with
     STEP_UNDERFLOW at a step too short to move y accepted after a
-    rejection (SciPy creeps on).  An rtol below 100 EPS is raised to that
-    value with a warning, as SciPy does.  At t_end = 0 the solution is y0
-    at t = 0 twice, after one call of fun.
+    rejection (SciPy creeps on).  At t_end = 0 the solution is y0 at t = 0
+    twice, after one call of fun.
     """
     tags, checks = list(guards), list(guards.values())
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
     y = np.array(y0, dtype=float)
     g = [check(y.tolist()) for check in checks]
     for tag, value in zip(tags, g):
         if value < 0:
             raise PoleError(f"initial state {tuple(y.tolist())} within the "
                             f"margin: {tag.value} guard {value:.3g} < 0")
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol = {rtol!r} is too small; using {100 * EPS!r}",
-                      stacklevel=3)
-        rtol = 100 * EPS
     direction = -1.0 if t_end < 0 else 1.0
     f = np.array(fun(*y.tolist()))
     if t_end == 0.0:            # the constant solution
@@ -481,6 +479,6 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
 
     with np.errstate(all="ignore"):     # non-finite stages are rejected
         sol = solve_ivp(_rhs_for(spec), _rhs_for(spec, array=True), t_end,
-                        state0.as_tuple(), cfg.rel_tol, cfg.abs_tol, guards)
+                        state0.as_tuple(), cfg, guards)
     return Trajectory(times=sol.t, states=sol.y, termination=sol.termination,
                       spec=spec, dense=sol.dense, stats=sol.stats)

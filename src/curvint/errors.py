@@ -5,7 +5,7 @@ class CurvintError(Exception):
     """Base class for all library errors."""
 
 
-class DomainError(CurvintError):
+class DomainError(CurvintError, ValueError):
     """Non-finite or otherwise inadmissible input."""
 
 

@@ -123,11 +123,13 @@ def cot_k(kappa: float, x):
 
 
 def r_domain(kappa: float) -> tuple[float, float]:
-    """Admissible radial interval [0, r_max).
+    """The radial interval [0, r_max); DomainError at a non-finite kappa.
 
     Half-open at the antipode pi/sqrt(kappa) for kappa > 0: the metric
     factor sin_k(r) vanishes there and every 1/Sin^2 potential diverges.
     """
+    if not math.isfinite(kappa):
+        raise DomainError(f"non-finite input: kappa={kappa}")
     if kappa > 0.0:
         return (0.0, math.pi / math.sqrt(kappa))
     return (0.0, math.inf)

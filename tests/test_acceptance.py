@@ -20,11 +20,25 @@ from conftest import (closure_mismatch, kepler_spec, pw_spec,
 M_GRID = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
           Fraction(3, 2))
 KAPPAS = (-1.0, 0.0, 1.0)
+# At kappa = -1 the default PW parameters leave no bounded orbit (J2 >= 2
+# min F > g), so every check above on the hyperboloid runs on an escaping
+# one.  These weaker angular terms admit bounded orbits there.
+BOUNDED_HYPERBOLIC = dict(kappa=-1.0, g=1.0, k_a=0.3, k_b=0.1)
+BOUNDED_MS = (Fraction(1), Fraction(2), Fraction(3, 2))
 
 
 def verdict(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, detail
+
+
+def bounded_start(spec, rng):
+    """random_bounded_state, asserted below the escape energy -g sqrt(-kappa)
+    (its fallback is an escaping state)."""
+    s0 = random_bounded_state(spec, rng)
+    H = hamiltonian(s0, spec)
+    assert H < -spec.g * math.sqrt(-spec.kappa), (spec.m, s0, H)
+    return s0
 
 
 def test_criterion_1_superintegrability_grid():
@@ -47,6 +61,26 @@ def test_criterion_1_superintegrability_grid():
                     assert rep.passed, (kappa, m, name, rep)
     verdict(1, worst < 1e-7,
             f"superintegrability drift grid, worst {worst:.2e} < 1e-7")
+
+
+def test_criterion_1_bounded_hyperbolic_cell():
+    """Criterion 1's drift bound on bounded PW orbits at kappa = -1."""
+    worst = 0.0
+    for m in BOUNDED_MS:
+        spec = pw_spec(m=m, **BOUNDED_HYPERBOLIC)
+        rng = np.random.default_rng(2026 + 10 * len(KAPPAS) + M_GRID.index(m))
+        for _ in range(5):
+            traj = integrate(bounded_start(spec, rng), spec, 100.0)
+            fns = {"H": lambda s, t: hamiltonian(s, spec),
+                   "J2": lambda s, t: j2(s, spec),
+                   "J3": lambda s, t: k_constant(s, spec).real,
+                   "J4": lambda s, t: k_constant(s, spec).imag}
+            for name, fn in fns.items():
+                rep = drift(traj, name, fn, 1e-7)
+                worst = max(worst, rep.rel_drift)
+                assert rep.passed, (m, name, rep)
+    verdict(1, worst < 1e-7,
+            f"bounded kappa = -1 drift, worst {worst:.2e} < 1e-7")
 
 
 def test_criterion_2_moduli_identities():
@@ -82,6 +116,20 @@ def test_criterion_3_rotation_laws():
             worst = max(worst, rep.max_rel_err_m, rep.max_rel_err_n)
             assert rep.passed, (kappa, m, rep)
     verdict(3, worst < 1e-5, f"rotation laws, worst {worst:.2e} < 1e-5")
+
+
+def test_criterion_3_bounded_hyperbolic_cell():
+    """Criterion 3's rotation laws on bounded PW orbits at kappa = -1."""
+    worst = 0.0
+    for m in BOUNDED_MS:
+        spec = pw_spec(m=m, **BOUNDED_HYPERBOLIC)
+        rng = np.random.default_rng(33)
+        traj = integrate(bounded_start(spec, rng), spec, 20.0)
+        rep = rotation_check(traj, spec)
+        worst = max(worst, rep.max_rel_err_m, rep.max_rel_err_n)
+        assert rep.passed, (m, rep)
+    verdict(3, worst < 1e-5,
+            f"bounded kappa = -1 rotation laws, worst {worst:.2e} < 1e-5")
 
 
 def test_criterion_4_bracket_vanishing():
@@ -179,6 +227,20 @@ def test_criterion_8_closure_on_sphere():
     mismatch = math.inf if T is None else closure_mismatch(traj, T)
     ok = T is not None and mismatch < 1e-6
     verdict(8, ok, f"closure at T={T}, phase mismatch {mismatch:.2e} < 1e-6")
+
+
+def test_criterion_8_closure_on_hyperboloid():
+    """Bounded PW orbits at kappa = -1 recur in phase space within t = 200."""
+    worst = 0.0
+    for m in BOUNDED_MS:
+        spec = pw_spec(m=m, **BOUNDED_HYPERBOLIC)
+        rng = np.random.default_rng(11)
+        traj = integrate(bounded_start(spec, rng), spec, 200.0)
+        T = closure_detect(traj, tol=1e-6)
+        assert T is not None, m
+        worst = max(worst, closure_mismatch(traj, T))
+    verdict(8, worst < 1e-6,
+            f"closure at kappa = -1, phase mismatch {worst:.2e} < 1e-6")
 
 
 def test_criterion_9_euclidean_limit():

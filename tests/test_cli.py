@@ -32,6 +32,22 @@ p_phi0 = 0.55
 t_end = 20.0
 """
 
+PW_HYPERBOLIC_BOUNDED = """
+# deformed Kepler on the hyperboloid, below the escape energy -g
+kind = pw
+kappa = -1.0
+g = 1.0
+k_a = 0.3
+k_b = 0.1
+m_num = 2
+m_den = 1
+r0 = 0.8057123244307194
+phi0 = 0.7849444309868451
+p_r0 = 0.07104885033635022
+p_phi0 = -0.16577895460456948
+t_end = 20.0
+"""
+
 CIRCULAR_KEPLER = """
 kind = kepler
 kappa = 0.0
@@ -196,6 +212,7 @@ class TestSimulate:
         ("", ["--rel-tol", "0"]),
         ("", ["--rel-tol", "-1"]),
         ("", ["--rel-tol", "nan"]),
+        ("", ["--rel-tol", "1e-20"]),
         ("max_step = 0\n", []),
         ("max_step = -1\n", []),
         ("singularity_margin = 1e-6\n", []),
@@ -211,7 +228,7 @@ class TestSimulate:
         ("kappa = 1\nr0 = 4\n", []),
         ("r0 = 3.2\n", ["--kappa", "1"]),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
-            "rel-tol-0", "rel-tol-negative", "rel-tol-nan",
+            "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "rel-tol-1e-20",
             "unknown-key-max_step-0", "unknown-key-max_step-negative",
             "unknown-key-singularity_margin", "g-nan", "ka-inf", "kb-nan",
             "t_end-nan", "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic",
@@ -236,6 +253,30 @@ class TestSimulate:
         assert run.returncode == 2, run.stderr
         assert "config error:" in run.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify",
+                                         "dump-config"])
+    def test_rel_tol_below_100_eps_exit_2_without_a_warning(self, tmp_path,
+                                                           command):
+        # below SciPy's floor, 100 EPS, the integrator once raised rel_tol
+        # with a UserWarning: dump-config printed 1e-20 and exited 0, the
+        # runs printed the warning, and PYTHONWARNINGS=error made it a
+        # traceback with exit 1
+        cfg = write(tmp_path, CIRCULAR_KEPLER)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for rel_tol, code in (("1e-20", 2), ("2.220446049250313e-14", 0)):
+            run = subprocess.run(
+                [sys.executable, "-m", "curvint.cli", command, "--config",
+                 cfg, "--t-end", "0.5", "--rel-tol", rel_tol, "--out",
+                 str(tmp_path / "out.csv")],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONWARNINGS": "error"})
+            assert run.returncode == code, run.stderr
+            assert ("config error:" in run.stderr) == (code == 2)
+            assert "Warning" not in run.stderr
+            if command == "dump-config" and code == 0:
+                assert f"rel_tol = {rel_tol}\n" in run.stdout
 
     def test_generic_is_no_kind_choice(self, capsys):
         # a config cannot supply the profile callables of GENERIC_F
@@ -391,6 +432,19 @@ class TestVerifyCommand:
         checks = {line.split(",")[0] for line in lines[1:]}
         assert {"drift", "bracket", "rotation", "moduli",
                 "limit"} <= checks
+
+    def test_bounded_hyperbolic_pw_suite_passes(self, tmp_path,
+                                                monkeypatch):
+        # a PW orbit at kappa = -1 below the escape energy -g
+        monkeypatch.setenv("CURVINT_SEED", "1")
+        cfg = write(tmp_path, PW_HYPERBOLIC_BOUNDED)
+        run = parse_config(PW_HYPERBOLIC_BOUNDED)
+        assert hamiltonian(run.initial_state(), run.system_spec()) < -1.0
+        out = str(tmp_path / "report.csv")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        lines = Path(out).read_text().splitlines()
+        assert len(lines) == 16
+        assert all(line.endswith(",true") for line in lines[1:])
 
     def test_kepler_suite_has_runge_lenz_rows(self, tmp_path):
         text = CIRCULAR_KEPLER + "t_end = 50.0\nkappa = 1.0\nr0 = 0.9\n" \

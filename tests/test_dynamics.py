@@ -76,7 +76,7 @@ class TestIntegrate:
     def test_tolerance_must_be_positive_and_finite(self, field, value):
         # rel_tol = inf made the error scale 0 * inf = nan at a zero
         # component, and the attempt loop rejected forever
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             IntegratorConfig(**{field: value})
 
     @pytest.mark.parametrize("spec, field, value", [
@@ -646,13 +646,21 @@ class TestScipyOracle:
         assert abs(traj.times[-1] - sol.t[-1]) <= 1e-12 * (1 + abs(sol.t[-1]))
         assert np.all(np.isfinite(traj.states))
 
-    def test_tiny_rel_tol_raised_with_a_warning(self):
+    def test_rel_tol_below_scipys_floor_is_a_domain_error(self):
+        # solve_ivp once raised such an rtol to 100 EPS with a warning, as
+        # SciPy does; the config now refuses it, as a ValueError too
+        with pytest.raises(DomainError, match="100 EPS") as exc:
+            IntegratorConfig(rel_tol=1e-16, abs_tol=1e-16)
+        assert isinstance(exc.value, ValueError)
+        with pytest.raises(DomainError):
+            IntegratorConfig(rel_tol=math.nextafter(100 * dynamics.EPS, 0))
+
+    def test_rel_tol_at_scipys_floor(self):
         spec, s0 = kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.1, 1.0)
-        cfg = IntegratorConfig(rel_tol=1e-16, abs_tol=1e-16)
-        with pytest.warns(UserWarning, match="too small"):
-            traj = integrate(s0, spec, 2.0, cfg)
-        with pytest.warns(UserWarning, match="too small"):
-            sol = reference_integrate(s0, spec, 2.0, cfg)
+        cfg = IntegratorConfig(rel_tol=100 * dynamics.EPS, abs_tol=1e-16)
+        assert cfg.rel_tol == 100 * np.finfo(float).eps
+        traj = integrate(s0, spec, 2.0, cfg)    # no warning
+        sol = reference_integrate(s0, spec, 2.0, cfg)
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.states, sol.y.T)
 

@@ -68,6 +68,13 @@ class TestDomain:
     def test_scaled_sphere(self):
         assert r_domain(4.0) == (0.0, pytest.approx(math.pi / 2))
 
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kappa(self, kappa):
+        # inf gave the empty domain (0.0, 0.0), -inf and nan (0.0, inf),
+        # where sin_cos_k_for raises for the same kappa
+        with pytest.raises(DomainError, match="non-finite"):
+            r_domain(kappa)
+
 
 class TestIdentities:
     @given(finite_kappa, finite_x)

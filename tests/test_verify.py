@@ -197,6 +197,46 @@ class TestPoissonBracket:
             assert (value[i], scale[i]) == one
 
 
+def smallest_singular_values(gradients):
+    """Each state's smallest singular value of the Jacobian whose rows are
+    the gradients (each (4, n) over n states), every row normalised."""
+    J = np.stack([np.transpose(d) for d in gradients], axis=1)
+    J = J / np.linalg.norm(J, axis=2, keepdims=True)
+    return np.linalg.svd(J, compute_uv=False)[:, -1]
+
+
+class TestSuperintegrability:
+    """Maximal superintegrability: H, J2 and either of J3, J4 are
+    functionally independent at every grid state, while all four are not
+    (J3^2 + J4^2 is a function of H and J2, by the moduli).  A J3 that
+    depended on H and J2 would still pass every drift and bracket row."""
+
+    @pytest.mark.parametrize("k_a, k_b", [(0.8, 0.3), (0.3, 0.1)])
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("m", [Fraction(1), Fraction(3, 2), Fraction(3)],
+                             ids=str)
+    def test_three_independent_integrals_and_no_fourth(self, k_a, k_b,
+                                                       kappa, m):
+        spec = pw_spec(kappa=kappa, m=m, k_a=k_a, k_b=k_b)
+        grid = PhaseState(*np.array([s.as_tuple() for s in
+                                     random_bounded_states(
+                                         spec, np.random.default_rng(3),
+                                         20)]).T)
+        gradient = verify._stencil_gradient(grid, 1e-5)[1]
+        dH = gradient(lambda s: hamiltonian(s, spec))
+        dJ2 = gradient(lambda s: j2(s, spec))
+        dJ3 = gradient(lambda s: k_constant(s, spec).real)
+        dJ4 = gradient(lambda s: k_constant(s, spec).imag)
+        # the negative control: a third "integral" that is a function of
+        # H and J2
+        d_fake = gradient(lambda s: hamiltonian(s, spec) ** 2
+                          + 0.7 * j2(s, spec) * hamiltonian(s, spec))
+        assert np.all(smallest_singular_values([dH, dJ2, dJ3]) >= 1e-5)
+        assert np.all(smallest_singular_values([dH, dJ2, dJ4]) >= 1e-5)
+        assert np.all(smallest_singular_values([dH, dJ2, dJ3, dJ4]) <= 1e-7)
+        assert np.all(smallest_singular_values([dH, dJ2, d_fake]) <= 1e-7)
+
+
 class TestDrift:
     def test_energy_on_completed_trajectory(self):
         spec = pw_spec(kappa=1.0, m=Fraction(2))
