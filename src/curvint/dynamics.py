@@ -23,9 +23,12 @@ Wanner, Solving ODEs I, Sec. II.10; coefficients in `_dop853`).  Its
 arithmetic is that of SciPy 1.17's `solve_ivp(method="DOP853")`, operation
 for operation: the initial step, the combined err5/err3 RMS norm, the step
 controller, the min-step rule and the clipping at t_end, so the accepted
-steps are SciPy's bit for bit.  A radial-pole guard and an
-angular-singularity guard, each SINGULARITY_MARGIN from its singularity,
-are evaluated at the end of every accepted step; when one falls to zero,
+steps are SciPy's bit for bit.  Only where a norm's square overflows (an
+abs_tol below about 1e-154 at a zero component), on which SciPy stops with
+a step-size failure, is the norm taken from unsquared lengths instead.  A
+radial-pole guard and an angular-singularity guard, each
+SINGULARITY_MARGIN from its singularity, are evaluated at the end of
+every accepted step; when one falls to zero,
 bisection on that step's dense output finds the crossing and the
 trajectory ends there with the guard's tag instead of running into
 infinities; a run ends with a tag after MAX_STEPS accepted steps, too.
@@ -34,7 +37,9 @@ it, from the stages the stepper kept.
 
 Each stage, B and error sum of the stepper is one BLAS gemv that writes
 into a (4,) buffer made once per solve, read back as four floats through
-a memoryview: an attempted step allocates no array.  An accepted one
+a memoryview: an attempted step allocates no array, and h, t, the stage
+arguments and the error norm are Python floats, not numpy scalars, on
+which each RHS call would take about 40 % longer.  An accepted one
 appends its t, h, state and 52 stage doubles to flat float buffers, which
 the trajectory and its dense output view as arrays: ~490 B a step in all.
 """
@@ -66,6 +71,9 @@ _RAISES = (CurvintError, ArithmeticError, ValueError)  # array RHS: nan, inf
 MAX_STEPS = 1_000_000
 # the guards end a run where Sin_k(r) or |sin(m phi)| falls to this margin
 SINGULARITY_MARGIN = 1e-6
+# the largest rel_tol, SciPy's default: above it reference starts ended at
+# a radial pole or a step underflow that their orbits do not reach
+REL_TOL_MAX = 1e-3
 
 
 class Termination(Enum):
@@ -80,15 +88,16 @@ class Termination(Enum):
 class IntegratorConfig:
     """Each step's local error bound rel_tol |y| + abs_tol: DomainError
     unless both are finite (an inf made the error scale 0 * inf = nan),
-    abs_tol > 0 and rel_tol >= 100 EPS, SciPy's floor."""
+    abs_tol > 0 and 100 EPS (SciPy's floor) <= rel_tol <= REL_TOL_MAX."""
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (100 * EPS <= self.rel_tol < math.inf
+        if not (100 * EPS <= self.rel_tol <= REL_TOL_MAX
                 and 0 < self.abs_tol < math.inf):
             raise DomainError(f"tolerances must be finite, abs_tol > 0 and "
-                              f"rel_tol >= 100 EPS = {100 * EPS!r}: {self}")
+                              f"100 EPS = {100 * EPS!r} <= rel_tol <= "
+                              f"{REL_TOL_MAX!r}: {self}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +231,13 @@ def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     return rhs
 
 
+def _half_norm(v):
+    """np.linalg.norm(v) / 2, SciPy's initial-step norm; where the square
+    overflows (abs_tol below about 1e-154), math.hypot(*v) / 2."""
+    d = np.linalg.norm(v) / 2.0
+    return math.hypot(*v) / 2.0 if d == math.inf else d
+
+
 def _bisect(f, a, b):
     """A root of f between a and b, where f(a) >= 0 >= f(b), to the
     tolerance of SciPy's brentq: |b - a| <= 4 EPS (1 + |t|)."""
@@ -270,6 +286,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     """
     tags, checks = list(guards), list(guards.values())
     rtol, atol = cfg.rel_tol, cfg.abs_tol
+    t_end = float(t_end)        # a clipped last step's t is a float too
     y = np.array(y0, dtype=float)
     g = [check(y.tolist()) for check in checks]
     for tag, value in zip(tags, g):
@@ -287,8 +304,8 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     interval = abs(t_end)
     scale = atol + np.abs(y) * rtol
-    d0 = np.linalg.norm(y / scale) / 2.0
-    d1 = np.linalg.norm(f / scale) / 2.0
+    d0 = _half_norm(y / scale)
+    d1 = _half_norm(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     y1 = y + h0 * direction * f
@@ -297,12 +314,14 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     except _RAISES:             # the nan or inf SciPy's norm sees
         f1 = np.array(fun_array(*y1[:, None]))[:, 0]
     nfev = 2
-    d2 = np.linalg.norm((f1 - f) / scale) / 2.0 / h0
+    d2 = _half_norm((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, interval)
+    # a Python float, and with it h, t, every stage argument and every
+    # error norm: numpy scalars would slow each RHS call and round the same
+    h_abs = float(min(100 * h0, h1, interval))
 
     K = np.empty((_N_STAGES + 1, 4))
     K[0] = f
@@ -388,6 +407,12 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 err3_2 = math.sqrt(err3.dot(err3)) ** 2
                 if err5_2 == 0 and err3_2 == 0:
                     error_norm = 0.0
+                elif err5_2 == math.inf or err3_2 == math.inf:
+                    # a square overflowed (abs_tol below about 1e-154):
+                    # the same norm from the unsquared lengths
+                    a, b = math.hypot(*err5), math.hypot(*err3)
+                    c = 2 * math.hypot(a, 0.1 * b)
+                    error_norm = h_abs * a * (a / c)
                 else:
                     error_norm = (h_abs * err5_2
                                   / math.sqrt((err5_2 + 0.01 * err3_2) * 4))

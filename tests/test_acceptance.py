@@ -198,6 +198,23 @@ def test_criterion_6_vc_integrals():
     verdict(6, worst < 1e-8, f"Vc integrals drift, worst {worst:.2e}")
 
 
+def test_criterion_6_bounded_hyperbolic_cell():
+    """Criterion 6's drift bound on bounded VC orbits at kappa = -1."""
+    from curvint import vc_integrals
+    worst = 0.0
+    spec = SystemSpec(kind=SystemKind.VC, **BOUNDED_HYPERBOLIC)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        traj = integrate(bounded_start(spec, rng), spec, 100.0)
+        for i in (0, 1):
+            rep = drift(traj, f"I{i + 2}",
+                        lambda s, t: vc_integrals(s, spec)[i], 1e-8)
+            worst = max(worst, rep.rel_drift)
+            assert rep.passed, rep
+    verdict(6, worst < 1e-8,
+            f"bounded kappa = -1 Vc integrals drift, worst {worst:.2e}")
+
+
 def test_criterion_7_potential_curve(tmp_path):
     """Three-branch Kepler curve: pointwise ordering plus asymptotics."""
     out = str(tmp_path / "curve.csv")

@@ -48,6 +48,22 @@ p_phi0 = -0.16577895460456948
 t_end = 20.0
 """
 
+VC_HYPERBOLIC_BOUNDED = """
+# the m = 1 deformation on the hyperboloid, below the escape energy -g
+kind = vc
+kappa = -1.0
+g = 1.0
+k_a = 0.3
+k_b = 0.1
+m_num = 1
+m_den = 1
+r0 = 1.5115108391580927
+phi0 = 1.4153350367253208
+p_r0 = -0.06233130249000912
+p_phi0 = 0.28171906697501464
+t_end = 20.0
+"""
+
 CIRCULAR_KEPLER = """
 kind = kepler
 kappa = 0.0
@@ -213,6 +229,8 @@ class TestSimulate:
         ("", ["--rel-tol", "-1"]),
         ("", ["--rel-tol", "nan"]),
         ("", ["--rel-tol", "1e-20"]),
+        ("", ["--rel-tol", "1"]),
+        ("", ["--rel-tol", "0.01"]),
         ("max_step = 0\n", []),
         ("max_step = -1\n", []),
         ("singularity_margin = 1e-6\n", []),
@@ -229,6 +247,7 @@ class TestSimulate:
         ("r0 = 3.2\n", ["--kappa", "1"]),
     ], ids=["unknown-key", "m_den-0", "m-1/0", "m-abc", "kappa-nan",
             "rel-tol-0", "rel-tol-negative", "rel-tol-nan", "rel-tol-1e-20",
+            "rel-tol-1", "rel-tol-0.01",
             "unknown-key-max_step-0", "unknown-key-max_step-negative",
             "unknown-key-singularity_margin", "g-nan", "ka-inf", "kb-nan",
             "t_end-nan", "t_end-inf", "r0-nan", "p_phi0-inf", "kind-generic",
@@ -277,6 +296,18 @@ class TestSimulate:
             assert "Warning" not in run.stderr
             if command == "dump-config" and code == 0:
                 assert f"rel_tol = {rel_tol}\n" in run.stdout
+
+    @pytest.mark.parametrize("command", ["simulate", "verify",
+                                         "dump-config"])
+    def test_rel_tol_at_scipys_default_accepted(self, tmp_path, capsys,
+                                                command):
+        # the ceiling: at 1e-3 every run completes; above it, see
+        # test_parse_error_exit_2
+        cfg = write(tmp_path, CIRCULAR_KEPLER)
+        assert main([command, "--config", cfg, "--rel-tol", "1e-3",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        if command == "dump-config":
+            assert "rel_tol = 0.001\n" in capsys.readouterr().out
 
     def test_generic_is_no_kind_choice(self, capsys):
         # a config cannot supply the profile callables of GENERIC_F
@@ -444,6 +475,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", out]) == 0
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 16
+        assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_bounded_hyperbolic_vc_suite_passes(self, tmp_path,
+                                                monkeypatch):
+        # a VC orbit at kappa = -1 below the escape energy -g
+        monkeypatch.setenv("CURVINT_SEED", "1")
+        cfg = write(tmp_path, VC_HYPERBOLIC_BOUNDED)
+        run = parse_config(VC_HYPERBOLIC_BOUNDED)
+        assert hamiltonian(run.initial_state(), run.system_spec()) < -1.0
+        out = str(tmp_path / "report.csv")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        lines = Path(out).read_text().splitlines()
+        assert len(lines) == 18
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_kepler_suite_has_runge_lenz_rows(self, tmp_path):

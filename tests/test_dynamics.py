@@ -458,6 +458,96 @@ class TestStepBuffers:
             assert a.flags.c_contiguous and a.flags.writeable
 
 
+class TestPythonFloats:
+    """The stepper runs on Python floats from start to end: on numpy
+    scalars, which the initial step's norms return, every RHS call takes
+    about 40 % longer, and rounds the same."""
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("t_end", [20.0, -20.0])
+    def test_every_rhs_argument_is_a_float(self, kappa, t_end, monkeypatch):
+        seen, rhs_for = [], dynamics._rhs_for
+
+        def recording_rhs_for(spec, array=False):
+            rhs = rhs_for(spec, array)
+
+            def recording(*y):
+                seen.extend(map(type, y))
+                return rhs(*y)
+            return rhs if array else recording
+        monkeypatch.setattr(dynamics, "_rhs_for", recording_rhs_for)
+        for spec in all_kind_specs(kappa):
+            s0 = start_for(spec)
+            numpy_s0 = PhaseState(*map(np.float64, s0.as_tuple()))
+            seen.clear()
+            traj = integrate(numpy_s0, spec, np.float64(t_end))
+            assert traj.stats.accepted > 0, spec.kind
+            assert set(seen) == {float}, (spec.kind, set(seen))
+            ref = integrate(s0, spec, t_end)
+            assert np.array_equal(traj.times, ref.times)
+            assert np.array_equal(traj.states, ref.states)
+            assert traj.stats == ref.stats
+
+    def test_solve_ivp_of_numpy_scalars(self):
+        spec = pw_spec(kappa=1.0, m=Fraction(3, 2))
+        rhs, seen = dynamics._rhs_for(spec), []
+
+        def fun(*y):
+            seen.extend(map(type, y))
+            return rhs(*y)
+        y0 = tuple(map(np.float64, start_for(spec).as_tuple()))
+        sol = dynamics.solve_ivp(fun, dynamics._rhs_for(spec, array=True),
+                                 np.float64(20.0), y0, DEFAULTS, {})
+        assert sol.termination is Termination.COMPLETED
+        assert sol.stats.nfev == len(seen) // 4 > 1000
+        assert set(seen) == {float}
+
+
+class TestTinyAbsTol:
+    """An abs_tol below about 1e-154 at a zero component: the squares in
+    the initial step's norms and in the error norm overflow.  Both then
+    take the norm from unsquared lengths, where SciPy stops with a
+    step-size failure."""
+    # the CLI's default PW start: p_r = 0, so its error scale is abs_tol
+    SPEC = pw_spec(kappa=1.0, m=Fraction(3, 2), k_a=0.0, k_b=0.0)
+    S0 = PhaseState(1.0, math.pi / 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("abs_tol", [1e-200, 1e-250, 1e-300])
+    def test_completes(self, abs_tol):
+        traj = integrate(self.S0, self.SPEC, 5.0,
+                         IntegratorConfig(abs_tol=abs_tol))
+        assert traj.termination is Termination.COMPLETED
+        assert traj.stats.accepted > 100
+        # the initial step scales with abs_tol as where the plain norms
+        # stay finite (an inf d1 made it 0, then the 5e-323 minimum step)
+        plain = integrate(self.S0, self.SPEC, 5.0,
+                          IntegratorConfig(abs_tol=1e-150))
+        assert traj.times[1] / abs_tol == pytest.approx(
+            plain.times[1] / 1e-150, rel=1e-12)
+        ref = integrate(self.S0, self.SPEC, 5.0,
+                        IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+        assert np.all(np.abs(traj.states[-1] - ref.states[-1]) < 1e-8)
+
+    def test_plain_norm_where_it_is_finite(self):
+        rng = np.random.default_rng(5)
+        for v in rng.standard_normal((50, 4)) * 10.0 ** rng.integers(
+                -150, 150, (50, 1)):
+            assert dynamics._half_norm(v) == np.linalg.norm(v) / 2.0
+        with np.errstate(over="ignore"):    # as integrate calls it
+            big = dynamics._half_norm(np.array([3e200, 4e200, 0.0, 0.0]))
+            inf = dynamics._half_norm(np.array([math.inf, 1.0, 0.0, 0.0]))
+        assert big == pytest.approx(2.5e200, rel=1e-15)
+        assert inf == math.inf
+
+    def test_cli_simulate_exit_0(self, tmp_path, capsys):
+        out = tmp_path / "pw.csv"
+        assert main(["simulate", "--kind", "pw", "--kappa", "1", "--m",
+                     "3/2", "--t-end", "5", "--abs-tol", "1e-200", "--out",
+                     str(out)]) == 0
+        assert capsys.readouterr().out.startswith("completed:")
+        assert len(out.read_text().splitlines()) > 100
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         # curvint simulate writes every value as %.17g: it reads back exactly
@@ -654,6 +744,24 @@ class TestScipyOracle:
         assert isinstance(exc.value, ValueError)
         with pytest.raises(DomainError):
             IntegratorConfig(rel_tol=math.nextafter(100 * dynamics.EPS, 0))
+
+    @pytest.mark.parametrize("rel_tol", [
+        math.nextafter(1e-3, 1.0), 0.01, 0.5, 1.0, 1e10])
+    def test_rel_tol_above_scipys_default_is_a_domain_error(self, rel_tol):
+        # at rel_tol = 1 a Kepler start at kappa = 1 ended at the radial
+        # pole, which its orbit does not reach
+        with pytest.raises(DomainError, match="rel_tol <= 0.001"):
+            IntegratorConfig(rel_tol=rel_tol)
+
+    def test_rel_tol_at_scipys_default(self):
+        cfg = IntegratorConfig(rel_tol=dynamics.REL_TOL_MAX)
+        assert cfg.rel_tol == 1e-3
+        spec, s0 = kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.1, 1.0)
+        traj = integrate(s0, spec, 5.0, cfg)
+        assert traj.termination is Termination.COMPLETED
+        sol = reference_integrate(s0, spec, 5.0, cfg)
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
 
     def test_rel_tol_at_scipys_floor(self):
         spec, s0 = kepler_spec(kappa=1.0), PhaseState(1.0, 0.0, 0.1, 1.0)

@@ -1,0 +1,138 @@
+"""Exact oracles: the PW system's brackets, proved with sympy.
+
+For F = (k_a + k_b cos(m phi)) / sin^2(m phi) and
+
+    H     = (p_r^2 + p_phi^2 / S^2) / 2 - g C / S + F / S^2
+    J2    = p_phi^2 + 2 F
+    M_r   = p_r sqrt(J2) + i (g - J2 C / S)
+    N_phi = k_b + J2 cos(m phi) + i p_phi sqrt(J2) sin(m phi)
+    lambda = sqrt(J2) / S^2
+
+with kappa a symbol, S(r) and C(r) functions with S' = C and C' = -kappa S
+(Sin_k and Cos_k for every curvature), and the Poisson bracket {A, B} =
+A_r B_pr - A_pr B_r + A_phi B_pphi - A_pphi B_phi, under which dA/dt =
+{A, H}, the tests reduce {H, J2}, {M_r, H} - i lambda M_r and
+{N_phi, H} - i m lambda N_phi to 0.  None of them reads curvint's
+arithmetic; `test_formulas_are_curvints` checks that the formulas proved
+are the ones curvint evaluates.
+
+A reduced expression is a polynomial in sqrt(J2), C and sin(m phi) of
+degree at most 1 in each, by sqrt(J2)^2 = J2, C^2 = 1 - kappa S^2 and
+sin^2 + cos^2 = 1, whose coefficients are polynomials in the remaining
+symbols: that form is unique, so it is 0 exactly when the identity holds.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from curvint import hamiltonian, j2, lambda_k, m_r, n_phi
+from conftest import pw_spec, random_interior_states
+
+M_VALUES = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 2))
+
+r, phi, p_r, p_phi = sp.symbols("r phi p_r p_phi", real=True)
+kappa, g, k_a, k_b = sp.symbols("kappa g k_a k_b", real=True)
+S_, C_, W_ = sp.Function("S"), sp.Function("C"), sp.Function("W")
+# the reduced forms' symbols: Sin_k(r), Cos_k(r), sin(m phi), cos(m phi)
+# and sqrt(J2)
+S, C, s, c, w = sp.symbols("S C s c w")
+
+
+def system(m):
+    """H, J2, M_r, N_phi and lambda of PW at m = p/q, sqrt(J2) as
+    W(phi, p_phi)."""
+    m = sp.Rational(m.numerator, m.denominator)
+    F = (k_a + k_b * sp.cos(m * phi)) / sp.sin(m * phi) ** 2
+    Sr, Cr, W = S_(r), C_(r), W_(phi, p_phi)
+    H = (p_r ** 2 + p_phi ** 2 / Sr ** 2) / 2 - g * Cr / Sr + F / Sr ** 2
+    J2 = p_phi ** 2 + 2 * F
+    M = p_r * W + sp.I * (g - J2 * Cr / Sr)
+    N = k_b + J2 * sp.cos(m * phi) + sp.I * p_phi * W * sp.sin(m * phi)
+    return m, H, J2, M, N, W / Sr ** 2
+
+
+def bracket(A, B):
+    return (sp.diff(A, r) * sp.diff(B, p_r) - sp.diff(A, p_r) * sp.diff(B, r)
+            + sp.diff(A, phi) * sp.diff(B, p_phi)
+            - sp.diff(A, p_phi) * sp.diff(B, phi))
+
+
+def _reduce_powers(expr, x, square):
+    """expr, a polynomial in x, with x^2 replaced by square."""
+    poly = sp.Poly(sp.expand(expr), x)
+    return sp.expand(sum(coeff * square ** (k // 2) * x ** (k % 2)
+                         for (k,), coeff in poly.terms()))
+
+
+def reduced(expr, m, J2):
+    """The unique form of expr (see the module docstring)."""
+    W = W_(phi, p_phi)
+    expr = expr.subs({sp.Derivative(W, phi): sp.diff(J2, phi) / (2 * W),
+                      sp.Derivative(W, p_phi): sp.diff(J2, p_phi) / (2 * W),
+                      sp.Derivative(S_(r), r): C_(r),
+                      sp.Derivative(C_(r), r): -kappa * S_(r)})
+    symbols = {W: w, S_(r): S, C_(r): C, sp.sin(m * phi): s,
+               sp.cos(m * phi): c}
+    expr, J2 = expr.subs(symbols), J2.subs(symbols)
+    assert not expr.has(r, phi, sp.Derivative), expr
+    # the numerator, over a denominator that does not vanish; w^2 = J2
+    # brings back a denominator s^2, so the numerator is cleared again
+    num = _reduce_powers(sp.numer(sp.together(expr)), w, J2)
+    num = _reduce_powers(sp.numer(sp.together(num)), C, 1 - kappa * S ** 2)
+    return _reduce_powers(num, s, 1 - c ** 2)
+
+
+@pytest.mark.parametrize("m", M_VALUES, ids=str)
+class TestPwBrackets:
+    def test_h_and_j2_commute(self, m):
+        m, H, J2, M, N, lam = system(m)
+        assert reduced(bracket(H, J2), m, J2) == 0
+
+    def test_m_r_rotates_at_lambda(self, m):
+        m, H, J2, M, N, lam = system(m)
+        assert reduced(bracket(M, H) - sp.I * lam * M, m, J2) == 0
+
+    def test_n_phi_rotates_at_m_lambda(self, m):
+        m, H, J2, M, N, lam = system(m)
+        assert reduced(bracket(N, H) - sp.I * m * lam * N, m, J2) == 0
+
+    def test_a_wrong_rate_does_not_reduce(self, m):
+        # the negative control: the form is 0 only where the law holds
+        m, H, J2, M, N, lam = system(m)
+        assert reduced(bracket(M, H) + sp.I * lam * M, m, J2) != 0
+        assert reduced(bracket(N, H) + sp.I * m * lam * N, m, J2) != 0
+
+
+@pytest.mark.parametrize("kappa_value", [-1.0, 0.0, 1.0])
+def test_formulas_are_curvints(kappa_value):
+    """The proved formulas, evaluated in floats with S and C from sin/cos
+    (sinh/cosh, or r and 1), equal curvint's at interior states."""
+    for m in M_VALUES:
+        spec = pw_spec(kappa=kappa_value, m=m)
+        _, H, J2, M, N, lam = system(m)
+        sqrt_k = math.sqrt(abs(kappa_value))
+        if kappa_value > 0:
+            S_of, C_of = (lambda x: sp.sin(sqrt_k * x) / sqrt_k,
+                          lambda x: sp.cos(sqrt_k * x))
+        elif kappa_value < 0:
+            S_of, C_of = (lambda x: sp.sinh(sqrt_k * x) / sqrt_k,
+                          lambda x: sp.cosh(sqrt_k * x))
+        else:
+            S_of, C_of = (lambda x: x), (lambda x: sp.Integer(1))
+        values = {kappa: kappa_value, g: spec.g, k_a: spec.k_a,
+                  k_b: spec.k_b}
+        exprs = [e.subs(W_(phi, p_phi), sp.sqrt(J2)).replace(S_, S_of)
+                 .replace(C_, C_of).subs(values) for e in (H, J2, M, N, lam)]
+        fns = sp.lambdify((r, phi, p_r, p_phi), exprs, "math")
+        for state in random_interior_states(spec, 5, seed=13):
+            got = fns(*state.as_tuple())
+            want = [hamiltonian(state, spec), j2(state, spec),
+                    m_r(state, spec), n_phi(state, spec),
+                    lambda_k(state, spec)]
+            assert np.allclose(np.array(got, dtype=complex),
+                               np.array(want, dtype=complex),
+                               rtol=1e-12, atol=1e-12), (m, state)
