@@ -288,8 +288,8 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     t_end = float(t_end)        # a clipped last step's t is a float too
     y = np.array(y0, dtype=float)
-    g = [check(y.tolist()) for check in checks]
-    for tag, value in zip(tags, g):
+    for tag, check in guards.items():
+        value = check(y.tolist())
         if value < 0:
             raise PoleError(f"initial state {tuple(y.tolist())} within the "
                             f"margin: {tag.value} guard {value:.3g} < 0")
@@ -444,12 +444,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         elif len(hs) == MAX_STEPS:
             termination = Termination.STEP_LIMIT
 
-        fired = []
-        for i, check in enumerate(checks):
-            value = check(y)
-            if g[i] >= 0 and value <= 0:
-                fired.append(i)
-            g[i] = value
+        fired = [i for i, check in enumerate(checks) if check(y) <= 0]
         if fired:
             break
         ts.append(t)

@@ -42,15 +42,11 @@ def _float_recheck(values, evaluate) -> None:
 def _stencil_gradient(state: PhaseState, h: float):
     """(stencil, gradient) of state's point or grid: its central stencils,
     one PhaseState of shape (8, ...) whose point k < 4 is y + step along
-    coordinate k and point k + 4 y - step (step = h (1 + |y_i|); ValueError
-    unless h is finite and > 0 and every point moves its finite coordinate,
-    since a step below y's resolution differences to 0), and gradient(fn,
-    values=None), fn's central differences from its values on the stencil
-    (fn(stencil) by default).  At the first non-finite value fn is called
-    on that point as floats: StencilError if that raises, else that
-    partial is nan."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"stencil step h = {h} must be finite and > 0")
+    coordinate k and point k + 4 y - step (step = h (1 + |y_i|)), and
+    gradient(fn, values=None), fn's central differences from its values on
+    the stencil (fn(stencil) by default).  At the first non-finite value fn
+    is called on that point as floats: StencilError if that raises, else
+    that partial is nan."""
     y = np.array(state.as_tuple(), dtype=float)
     points = np.repeat(y[:, np.newaxis], 8, axis=1)
     i = np.arange(4)
@@ -58,10 +54,6 @@ def _stencil_gradient(state: PhaseState, h: float):
         step = h * (1.0 + np.abs(y))
         points[i, i] += step            # + step along coordinate i
         points[i, i + 4] -= step        # - step along coordinate i
-    if np.any(((points[i, i] == y) | (points[i, i + 4] == y))
-              & np.isfinite(y)):
-        raise ValueError(f"stencil step h = {h} leaves a coordinate of "
-                         f"the state unmoved")
     stencil = PhaseState(*points)
 
     def gradient(fn: PhaseFunction, values=None):
@@ -87,20 +79,24 @@ def _bracket(df, dg):
     return value, scale
 
 
+# The relative step of the FD brackets: a finite coordinate moves by
+# 1e-5 (1 + |y_i|), far above its resolution
+_STENCIL_H = 1e-5
+
+
 def bracket_with_scale(f: PhaseFunction, g: PhaseFunction,
-                       state: PhaseState, h: float = 1e-5):
+                       state: PhaseState):
     """O(h^2) estimate of ({f, g}, cancellation scale) at a point or a grid.
 
     state holds floats (plain floats come back) or arrays of one shape.  f
     and g are each called once, on the central stencils of every point
-    (step h*(1 + |y_i|), h finite and > 0, else ValueError) as one
-    PhaseState of shape (8, ...), and again as floats at their first
-    non-finite value: StencilError if that raises, a nan bracket if it
-    does not.  The scale is the sum of absolute values of the four
-    products; a bracket that vanishes only through cancellation is judged
-    against it.
+    (step h (1 + |y_i|), h = 1e-5) as one PhaseState of shape (8, ...), and
+    again as floats at their first non-finite value: StencilError if that
+    raises, a nan bracket if it does not.  The scale is the sum of absolute
+    values of the four products; a bracket that vanishes only through
+    cancellation is judged against it.
     """
-    gradient = _stencil_gradient(state, h)[1]
+    gradient = _stencil_gradient(state, _STENCIL_H)[1]
     value, scale = _bracket(gradient(f), gradient(g))
     return (value, scale) if value.ndim else (float(value), float(scale))
 
@@ -157,8 +153,7 @@ class RotationReport:
 _ROTATION_TOL = 1e-5
 
 
-def rotation_check(traj: Trajectory, spec: SystemSpec,
-                   flip_sign: bool = False) -> RotationReport:
+def rotation_check(traj: Trajectory, spec: SystemSpec) -> RotationReport:
     """Check dM_r/dt = i*lambda*M_r and dN_phi/dt = i*m*lambda*N_phi.
 
     Time derivatives come from central differences over dense output, so
@@ -167,12 +162,11 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
     is nan (J2 <= 0; the samples raise) or 0 (Sin_k^2 overflows), turns
     either factor by at most 1e-3 rad (O(dt^2) truncation near 2e-7).
     Each factor's largest relative error over 200 evenly spaced times of
-    the span, either way in time, must stay below 1e-5.  flip_sign injects
-    a wrong-sign lambda (negative control).  The dense output is read once,
-    at the 3 x 200 times t - dt, t, t + dt, and M_r and N_phi are each
-    evaluated once on those states as arrays, lambda on the middle ones,
-    with drift's rule at a non-finite error: the states of its sample are
-    evaluated again as floats, as the invariants of a per-sample loop
+    the span, either way in time, must stay below 1e-5.  The dense output
+    is read once, at the 3 x 200 times t - dt, t, t + dt, and M_r and N_phi
+    are each evaluated once on those states as arrays, lambda on the middle
+    ones, with drift's rule at a non-finite error: the states of its sample
+    are evaluated again as floats, as the invariants of a per-sample loop
     would be, so that a singular state raises.  SpanError when the
     trajectory has fewer than 3 steps or spans 2 dt or less.  Known limit:
     at m = 10^12, dt ~ 1e-15 is below what the dense output resolves, and
@@ -189,14 +183,13 @@ def rotation_check(traj: Trajectory, spec: SystemSpec,
     if t1 <= t0:
         raise SpanError(f"trajectory span {t1 - t0 + 2.0 * dt:g} too short "
                         f"for the rotation check (needs > {2.0 * dt:g})")
-    sgn = -1.0 if flip_sign else 1.0
     ts = np.linspace(t0, t1, 200)
     # DenseOutput reverses every axis: y[:, k, i] is the state at
     # ts[i] + (-dt, 0, dt)[k]
     y = traj.dense(ts[:, np.newaxis] + (-dt, 0.0, dt))
     stacked = PhaseState(*y)
     M, N = m_r(stacked, spec), n_phi(stacked, spec)
-    lam = sgn * lambda_k(PhaseState(*y[:, 1]), spec)
+    lam = lambda_k(PhaseState(*y[:, 1]), spec)
     dM = (M[2] - M[0]) / (2.0 * dt)
     dN = (N[2] - N[0]) / (2.0 * dt)
     err_m = (abs(dM - 1j * lam * M[1])
@@ -289,6 +282,9 @@ def euclidean_limit_scan(spec: SystemSpec,
 # than _SCREEN_MIN is decided by the float hamiltonian alone.
 _SCREEN_MIN = 16
 _MAX_CHUNK = 2048
+
+# Candidates a draw tries before it takes its fallback or fails
+_MAX_TRIES = 2000
 
 # The array hamiltonian may differ from the float one in the last ulps
 # (numpy's sin/cos against math's).  A screened energy within this margin,
@@ -390,7 +386,7 @@ def _undecided(screen, threshold: float, best_H: Optional[float]):
 
 
 def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
-                          n: int, max_tries: int = 2000) -> list[PhaseState]:
+                          n: int) -> list[PhaseState]:
     """n random interior phase points, bounded whenever the system admits it.
 
     kappa > 0: every non-singular state is bounded.  kappa = 0: rejection
@@ -400,15 +396,15 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     low-energy states with inward radial momentum.
 
     The states, PhaseStates of floats, and the state rng is left in are
-    those of n successive draws of a loop that tries up to max_tries
-    candidates one at a time (one rng.random(4) and one rng.integers(2)
-    each) and decides each with the float hamiltonian.  All n draws walk
-    one candidate stream, drawn in chunks of n, 4n, 16n and then at most
-    _MAX_CHUNK, never more than the draws left can use, so that a grid
-    whose draws accept nothing takes few chunks.  Each chunk comes from one
-    bit_generator.random_raw call (see _draw), which needs a PCG64
-    (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
-    for another, such as MT19937, and for an n or a max_tries that is no
+    those of n successive draws of a loop that tries up to _MAX_TRIES
+    (2000) candidates one at a time (one rng.random(4) and one
+    rng.integers(2) each) and decides each with the float hamiltonian.  All
+    n draws walk one candidate stream, drawn in chunks of n, 4n, 16n and
+    then at most _MAX_CHUNK, never more than the draws left can use, so
+    that a grid whose draws accept nothing takes few chunks.  Each chunk
+    comes from one bit_generator.random_raw call (see _draw), which needs a
+    PCG64 (default_rng's), PCG64DXSM, Philox or SFC64 bit generator:
+    TypeError for another, such as MT19937, and for an n that is no
     integer, ValueError for n < 0, all before rng is used.  A chunk of
     _SCREEN_MIN or more is screened with one array call of hamiltonian.
     The screen is never trusted with a decision: it only skips candidates
@@ -429,9 +425,7 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                         f"{type(n).__name__} {n!r}")
     if n < 0:
         raise ValueError(f"the number of draws must be >= 0, not {n}")
-    if not isinstance(max_tries, numbers.Integral):
-        raise TypeError(f"max_tries must be an integer, not "
-                        f"{type(max_tries).__name__} {max_tries!r}")
+    max_tries = _MAX_TRIES
     kap = spec.kappa
     if kap > 0:
         # every interior state is bounded; keep the energy moderate so
@@ -509,12 +503,12 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     return states
 
 
-def random_bounded_state(spec: SystemSpec, rng: np.random.Generator,
-                         max_tries: int = 2000) -> PhaseState:
-    """random_bounded_states(spec, rng, 1, max_tries)[0]: one draw, whose
-    candidates come in chunks of 1, 4, 16 and then the tries left, at most
-    _MAX_CHUNK at a time (1979 with the default max_tries)."""
-    return random_bounded_states(spec, rng, 1, max_tries)[0]
+def random_bounded_state(spec: SystemSpec,
+                         rng: np.random.Generator) -> PhaseState:
+    """random_bounded_states(spec, rng, 1)[0]: one draw, whose candidates
+    come in chunks of 1, 4, 16 and then the 1979 tries left, at most
+    _MAX_CHUNK at a time."""
+    return random_bounded_states(spec, rng, 1)[0]
 
 
 # --- the verification suite ---
@@ -565,7 +559,7 @@ def run_suite(traj: Trajectory, rng: np.random.Generator,
     # the gradients in the order of a stencil per row (the first row's
     # function, then H, then each later one), so that the first
     # StencilError is the same; J3 and J4 share one evaluation of K
-    stencil, gradient = _stencil_gradient(grid, 1e-5)
+    stencil, gradient = _stencil_gradient(grid, _STENCIL_H)
     gradients = {"J2~H": gradient(lambda s: j2(s, spec))}
     dH = gradient(lambda s: hamiltonian(s, spec))
     if spec.kind in (SystemKind.PW, SystemKind.VC):

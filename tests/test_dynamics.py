@@ -194,6 +194,20 @@ class TestIntegrate:
         with pytest.raises(PoleError):
             integrate(PhaseState(1.0, 1e-9, 0.0, 0.1), pw_spec(), 1.0)
 
+    @pytest.mark.parametrize("p_r0, termination, accepted", [
+        (-1.0, Termination.HIT_RADIAL_POLE, 1),
+        (1.0, Termination.COMPLETED, 4)])
+    def test_start_on_the_margin(self, p_r0, termination, accepted):
+        # the radial guard is exactly 0.0 at the start, which is admissible:
+        # inward, the first accepted step ends the run at its root; outward,
+        # the guard never reaches 0 again
+        spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=0.0)
+        r0 = 1e-6
+        assert sin_k(0.0, r0) - dynamics.SINGULARITY_MARGIN == 0.0
+        traj = integrate(PhaseState(r0, 0.0, p_r0, 0.0), spec, 1.0)
+        assert traj.termination is termination
+        assert traj.stats.accepted == accepted
+
     def test_step_limit(self, monkeypatch):
         s0, spec = PhaseState(1.0, 0.0, 0.0, 1.0), kepler_spec()
         full = integrate(s0, spec, 2 * math.pi)

@@ -11,8 +11,10 @@ For F = (k_a + k_b cos(m phi)) / sin^2(m phi) and
 with kappa a symbol, S(r) and C(r) functions with S' = C and C' = -kappa S
 (Sin_k and Cos_k for every curvature), and the Poisson bracket {A, B} =
 A_r B_pr - A_pr B_r + A_phi B_pphi - A_pphi B_phi, under which dA/dt =
-{A, H}, the tests reduce {H, J2}, {M_r, H} - i lambda M_r and
-{N_phi, H} - i m lambda N_phi to 0.  None of them reads curvint's
+{A, H}, the tests reduce {H, J2}, {M_r, H} - i lambda M_r,
+{N_phi, H} - i m lambda N_phi, {K, H} for K = M_r^p conj(N_phi)^q
+(m = p/q) and the moduli identities |M_r|^2 = (2 H - kappa J2) J2 + g^2
+and |N_phi|^2 = J2^2 - 2 k_a J2 + k_b^2 to 0.  None of them reads curvint's
 arithmetic; `test_formulas_are_curvints` checks that the formulas proved
 are the ones curvint evaluates.
 
@@ -105,6 +107,48 @@ class TestPwBrackets:
         m, H, J2, M, N, lam = system(m)
         assert reduced(bracket(M, H) + sp.I * lam * M, m, J2) != 0
         assert reduced(bracket(N, H) + sp.I * m * lam * N, m, J2) != 0
+
+    def test_moduli_closed_forms(self, m):
+        m, H, J2, M, N, lam = system(m)
+        assert reduced(modulus_squared(M)
+                       - ((2 * H - kappa * J2) * J2 + g ** 2), m, J2) == 0
+        assert reduced(modulus_squared(N)
+                       - (J2 ** 2 - 2 * k_a * J2 + k_b ** 2), m, J2) == 0
+        # the negative control: a wrong sign of the k_a term
+        assert reduced(modulus_squared(N)
+                       - (J2 ** 2 + 2 * k_a * J2 + k_b ** 2), m, J2) != 0
+
+
+def conjugate(Z):
+    """Z's complex conjugate: every symbol and W = sqrt(J2) is real."""
+    return Z.subs(sp.I, -sp.I)
+
+
+def modulus_squared(Z):
+    """|Z|^2 as Re(Z)^2 + Im(Z)^2."""
+    re, im = (Z + conjugate(Z)) / 2, (Z - conjugate(Z)) / (2 * sp.I)
+    return re ** 2 + im ** 2
+
+
+# m = 3/2 is left out: its K = M_r^3 conj(N_phi)^2 took 15.5 s to reduce.
+# {K, H} = 0 follows at every m = p/q from the rotation laws above, by the
+# Leibniz rule: {K, H} = i (p - q m) lambda K.
+@pytest.mark.parametrize("m", [Fraction(1), Fraction(2), Fraction(1, 2)],
+                         ids=str)
+def test_k_commutes_with_h(m):
+    """{K, H} = 0 for K = M_r^p conj(N_phi)^q, m = p/q, by direct
+    expansion."""
+    p, q = m.numerator, m.denominator
+    m, H, J2, M, N, lam = system(m)
+    K = M ** p * conjugate(N) ** q
+    assert reduced(bracket(K, H), m, J2) == 0
+
+
+def test_k_of_the_wrong_power_does_not_commute():
+    # the negative control: at m = 1, M_r^2 conj(N_phi) turns at lambda
+    m, H, J2, M, N, lam = system(Fraction(1))
+    K = M ** 2 * conjugate(N)
+    assert reduced(bracket(K, H), m, J2) != 0
 
 
 @pytest.mark.parametrize("kappa_value", [-1.0, 0.0, 1.0])

@@ -6,16 +6,18 @@ import pytest
 from scipy.optimize import brentq
 
 from curvint import (CheckResult, CurvintError, NegativeCasimirError,
-                     PhaseState, SamplingError, StencilError, SystemKind,
-                     SystemSpec, closure_detect, evaluators_for, hamiltonian,
-                     integrate, j2, k_constant, euclidean_limit_scan,
-                     lambda_k, m_r, n_phi, random_bounded_state,
-                     random_bounded_states, rotation_check, run_suite, tan_k)
+                     PhaseState, SamplingError, SpanError, StencilError,
+                     SystemKind, SystemSpec, closure_detect, evaluators_for,
+                     hamiltonian, integrate, j2, k_constant,
+                     euclidean_limit_scan, lambda_k, m_r, n_phi,
+                     random_bounded_state, random_bounded_states,
+                     rotation_check, run_suite, tan_k)
 from curvint import verify
 from curvint.cli import main, parse_config
+from curvint.dynamics import SolverStats, Termination, Trajectory
 from curvint.verify import bracket_with_scale, drift
 from conftest import (closure_mismatch, kepler_spec, pw_spec,
-                      random_interior_states, run_python)
+                      random_interior_states)
 from test_cli import PW_SPHERE, write
 
 
@@ -95,8 +97,11 @@ class TestPoissonBracket:
         s = PhaseState(1.0, 0.5, 1.0, 0.7)
         f = lambda x: x.r ** 3
         g = lambda x: x.p_r ** 3
-        errs = [abs(bracket_with_scale(f, g, s, h=h)[0] - 9.0)
-                for h in (1e-3, 5e-4)]
+        errs = []
+        for h in (1e-3, 5e-4):
+            gradient = verify._stencil_gradient(s, h)[1]
+            errs.append(abs(verify._bracket(gradient(f), gradient(g))[0]
+                            - 9.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     @pytest.mark.parametrize("m", [Fraction(1), Fraction(2), Fraction(1, 2)])
@@ -146,33 +151,6 @@ class TestPoissonBracket:
         with pytest.raises(StencilError):
             bracket_with_scale(spiky, lambda s: s.p_r,
                                PhaseState(1.0, 0.0, 0.0, 0.0))
-
-    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf,
-                                   -math.inf])
-    def test_step_must_be_finite_and_positive(self, h):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            bracket_with_scale(lambda x: x.r, lambda x: x.p_r,
-                               PhaseState(1.3, 0.7, 0.4, 0.9), h)
-
-    def test_step_below_resolution_is_a_value_error(self):
-        # every y +- step rounded back to y: each difference was 0, and
-        # the negative control's bracket (0.0, 0.0) passed
-        spec = pw_spec(kappa=1.0, m=Fraction(1))
-        H = lambda s: hamiltonian(s, spec)
-        control = lambda s: j2(s, spec) + s.r
-        s = PhaseState(1.1, 0.8, 0.2, 0.6)
-        with pytest.raises(ValueError, match="unmoved"):
-            bracket_with_scale(control, H, s, h=1e-17)
-        # in a grid, one state whose step is below its resolution is
-        # enough: the same step moves every coordinate of 0.01
-        small = PhaseState(0.01, 0.01, 0.01, 0.01)
-        bracket_with_scale(control, H, small, h=1e-17)
-        grid = PhaseState(*np.array([small.as_tuple(), s.as_tuple()]).T)
-        with pytest.raises(ValueError, match="unmoved"):
-            bracket_with_scale(control, H, grid, h=1e-17)
-        # a step that moves every coordinate still fails the control
-        value, scale = bracket_with_scale(control, H, s, h=1e-12)
-        assert abs(value) > 1e-6 * (1.0 + scale)
 
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("v", [math.inf, -math.inf])
@@ -257,24 +235,69 @@ class TestDrift:
         rep = drift(traj, "bad", lambda s, t: j2(s, spec) + t, 1e-8)
         assert not rep.passed
 
+    def test_empty_trajectory_is_a_value_error(self):
+        spec = pw_spec(kappa=0.0, m=Fraction(1))
+        traj = Trajectory(times=np.empty(0), states=np.empty((0, 4)),
+                          termination=Termination.COMPLETED, spec=spec,
+                          dense=None, stats=SolverStats(0, 0, 0, math.nan,
+                                                        math.nan))
+        with pytest.raises(ValueError, match="empty trajectory"):
+            drift(traj, "J2", lambda s, t: j2(s, spec))
+
+
+SHORT_SPAN = 3e-4
+
+
+def flip_lambda(monkeypatch):
+    """Give rotation_check a wrong-sign lambda, the negative control.  A
+    lambda <= 0 everywhere also sets its step dt to 2e-4."""
+    lambda_k = verify.lambda_k
+    monkeypatch.setattr(verify, "lambda_k", lambda s, spec: -lambda_k(s, spec))
+
 
 class TestRotation:
-    def test_sign_flip_fails(self):
+    def test_sign_flip_fails(self, monkeypatch):
         spec = pw_spec(kappa=0.0, m=Fraction(1))
         traj = integrate(PhaseState(1.1, 1.2, 0.1, 0.5), spec, 10.0)
         good = rotation_check(traj, spec)
-        bad = rotation_check(traj, spec, flip_sign=True)
+        flip_lambda(monkeypatch)
+        bad = rotation_check(traj, spec)
         assert good.passed_m and good.passed_n and good.passed
         assert not bad.passed_m and not bad.passed_n and not bad.passed
 
-    def test_fast_pericentre_no_false_failure(self):
+    def test_fast_pericentre_no_false_failure(self, monkeypatch):
         # N_phi turns at up to 2 lambda = 37 per unit time at pericentre;
         # a fixed step of 2e-4 read N_phi 1.02e-5 there, FD truncation
         spec = pw_spec(kappa=0.0, m=Fraction(2))
         traj = integrate(PhaseState(0.3, 0.7, -2.0, 0.1), spec, 20.0)
         rep = rotation_check(traj, spec)
         assert rep.passed and max(rep.max_rel_err_m, rep.max_rel_err_n) < 1e-6
-        assert not rotation_check(traj, spec, flip_sign=True).passed
+        flip_lambda(monkeypatch)
+        assert not rotation_check(traj, spec).passed
+
+    # a fast radial start over t = 3e-4: p_r0 = 1e4 takes 4 steps, whose
+    # span is below the 2 dt = 4e-4 the check needs, and p_r0 = 1e3 one
+    @pytest.mark.parametrize("p_r0, steps, message", [
+        (1e4, 5, "span 0.0003 too short for the rotation check "
+                 r"\(needs > 0.0004\)"),
+        (1e3, 2, r"2 steps too sparse for the rotation check \(needs 3\)")])
+    def test_short_trajectory_is_a_span_error(self, p_r0, steps, message):
+        spec = pw_spec(kappa=0.0, m=Fraction(1))
+        traj = integrate(PhaseState(1.0, math.pi / 2, p_r0, 1.0), spec,
+                         SHORT_SPAN)
+        assert traj.termination is Termination.COMPLETED
+        assert len(traj) == steps
+        with pytest.raises(SpanError, match=message):
+            rotation_check(traj, spec)
+
+    def test_cli_short_span_exit_2(self, tmp_path, capsys):
+        config = ("kind = pw\nkappa = 0.0\ng = 1.0\nk_a = 0.8\n"
+                  "k_b = 0.3\nm_num = 1\nm_den = 1\nr0 = 1.0\n"
+                  f"phi0 = {math.pi / 2!r}\np_r0 = 1e4\np_phi0 = 1.0\n"
+                  f"t_end = {SHORT_SPAN!r}\n")
+        assert main(["verify", "--config", write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: trajectory span 0.0003 too short")
 
 
 def reference_drift(traj, fn):
@@ -284,18 +307,17 @@ def reference_drift(traj, fn):
                    for i in range(len(traj)))
 
 
-def reference_rotation(traj, spec, n_samples=200, flip_sign=False):
+def reference_rotation(traj, spec, n_samples=200):
     """rotation_check's two maximum errors, evaluated sample by sample."""
     mf = spec.m_num / spec.m_den
     dt = min(2e-4, 1e-3 / max(max(1.0, mf) * lambda_k(traj.state(i), spec)
                               for i in range(len(traj))))
-    sgn = -1.0 if flip_sign else 1.0
     err_m = err_n = 0.0
     for t in np.linspace(float(traj.times[0]) + dt,
                          float(traj.times[-1]) - dt, n_samples):
         sm, sc, sp = (PhaseState.from_tuple(traj.dense(t + h))
                       for h in (-dt, 0.0, dt))
-        lam = sgn * lambda_k(sc, spec)
+        lam = lambda_k(sc, spec)
         M, N = m_r(sc, spec), n_phi(sc, spec)
         dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
         dN = (n_phi(sp, spec) - n_phi(sm, spec)) / (2.0 * dt)
@@ -306,7 +328,7 @@ def reference_rotation(traj, spec, n_samples=200, flip_sign=False):
     return err_m, err_n
 
 
-def frozen_rotation_check(traj, spec, flip_sign=False):
+def frozen_rotation_check(traj, spec):
     """rotation_check's two maximum errors as first vectorised, three dense
     reads and three evaluations of each factor: the oracle of the stacked
     read.  Keep it frozen."""
@@ -314,11 +336,10 @@ def frozen_rotation_check(traj, spec, flip_sign=False):
     lam = float(np.max(lambda_k(PhaseState(*traj.states.T), spec)))
     dt = min(2e-4, 1e-3 / (max(1.0, mf) * lam)) if lam > 0.0 else 2e-4
     t0, t1 = sorted((float(traj.times[0]), float(traj.times[-1])))
-    sgn = -1.0 if flip_sign else 1.0
 
     def errors(t):
         sm, sc, sp = (PhaseState(*traj.dense(t + h)) for h in (-dt, 0.0, dt))
-        lam = sgn * lambda_k(sc, spec)
+        lam = lambda_k(sc, spec)
         M = m_r(sc, spec)
         N = n_phi(sc, spec)
         dM = (m_r(sp, spec) - m_r(sm, spec)) / (2.0 * dt)
@@ -391,13 +412,11 @@ class TestWholeTrajectory:
         spec = pw_spec(kappa=kappa, m=m)
         rng = np.random.default_rng(33)
         traj = integrate(random_bounded_state(spec, rng), spec, 20.0)
-        for flip in (False, True):
-            rep = rotation_check(traj, spec, flip_sign=flip)
-            ref_m, ref_n = reference_rotation(traj, spec, flip_sign=flip)
-            assert abs(rep.max_rel_err_m - ref_m) <= 1e-10 * (1.0 + ref_m)
-            assert abs(rep.max_rel_err_n - ref_n) <= 1e-10 * (1.0 + ref_n)
-            assert rep.passed == (ref_m < 1e-5 and ref_n < 1e-5)
-            assert rep.passed is not flip
+        rep = rotation_check(traj, spec)
+        ref_m, ref_n = reference_rotation(traj, spec)
+        assert abs(rep.max_rel_err_m - ref_m) <= 1e-10 * (1.0 + ref_m)
+        assert abs(rep.max_rel_err_n - ref_n) <= 1e-10 * (1.0 + ref_n)
+        assert rep.passed and ref_m < 1e-5 and ref_n < 1e-5
 
 
 class TestClosure:
@@ -647,12 +666,14 @@ class TestChunkedSampler:
     """random_bounded_state against the per-try loop it replaced."""
 
     @staticmethod
-    def assert_same_draws(spec, make_rng, seed, max_tries, draws,
-                          grids=(1, 2, 20)):
+    def assert_same_draws(monkeypatch, spec, make_rng, seed, max_tries,
+                          draws, grids=(1, 2, 20)):
         """draws successive random_bounded_state calls, and each grid of
         random_bounded_states(spec, rng, n) for n in grids, from a fresh
-        rng, against successive calls of the per-try loop: the states, a
-        RuntimeError at the same draw, and the state rng is left in."""
+        rng, against successive calls of the per-try loop, each with a
+        budget of max_tries tries: the states, a RuntimeError at the same
+        draw, and the state rng is left in."""
+        monkeypatch.setattr(verify, "_MAX_TRIES", max_tries)
         oracle_rng = make_rng(seed)
         # (the state or None for an error, the bit generator's state)
         expected = []
@@ -666,9 +687,9 @@ class TestChunkedSampler:
         for state, after in expected[:draws]:
             if state is None:
                 with pytest.raises(RuntimeError):
-                    random_bounded_state(spec, rng, max_tries)
+                    random_bounded_state(spec, rng)
             else:
-                got = random_bounded_state(spec, rng, max_tries)
+                got = random_bounded_state(spec, rng)
                 assert got == state
                 assert all(type(v) is float for v in got.as_tuple())
             assert rng_state(rng) == str(after)
@@ -678,10 +699,10 @@ class TestChunkedSampler:
             if None in states:
                 k = states.index(None)
                 with pytest.raises(RuntimeError):
-                    random_bounded_states(spec, rng, n, max_tries)
+                    random_bounded_states(spec, rng, n)
             else:
                 k = n - 1
-                got = random_bounded_states(spec, rng, n, max_tries)
+                got = random_bounded_states(spec, rng, n)
                 assert got == states
                 assert all(type(v) is float
                            for s in got for v in s.as_tuple())
@@ -690,9 +711,11 @@ class TestChunkedSampler:
     # a grid of 20 that accepts nothing costs the per-try loop 40000 tries:
     # grids of 20 are compared at the smaller max_tries below
     @pytest.mark.parametrize("name", SAMPLER_SPECS)
-    def test_same_draws_as_per_try_loop(self, name):
-        self.assert_same_draws(SAMPLER_SPECS[name], np.random.default_rng,
-                               11, 2000, 2, grids=(1, 2))
+    def test_same_draws_as_per_try_loop(self, monkeypatch, name):
+        assert verify._MAX_TRIES == 2000
+        self.assert_same_draws(monkeypatch, SAMPLER_SPECS[name],
+                               np.random.default_rng, 11, 2000, 2,
+                               grids=(1, 2))
 
     # One draw: 1 and 5 end the two float-decided chunks; 17 ends inside
     # the first screened one, as a float-decided chunk of 12; 21 ends the
@@ -701,31 +724,32 @@ class TestChunkedSampler:
     # of 20 at 1, 5 and 17, and inside its chunks of 80 and 320 at 21 and
     # 40.
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 21, 40])
-    def test_same_draws_at_chunk_boundaries(self, max_tries):
+    def test_same_draws_at_chunk_boundaries(self, monkeypatch, max_tries):
         for spec in SAMPLER_SPECS.values():
-            self.assert_same_draws(spec, np.random.default_rng, max_tries,
-                                   max_tries, 6)
+            self.assert_same_draws(monkeypatch, spec, np.random.default_rng,
+                                   max_tries, max_tries, 6)
 
     # 2069 ends the first screened chunk of verify._MAX_CHUNK; 2070 ends
     # one try into the next.  Two draws each: a draw that accepts nothing
     # costs the per-try loop max_tries float calls.
     @pytest.mark.parametrize("max_tries", [2069, 2070])
-    def test_same_draws_at_the_chunk_cap(self, max_tries):
+    def test_same_draws_at_the_chunk_cap(self, monkeypatch, max_tries):
         assert 21 + verify._MAX_CHUNK == 2069
         for spec in SAMPLER_SPECS.values():
-            self.assert_same_draws(spec, np.random.default_rng, max_tries,
-                                   max_tries, 2, grids=(2,))
+            self.assert_same_draws(monkeypatch, spec, np.random.default_rng,
+                                   max_tries, max_tries, 2, grids=(2,))
 
     # 300 ends inside the first chunk of up to verify._MAX_CHUNK; at 17 a
     # grid of 20 ends draws inside its first chunk (the per-try loop's 20
     # draws are the cost of these cases, so 40 and 300 compare grids of 2)
     @pytest.mark.parametrize("max_tries", [17, 40, 300])
     @pytest.mark.parametrize("rng_kind", [k for k in RNGS if k != "PCG64"])
-    def test_same_draws_with_every_bit_generator(self, rng_kind, max_tries):
+    def test_same_draws_with_every_bit_generator(self, monkeypatch,
+                                                 rng_kind, max_tries):
         grids = (1, 2, 20) if max_tries == 17 else (1, 2)
         for spec in SAMPLER_SPECS.values():
-            self.assert_same_draws(spec, RNGS[rng_kind], max_tries,
-                                   max_tries, 3, grids)
+            self.assert_same_draws(monkeypatch, spec, RNGS[rng_kind],
+                                   max_tries, max_tries, 3, grids)
 
     @pytest.mark.parametrize("rng_kind", RNGS)
     def test_draw_matches_per_candidate_loop(self, rng_kind):
@@ -763,8 +787,8 @@ class TestChunkedSampler:
         assert rng_state(rng) == rng_state(oracle_rng)
         assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
 
-    def test_sampling_error_inside_a_grid(self):
-        # max_tries = 1 on the sphere: the first rejected candidate ends
+    def test_sampling_error_inside_a_grid(self, monkeypatch):
+        # a budget of 1 try on the sphere: the first rejected candidate ends
         # the grid, here at draw 15 of 20, inside the first chunk
         spec = SAMPLER_SPECS["kepler-1.0"]
         oracle_rng = np.random.default_rng(3)
@@ -776,9 +800,10 @@ class TestChunkedSampler:
                 failed_at = k
                 break
         assert failed_at == 15
+        monkeypatch.setattr(verify, "_MAX_TRIES", 1)
         rng = np.random.default_rng(3)
         with pytest.raises(SamplingError):
-            random_bounded_states(spec, rng, 20, 1)
+            random_bounded_states(spec, rng, 20)
         assert rng_state(rng) == rng_state(oracle_rng)
 
     @staticmethod
@@ -828,36 +853,6 @@ class TestChunkedSampler:
         assert random_bounded_states(pw_spec(kappa=1.0), rng, np.int64(2)) \
             == random_bounded_states(pw_spec(kappa=1.0),
                                      np.random.default_rng(2), 2)
-
-    @pytest.mark.parametrize("max_tries, error, message", [
-        (2.5, TypeError, "max_tries must be an integer"),
-        (2000.0, TypeError, "max_tries must be an integer"),
-        ("5", TypeError, "max_tries must be an integer"),
-        (0, SamplingError, "could not sample"),
-        (-1, SamplingError, "could not sample")])
-    def test_bad_max_tries(self, max_tries, error, message):
-        rng = np.random.default_rng(2)
-        before = rng_state(rng)
-        with pytest.raises(error, match=message):
-            random_bounded_states(pw_spec(kappa=1.0), rng, 3, max_tries)
-        assert rng_state(rng) == before
-
-    def test_infinite_max_tries_is_a_type_error(self):
-        # in a subprocess with a timeout: on a system without bounded
-        # states, max_tries = inf drew candidates forever
-        run = run_python(
-            "import math\n"
-            "import numpy as np\n"
-            "from curvint import SystemKind, SystemSpec, "
-            "random_bounded_states\n"
-            "spec = SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=-1.0)\n"
-            "try:\n"
-            "    random_bounded_states(spec, np.random.default_rng(1), 1, "
-            "math.inf)\n"
-            "except TypeError as exc:\n"
-            "    print('TypeError:', exc)\n")
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.startswith("TypeError: max_tries must be")
 
     def test_sphere_decides_undecided_once_per_chunk(self, monkeypatch):
         # on the sphere no draw's running minimum enters the screen's
@@ -1092,11 +1087,7 @@ class TestRunSuite:
             expected.append(CheckResult("bracket", name, worst, 1e-6,
                                         worst <= 1e-6))
         if kind in (SystemKind.PW, SystemKind.VC):
-            for flip in (True, False):
-                err_m, err_n = frozen_rotation_check(traj, spec, flip)
-                rep = rotation_check(traj, spec, flip)
-                assert (rep.max_rel_err_m, rep.max_rel_err_n) \
-                    == (err_m, err_n)
+            err_m, err_n = frozen_rotation_check(traj, spec)
             expected += [CheckResult("rotation", "M_r", err_m, 1e-5,
                                      err_m < 1e-5),
                          CheckResult("rotation", "N_phi", err_n, 1e-5,
