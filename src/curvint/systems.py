@@ -87,6 +87,9 @@ class SystemSpec:
 
     `m` is kept as an exact Fraction p/q (never a float): closure and the
     exponent pair of the higher-order constant depend on exact rationality.
+    DomainError for a non-finite kappa, g, k_a or k_b, and for a PW or VC
+    m that is not positive or whose numerator or denominator is beyond the
+    float range.
     """
     kind: SystemKind
     kappa: float = 0.0
@@ -116,6 +119,11 @@ class SystemSpec:
         if self.kind in (SystemKind.PW, SystemKind.VC):
             if m.numerator < 1:
                 raise DomainError(f"m must be a positive rational, got {m}")
+            try:    # then m_rate(p, q) is a float too
+                float(m.numerator), float(m.denominator)
+            except OverflowError:
+                raise DomainError(f"m = {m}: its numerator or denominator "
+                                  f"is beyond the float range") from None
         if self.kind is SystemKind.VC and m != 1:
             raise DomainError("the VC system fixes m = 1")
         if self.kind is SystemKind.GENERIC_F and self.generic_F is None:
@@ -212,10 +220,7 @@ def _formulas(spec: SystemSpec, array: bool) -> Formulas:
         F, profile = (lambda phi: 0.0), (lambda phi: (0.0, 0.0))
     else:
         k_a, k_b = spec.k_a, spec.k_b
-        try:
-            rate = m_rate(spec.m_num, spec.m_den)
-        except DomainError:     # then p phi overflows too, and angle raises
-            rate = math.inf
+        rate = m_rate(spec.m_num, spec.m_den)
 
         def F(phi):
             return _F_m(*angle(phi), k_a, k_b)

@@ -11,7 +11,6 @@ suite of `curvint verify` on one trajectory, one CheckResult a row.
 import itertools
 import math
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -277,10 +276,7 @@ def euclidean_limit_scan(spec: SystemSpec,
 # --- seeded state sampling for verification grids ---
 
 # Candidates per chunk for n draws: n, 4n and 16n (draws that accept soon
-# draw few), then the tries left in chunks of at most _MAX_CHUNK.  One
-# array call of hamiltonian costs about ten float calls, so a chunk smaller
-# than _SCREEN_MIN is decided by the float hamiltonian alone.
-_SCREEN_MIN = 16
+# draw few), then the tries left in chunks of at most _MAX_CHUNK
 _MAX_CHUNK = 2048
 
 # Candidates a draw tries before it takes its fallback or fails
@@ -362,23 +358,21 @@ def _candidates(spec: SystemSpec, u, flip) -> PhaseState:
                       _uniform(0.15, 0.7, u[3]) * sign)
 
 
-def _undecided(screen, threshold: float, best_H: Optional[float]):
+def _undecided(screen, threshold: float, best_H: float):
     """Indices of the candidates the float hamiltonian has to decide.
 
-    The others are settled: their screened H less its rounding slack
-    _SCREEN_MARGIN (1 + |H|) exceeds the threshold and, when best_H is
-    given (the screen is then one draw's candidates in order), best_H and
-    the lowest H + slack of the screen too, so they are rejected and some
-    candidate decided here, or the one behind best_H, is lower in the
-    float hamiltonian.  A nan or infinite screen (a singular candidate)
-    settles nothing.
+    screen holds the array H of one draw's candidates, in order, and
+    best_H the lowest float H of that draw so far.  The candidates left out
+    are settled: their screened H less its rounding slack _SCREEN_MARGIN
+    (1 + |H|) exceeds the threshold, best_H and the lowest H + slack of the
+    screen, so they are rejected and some candidate decided here, or the
+    one behind best_H, is lower in the float hamiltonian.  A nan or
+    infinite screen (a singular candidate) settles nothing.
     """
     H = np.where(np.isfinite(screen), screen, np.nan)
-    low = threshold
-    if best_H is not None:
-        lowest = np.fmin.reduce(H, initial=math.inf)
-        low = max(low, min(best_H,
-                           lowest + _SCREEN_MARGIN * (1.0 + abs(lowest))))
+    lowest = np.fmin.reduce(H, initial=math.inf)
+    low = max(threshold, min(best_H,
+                             lowest + _SCREEN_MARGIN * (1.0 + abs(lowest))))
     # H - slack grows with H, so H - slack > low is H above one cut
     low += _SCREEN_MARGIN
     cut = low / (1.0 + math.copysign(_SCREEN_MARGIN, -low))
@@ -405,16 +399,18 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     comes from one bit_generator.random_raw call (see _draw), which needs a
     PCG64 (default_rng's), PCG64DXSM, Philox or SFC64 bit generator:
     TypeError for another, such as MT19937, and for an n that is no
-    integer, ValueError for n < 0, all before rng is used.  A chunk of
-    _SCREEN_MIN or more is screened with one array call of hamiltonian.
-    The screen is never trusted with a decision: it only skips candidates
-    it shows, beyond rounding, to be rejected and, at kappa <= 0, where a
-    draw that accepts nothing takes its lowest candidate, not that lowest
-    either: above the lowest float H of the draw so far and the lowest
-    screened H of the draw's stretch of the chunk (see _undecided), so that
-    such a draw costs about one float call per chunk.  On the sphere, where
-    no minimum counts, that is decided once a chunk.  The float
-    hamiltonian decides the rest, in order.
+    integer, ValueError for n < 0, all before rng is used.  At kappa <= 0,
+    where a draw may use all _MAX_TRIES tries and then take its lowest
+    candidate, each chunk is screened with one array call of hamiltonian
+    (never for GENERIC_F).  The screen is never trusted with a decision: it
+    only skips candidates it shows, beyond rounding, to be rejected and not
+    the lowest either: above the lowest float H of the draw so far and the
+    lowest screened H of the draw's stretch of the chunk (see _undecided),
+    so that such a draw costs about one float call per chunk; the float
+    hamiltonian decides the rest, in order.  On the sphere it decides every
+    candidate, with no screen: a draw there mostly accepts within a few
+    tries, and one that accepts nothing makes all 2000 float calls before
+    SamplingError.
     When the last draw ends before the end of its chunk, rng is rewound to
     the start of the chunk and the candidates up to it are drawn again.
     SamplingError (a RuntimeError) when no candidate of a draw qualifies;
@@ -446,25 +442,17 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                    max_tries - tries + (n - 1 - len(states)) * max_tries)
         rewind = rng.bit_generator.state
         batch = _candidates(spec, *_draw(rng, size, rewind))
-        # a generic profile is never screened: the screen would call the
-        # user's callables on candidates the per-try loop never reaches
-        screen = (hamiltonian(batch, spec) if size >= _SCREEN_MIN
+        # only a draw that may fall back to its lowest candidate (kappa <=
+        # 0) is screened; a generic profile never is: the screen would call
+        # the user's callables on candidates the per-try loop never reaches
+        screen = (hamiltonian(batch, spec) if kap <= 0
                   and spec.kind is not SystemKind.GENERIC_F else None)
-        if screen is not None and kap > 0:
-            # without a running minimum, no draw changes what is undecided
-            chunk_undecided = _undecided(screen, threshold, None).tolist()
         start = 0               # the draw under way's first candidate here
         while start < size and len(states) < n:
             stop = min(size, start + max_tries - tries)
-            if screen is None:
-                undecided = range(start, stop)
-            elif kap > 0:
-                undecided = chunk_undecided[
-                    bisect_left(chunk_undecided, start):
-                    bisect_left(chunk_undecided, stop)]
-            else:
-                undecided = start + _undecided(screen[start:stop], threshold,
-                                               best_H)
+            undecided = (range(start, stop) if screen is None else
+                         start + _undecided(screen[start:stop], threshold,
+                                            best_H))
             for j in undecided:
                 state = PhaseState(float(batch.r[j]), float(batch.phi[j]),
                                    float(batch.p_r[j]),

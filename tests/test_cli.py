@@ -379,16 +379,23 @@ class TestSimulate:
         ("p_phi0 = 1e200\n", "p_phi = 1e+200"),
         ("kind = pw\nk_a = 0.5\nm_num = 1" + "0" * 400 + "\n",
          "float range"),
+        # no angular term: integration never evaluates m phi
+        ("kind = pw\nm_num = 1" + "0" * 400 + "\n", "float range"),
+        ("kind = pw\nm_den = 1" + "0" * 400 + "\n", "float range"),
     ], ids=["kappa-1-r0-800", "kappa-1e300", "p_r0-1e200", "p_phi0-1e200",
-            "pw-m-1e400"])
-    def test_overflowing_start_exit_2(self, tmp_path, capsys, command,
-                                      text, named):
+            "pw-m-1e400", "pw-free-m-1e400", "pw-free-m-1e-400"])
+    def test_overflowing_start_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      command, text, named):
         # Kepler by default: sinh/cosh or the kinetic energy overflow
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated an overflowing start")
+        monkeypatch.setattr(cli, "integrate", integrate)
         out = tmp_path / "out.csv"
         assert main([command, "--config", write(tmp_path, text),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, code", [("simulate", 0),

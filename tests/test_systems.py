@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -175,6 +176,17 @@ class TestSpecValidation:
     def test_vc_fixes_m(self):
         with pytest.raises(DomainError):
             SystemSpec(kind=SystemKind.VC, kappa=0.0, g=1.0, m=Fraction(2))
+
+    @pytest.mark.parametrize("p, q", [(10 ** 400, 1), (1, 10 ** 400),
+                                      (10 ** 400 + 1, 10 ** 399)])
+    def test_m_beyond_the_float_range_rejected(self, p, q):
+        # p/q is 10.0 in the last case, but p is no float
+        for k_a in (0.0, 0.5):
+            with pytest.raises(DomainError, match="float range"):
+                pw_spec(m=Fraction(p, q), k_a=k_a)
+        big = int(sys.float_info.max)
+        for m in (Fraction(big), Fraction(1, big)):
+            assert pw_spec(m=m).m == m
 
     def test_generic_requires_callables(self):
         with pytest.raises(DomainError):

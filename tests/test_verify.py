@@ -717,19 +717,18 @@ class TestChunkedSampler:
                                np.random.default_rng, 11, 2000, 2,
                                grids=(1, 2))
 
-    # One draw: 1 and 5 end the two float-decided chunks; 17 ends inside
-    # the first screened one, as a float-decided chunk of 12; 21 ends the
-    # screened chunk of 16, and 40 ends inside the next as a screened one.
-    # A grid of 20 that accepts nothing ends draws inside its first chunk
-    # of 20 at 1, 5 and 17, and inside its chunks of 80 and 320 at 21 and
-    # 40.
+    # One draw: 1, 5 and 21 end its chunks of 1, 4 and 16; 17 ends inside
+    # the chunk of 16, cut to 12, and 40 inside the next.  A grid of 20
+    # that accepts nothing ends draws inside its first chunk of 20 at 1, 5
+    # and 17, and inside its chunks of 80 and 320 at 21 and 40.  At kappa
+    # <= 0 each of these chunks is screened, on the sphere none.
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 21, 40])
     def test_same_draws_at_chunk_boundaries(self, monkeypatch, max_tries):
         for spec in SAMPLER_SPECS.values():
             self.assert_same_draws(monkeypatch, spec, np.random.default_rng,
                                    max_tries, max_tries, 6)
 
-    # 2069 ends the first screened chunk of verify._MAX_CHUNK; 2070 ends
+    # 2069 ends the first chunk of verify._MAX_CHUNK; 2070 ends
     # one try into the next.  Two draws each: a draw that accepts nothing
     # costs the per-try loop max_tries float calls.
     @pytest.mark.parametrize("max_tries", [2069, 2070])
@@ -854,27 +853,36 @@ class TestChunkedSampler:
             == random_bounded_states(pw_spec(kappa=1.0),
                                      np.random.default_rng(2), 2)
 
-    def test_sphere_decides_undecided_once_per_chunk(self, monkeypatch):
-        # on the sphere no draw's running minimum enters the screen's
-        # verdict, so each screened chunk is decided once, not per draw
-        sizes = self.chunk_sizes(monkeypatch)
+    @pytest.mark.parametrize("name, seed, n, screens", [
+        ("kepler-1.0", 4, 20, []),
+        # the first draw accepts nothing and raises
+        ("pw-stiff", 4, 20, []),
+        # one draw, the fallback after its chunks of 1, 4, 16 and 1979
+        ("free--1.0", 2, 1, [1, 4, 16, 1979]),
+        ("kepler--1.0", 4, 1, [1, 4]),
+        ("kepler-0.0", 4, 20, [20]),
+        ("pw-0.0-m3/2", 4, 20, [20, 80])])
+    def test_screens_only_where_a_draw_can_fall_back(self, monkeypatch, name,
+                                                      seed, n, screens):
+        # one array hamiltonian a chunk at kappa <= 0, none on the sphere
+        spec = SAMPLER_SPECS[name]
         calls = []
-        undecided = verify._undecided
 
-        def spy(*args):
-            calls.append(args)
-            return undecided(*args)
-        monkeypatch.setattr(verify, "_undecided", spy)
-        spec = SAMPLER_SPECS["kepler-1.0"]
-        states = random_bounded_states(spec, np.random.default_rng(4), 20)
-        oracle_rng = np.random.default_rng(4)
-        assert states == [per_try_sampler(spec, oracle_rng)
-                          for _ in range(20)]
-        # two screened chunks, the grid ending one candidate into the
-        # second (the last size is the rewind's redraw); one call per
-        # draw made 20 calls
-        assert sizes == [20, 80, 1]
-        assert [len(screen) for screen, _, _ in calls] == [20, 80]
+        def spy(state, system):
+            if isinstance(state.r, np.ndarray):
+                calls.append(len(state.r))
+            return hamiltonian(state, system)
+        monkeypatch.setattr(verify, "hamiltonian", spy)
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        try:
+            expected = [per_try_sampler(spec, oracle_rng) for _ in range(n)]
+        except RuntimeError:
+            with pytest.raises(SamplingError):
+                random_bounded_states(spec, rng, n)
+        else:
+            assert random_bounded_states(spec, rng, n) == expected
+        assert rng_state(rng) == rng_state(oracle_rng)
+        assert calls == screens
 
     def test_exhausted_draws_float_decide_their_minimum(self, monkeypatch):
         # pw at kappa = -1 with the default parameters has no orbit under
@@ -897,7 +905,7 @@ class TestChunkedSampler:
         assert len(calls) <= 2 * 20
 
     @pytest.mark.parametrize("threshold", [-1.02, 0.0, 1.3])
-    @pytest.mark.parametrize("best_H", [None, math.inf, -1.3, 0.0, 2.0])
+    @pytest.mark.parametrize("best_H", [math.inf, -1.3, 0.0, 2.0])
     def test_undecided_is_the_per_candidate_rule(self, threshold, best_H):
         # the one cut on the screen against its rule, candidate by
         # candidate, with candidates a thousandth of a slack either side of
@@ -913,12 +921,12 @@ class TestChunkedSampler:
             np.random.default_rng(12).uniform(-3.0, 3.0, 300)))
         finite = [h for h in screen if math.isfinite(h)]
         bound = min([margin * (1.0 + abs(h)) + h for h in finite]
-                    + [math.inf if best_H is None else best_H])
+                    + [best_H])
         expected = []
         for i, h in enumerate(screen):
             slack = margin * (1.0 + abs(h))
             if not (math.isfinite(h) and h >= threshold + slack
-                    and (best_H is None or h - slack > bound)):
+                    and h - slack > bound):
                 expected.append(i)
         assert verify._undecided(screen, threshold, best_H).tolist() \
             == expected
