@@ -343,9 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser, argv = build_parser(), list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):  # argparse takes -1e-3 for a flag
-        if argv[i - 1] in parser.value_flags and _NEG_NUMBER.match(argv[i]):
-            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    # argparse takes -1e-3 for a flag: join it to a value flag or its prefix
+    # (--kap), which argparse then resolves or rejects as ambiguous
+    for i in reversed(range(1, len(argv))):
+        flag = argv[i - 1]
+        if (flag.startswith("--") and flag != "--"
+                and _NEG_NUMBER.match(argv[i])
+                and any(f.startswith(flag) for f in parser.value_flags)):
+            argv[i - 1:i + 1] = [flag + "=" + argv[i]]
     args = parser.parse_args(argv)
     # the command is looked up at call time, so a cmd_* function replaced
     # on this module after the parser was built is the one that runs

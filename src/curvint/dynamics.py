@@ -42,8 +42,8 @@ arguments and the error norm are Python floats, not numpy scalars, on
 which each RHS call would take about 40 % longer.  An accepted one
 appends its t, h, state and 52 stage doubles to flat float buffers, which
 the trajectory and its dense output view as arrays: ~490 B a step in all.
-A PW attempt costs ~25.5 us on a 2-core VM (BENCH_29.json): 11.2 in 12 RHS
-calls, 5.3 in 14 gemvs and 2 dots, 8.2 in Python; guards 1.1 per accepted step.
+A PW attempt costs ~24.3 us on a 2-core VM (BENCH_30.json): 10.1 in 12 RHS
+calls, 4.7 in 14 gemvs and 2 dots, 8.9 in Python; guards 0.66 an accepted step.
 """
 
 import math
@@ -486,7 +486,7 @@ def integrate(state0: PhaseState, spec: SystemSpec, t_end: float,
                           f"t_end = {t_end!r}")
     kappa, margin = spec.kappa, SINGULARITY_MARGIN
 
-    # kappa_trig.sin_k, 700 ns a step against 225 ns for spec's sin_cos_k
+    # kappa_trig.sin_k, 400 ns a step against 190 ns for spec's sin_cos_k
     # closure, until ROADMAP item 3: the benchmark's tracer counts kappa_trig
     # calls at sin_k and friends, and expects more of them than accepted steps
     def radial_guard(y):

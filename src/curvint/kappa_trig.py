@@ -9,14 +9,15 @@ kappa = 0 Euclidean plane, kappa < 0 hyperbolic plane.  The functions
 interpolate smoothly through kappa = 0, so every formula built on them is
 valid for all three geometries at once.
 
-`sin_cos_k_for(kappa, array, off_pole)` is their one implementation; a
-SystemSpec builds its closures once, and sin_k, cos_k, tan_k and cot_k per
-call, with array set by the type of x.  A float x is evaluated with `math`:
-DomainError where kappa or x is not finite or sinh/cosh overflow,
+`sin_cos_k_for(kappa, array, off_pole)` is their one implementation, its
+closures cached per typed kappa for a SystemSpec and for sin_k, cos_k, tan_k
+and cot_k, which set array by the type of x.  A float x is evaluated with
+`math`: DomainError where kappa or x is not finite or sinh/cosh overflow,
 PoleError at a pole.  An array x is evaluated by numpy in the same
 formulas, with nan where a float raises PoleError (last ulps may differ).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ _POLE_EPS = 1e-12
 _ndarray = np.ndarray   # bound once: the float path tests it on every call
 
 
+@functools.lru_cache(maxsize=128, typed=True)   # bounded for a kappa sweep
 def sin_cos_k_for(kappa: float, array: bool = False, off_pole: bool = False):
     """The function x -> (sin_k(kappa, x), cos_k(kappa, x)) of a float x,
     or with array of an array x, with kappa's branch chosen once.  Below

@@ -179,7 +179,24 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
     |sin(m phi)| < eps, or with array of an array, with nan there.
     DomainError where p, q or a float m phi leave the float range."""
     p, q = m.numerator, m.denominator
-    sin, cos = (np.sin, np.cos) if array else (math.sin, math.cos)
+    try:    # p * phi rounds as float(p) * phi: p and q bound as floats
+        p, q = float(p), float(q)
+    except OverflowError:   # left as ints: DomainError at the call
+        pass
+    if array:
+        def sin_cos(phi):
+            try:
+                u = (p * phi) / q
+            except OverflowError:
+                raise DomainError(f"m*phi beyond the float range: m = {m}, "
+                                  f"phi = {phi!r}") from None
+            s = np.sin(u)
+            singular = abs(s) < eps
+            if singular.any():
+                s = np.where(singular, np.nan, s)
+            return s, np.cos(u)
+        return sin_cos
+    sin, cos = math.sin, math.cos
 
     def sin_cos(phi):
         try:
@@ -188,11 +205,7 @@ def angular_sin_cos_for(m: Fraction, array: bool = False,
         except (OverflowError, ValueError):     # math.sin(inf) is an error
             raise DomainError(f"m*phi beyond the float range: m = {m}, "
                               f"phi = {phi!r}") from None
-        if array:
-            singular = abs(s) < eps
-            if singular.any():
-                s = np.where(singular, np.nan, s)
-        elif abs(s) < eps:
+        if abs(s) < eps:
             raise AngularSingularityError(
                 f"sin(m*phi) = {s} at phi = {phi}, m = {m}")
         return s, cos(u)

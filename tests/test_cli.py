@@ -447,6 +447,11 @@ class TestSimulate:
         (["--g", "-1E2"], "g", -100.0),
         (["--kb", "-.5", "--kappa", "-1"], "k_b", -0.5),
         (["--t-end", "-1_0e0"], "t_end", -10.0),
+        # an abbreviated flag, joined and then resolved by argparse; --ka
+        # is exact and a prefix of --kappa
+        (["--kap", "-1e-3"], "kappa", -1e-3),
+        (["--ka", "-0.3", "--kapp", "-1e-2"], "k_a", -0.3),
+        (["--t-e", "-2e0"], "t_end", -2.0),
     ])
     def test_negative_number_after_a_flag_is_its_value(self, capsys, flags,
                                                        key, value):
@@ -459,8 +464,9 @@ class TestSimulate:
 
     def test_negative_number_after_a_flag_reaches_the_checks(self, capsys,
                                                              tmp_path):
-        assert main(["dump-config", "--kappa", "-inf"]) == 2
-        assert "kappa must be finite, got -inf" in capsys.readouterr().err
+        for flag in ("--kappa", "--kapp"):
+            assert main(["dump-config", flag, "-inf"]) == 2
+            assert "kappa must be finite, got -inf" in capsys.readouterr().err
         out = tmp_path / "curve.csv"
         assert main(["potential-curve", "--g", "-1e0", "--samples", "2",
                      "--out", str(out)]) == 0
@@ -471,6 +477,9 @@ class TestSimulate:
         (["dump-config", "--kappa", "-1e-3x"], "invalid float value"),
         (["verify", "--negative-control", "-1e-3"], "unrecognized"),
         (["dump-config", "--kappa=1", "-1e-3"], "unrecognized"),
+        # a prefix of --kappa, --ka, --kb and --kind; of --r-min and --r-max
+        (["dump-config", "--k", "-1e-3"], "ambiguous option"),
+        (["potential-curve", "--r", "-1e-3"], "ambiguous option"),
     ])
     def test_a_number_after_no_value_flag_stays_an_error(self, capsys, argv,
                                                          message):

@@ -217,6 +217,33 @@ class TestFactoryMatchesFrozenBodies:
             with pytest.raises(DomainError):
                 sin_cos_k_for(kappa, array)
 
+    def test_closures_cached_per_typed_arguments(self):
+        for args in ((0.7,), (0.7, True), (0.7, False, True), (0.0, True),
+                     (-2.5, True, True)):
+            assert sin_cos_k_for(*args) is sin_cos_k_for(*args), args
+        assert sin_cos_k_for(0.7) is not sin_cos_k_for(0.7, True)
+        # an np.float64 kappa's closure returns numpy scalars in the
+        # series: not shared with a float kappa's
+        wide = sin_cos_k_for(np.float64(0.7))
+        assert wide is not sin_cos_k_for(0.7)
+        assert type(wide(1e-5)[0]) is np.float64
+        assert type(sin_cos_k_for(0.7)(1e-5)[0]) is float
+        assert type(sin_k(0.7, 1e-5)) is float
+
+    def test_cache_is_bounded(self):
+        for kappa in np.linspace(-3.0, 3.0, 300):
+            sin_cos_k_for(float(kappa))
+        info = sin_cos_k_for.cache_info()
+        assert info.maxsize == 128 and info.currsize <= 128
+
+    def test_non_finite_kappa_raises_on_every_call(self):
+        for kappa in (math.nan, math.inf, -math.inf):
+            for _ in range(3):
+                with pytest.raises(DomainError, match="non-finite"):
+                    sin_cos_k_for(kappa)
+                with pytest.raises(DomainError, match="non-finite"):
+                    sin_k(kappa, 0.5)
+
     @pytest.mark.parametrize("kappa, x", [(-1.0, 800.0), (-1e300, 1.0),
                                           (1e300, 1e300), (-4.0, -400.0)])
     def test_overflow_raises_domain_error(self, kappa, x):

@@ -341,9 +341,14 @@ class TestAngularMaskOnlyWhereSet:
 class TestAngleHelpers:
     def test_angle_is_p_phi_over_q(self):
         phis = np.random.default_rng(2).uniform(0.1, 1.4, 50)
-        for p, q in ((1, 1), (3, 2), (1, 2), (7, 3), (10 ** 12, 1)):
+        # the float closure binds p and q as floats, which round as the ints
+        # do in (p * phi) / q, also above 2^53 (2^53 + 1 is a tie, to even)
+        for p, q in ((1, 1), (3, 2), (1, 2), (7, 3), (10 ** 12, 1),
+                     (2 ** 53 + 1, 7), (5, 2 ** 60 + 3),
+                     (3 ** 40, 2 ** 55 + 3)):
             m = Fraction(p, q)
-            s, c = angular_sin_cos_for(m, True)(phis)
+            assert (m.numerator, m.denominator) == (p, q)
+            s, c = angular_sin_cos_for(m, True, 0.0)(phis)
             assert bits(s) == bits(np.sin((p * phis) / q))
             assert bits(c) == bits(np.cos((p * phis) / q))
             for phi in map(float, phis[:10]):
@@ -358,6 +363,21 @@ class TestAngleHelpers:
             with pytest.raises(DomainError, match="float range"):
                 angular_sin_cos_for(Fraction(p, q),
                                     isinstance(phi, np.ndarray))(phi)
+
+    def test_kepler_m_beyond_the_float_range_builds(self):
+        # a Kepler spec does not check m: its formulas build, and only a
+        # call of its angle raises
+        spec = SystemSpec(kind=SystemKind.KEPLER, kappa=1.0, g=1.0,
+                          m=Fraction(10 ** 400))
+        state = PhaseState(1.0, 0.5, 0.1, 0.5)
+        arrays = PhaseState(*(np.full(3, v) for v in state.as_tuple()))
+        assert math.isfinite(hamiltonian(state, spec))
+        assert np.isfinite(hamiltonian(arrays, spec)).all()
+        for formulas, phi in ((spec.float_formulas, 0.5),
+                              (spec.array_formulas, arrays.phi)):
+            for angle in (formulas.angle, formulas.angle_regular):
+                with pytest.raises(DomainError, match="float range"):
+                    angle(phi)
 
     def test_infinite_float_angle_raises_domain_error(self):
         # (p phi)/q overflows to inf for a float phi: the factory, with or
