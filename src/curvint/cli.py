@@ -17,11 +17,11 @@ values.  The env var CURVINT_SEED seeds the random-state grids of `verify`.
 This module only parses, formats and maps exceptions to exit codes, all in
 `main`: 0 success, 1 a verification check failed, 2 config error (also an
 --out file or stdout that cannot be written, a start whose values overflow
-the float range, a system that leaves no verification-grid state, a span
-too short for the rotation check, or a singular state met by the checks of
-a completed run), 3 singular initial state, 4/5/6/7 the trajectory ended
-early at the radial pole / angular singularity / step underflow / step
-limit (`verify` then runs no checks).  One writer takes every CSV, and
+the float range, a verification-grid draw whose every candidate is
+singular, a span too short for the rotation check, or a singular state met
+by the checks of a completed run), 3 singular initial state, 4/5/6/7 the
+trajectory ended early at the radial pole / angular singularity / step
+underflow / step limit (`verify` then runs no checks).  One writer takes every CSV, and
 `_diag` every stderr line, dropped where stderr cannot be written.
 """
 

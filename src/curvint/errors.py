@@ -26,7 +26,8 @@ class StencilError(CurvintError):
 
 
 class SamplingError(CurvintError, RuntimeError):
-    """No admissible phase point within the sampler's try budget."""
+    """A sampler draw whose every candidate within its try budget is
+    singular, so that it has none to accept or fall back to."""
 
 
 class SpanError(CurvintError, ValueError):

@@ -383,38 +383,36 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                           n: int) -> list[PhaseState]:
     """n random interior phase points, bounded whenever the system admits it.
 
-    kappa > 0: every non-singular state is bounded.  kappa = 0: rejection
-    sample for H < 0.  kappa < 0: the escape energy is -g'*sqrt(-kappa),
-    g' = spec.coupling; for angular profiles stiff enough that no orbit
-    fits under it, and for the free geodesic at kappa <= 0, fall back to
-    low-energy states with inward radial momentum.
+    kappa > 0: every non-singular state is bounded; accept H below
+    0.65 (1 + |g|).  kappa = 0: rejection sample for H < 0.  kappa < 0: the
+    escape energy is -g'*sqrt(-kappa), g' = spec.coupling.  A draw that
+    accepts none of its _MAX_TRIES (2000) candidates, at any kappa (an
+    angular barrier too stiff for the threshold, the free geodesic at
+    kappa <= 0), falls back to its lowest-energy candidate with inward
+    radial momentum.
 
     The states, PhaseStates of floats, and the state rng is left in are
     those of n successive draws of a loop that tries up to _MAX_TRIES
-    (2000) candidates one at a time (one rng.random(4) and one
-    rng.integers(2) each) and decides each with the float hamiltonian.  All
-    n draws walk one candidate stream, drawn in chunks of n, 4n, 16n and
-    then at most _MAX_CHUNK, never more than the draws left can use, so
-    that a grid whose draws accept nothing takes few chunks.  Each chunk
-    comes from one bit_generator.random_raw call (see _draw), which needs a
-    PCG64 (default_rng's), PCG64DXSM, Philox or SFC64 bit generator:
-    TypeError for another, such as MT19937, and for an n that is no
-    integer, ValueError for n < 0, all before rng is used.  At kappa <= 0,
-    where a draw may use all _MAX_TRIES tries and then take its lowest
-    candidate, each chunk is screened with one array call of hamiltonian
-    (never for GENERIC_F).  The screen is never trusted with a decision: it
-    only skips candidates it shows, beyond rounding, to be rejected and not
-    the lowest either: above the lowest float H of the draw so far and the
-    lowest screened H of the draw's stretch of the chunk (see _undecided),
-    so that such a draw costs about one float call per chunk; the float
-    hamiltonian decides the rest, in order.  On the sphere it decides every
-    candidate, with no screen: a draw there mostly accepts within a few
-    tries, and one that accepts nothing makes all 2000 float calls before
-    SamplingError.
+    candidates one at a time (one rng.random(4) and one rng.integers(2)
+    each) and decides each with the float hamiltonian.  All n draws walk
+    one candidate stream, drawn in chunks of n, 4n, 16n and then at most
+    _MAX_CHUNK, never more than the draws left can use, so that a grid
+    whose draws accept nothing takes few chunks.  Each chunk comes from one
+    bit_generator.random_raw call (see _draw), which needs a PCG64
+    (default_rng's), PCG64DXSM, Philox or SFC64 bit generator: TypeError
+    for another, such as MT19937, and for an n that is no integer,
+    ValueError for n < 0, all before rng is used.  Each chunk is screened
+    with one array call of hamiltonian (never for GENERIC_F).  The screen
+    is never trusted with a decision: it only skips candidates it shows,
+    beyond rounding, to be rejected and not the lowest either: above the
+    lowest float H of the draw so far and the lowest screened H of the
+    draw's stretch of the chunk (see _undecided), so that a draw that
+    accepts nothing costs about one float call per chunk; the float
+    hamiltonian decides the rest, in order.
     When the last draw ends before the end of its chunk, rng is rewound to
     the start of the chunk and the candidates up to it are drawn again.
-    SamplingError (a RuntimeError) when no candidate of a draw qualifies;
-    rng is then left after that draw's last candidate.
+    SamplingError (a RuntimeError) when every candidate of a draw is
+    singular; rng is then left after that draw's last candidate.
     """
     if not isinstance(n, numbers.Integral):
         raise TypeError(f"the number of draws must be an integer, not "
@@ -422,8 +420,7 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
     if n < 0:
         raise ValueError(f"the number of draws must be >= 0, not {n}")
     max_tries = _MAX_TRIES
-    kap = spec.kappa
-    if kap > 0:
+    if spec.kappa > 0:
         # every interior state is bounded; keep the energy moderate so
         # the orbit is representative rather than a near-pole slingshot
         threshold = 0.65 * (1.0 + abs(spec.g))
@@ -442,11 +439,10 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                    max_tries - tries + (n - 1 - len(states)) * max_tries)
         rewind = rng.bit_generator.state
         batch = _candidates(spec, *_draw(rng, size, rewind))
-        # only a draw that may fall back to its lowest candidate (kappa <=
-        # 0) is screened; a generic profile never is: the screen would call
-        # the user's callables on candidates the per-try loop never reaches
-        screen = (hamiltonian(batch, spec) if kap <= 0
-                  and spec.kind is not SystemKind.GENERIC_F else None)
+        # a generic profile is never screened: the screen would call the
+        # user's callables on candidates the per-try loop never reaches
+        screen = (hamiltonian(batch, spec)
+                  if spec.kind is not SystemKind.GENERIC_F else None)
         start = 0               # the draw under way's first candidate here
         while start < size and len(states) < n:
             stop = min(size, start + max_tries - tries)
@@ -464,7 +460,7 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
                 if H < threshold:
                     start = j + 1
                     break
-                if kap <= 0 and H < best_H:
+                if H < best_H:
                     best, best_H = state, H
             else:
                 tries += stop - start

@@ -674,14 +674,35 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize("text", [
-        PW_SPHERE + "k_a = 100.0\nphi0 = 0.7\n",     # no grid state
         PW_SPHERE + "phi0 = 0.7\nt_end = 1e-5\n",     # rotation span
         PW_SPHERE + "phi0 = 0.7\nt_end = 0.0\n",
-    ], ids=["sampler-exhausted", "span-1e-5", "span-0"])
+        # Sin_k overflows at every grid candidate's radius, r >= 0.6, so
+        # the first draw has no candidate to fall back to
+        "kind = kepler\nkappa = -1e7\ng = 1.0\nr0 = 0.001\nphi0 = 0.0\n"
+        "p_r0 = 0.0\np_phi0 = 0.001\nt_end = 1e-6\n",
+    ], ids=["span-1e-5", "span-0", "every-candidate-singular"])
     def test_unverifiable_config_exit_2(self, tmp_path, capsys, text):
         assert main(["verify", "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, args", [
+        (PW_SPHERE + "k_a = 100.0\nphi0 = 0.7\n", []),
+        (None, ["--kind", "pw", "--kappa", "1", "--ka", "1.5"]),
+        (None, ["--kind", "pw", "--kappa", "1", "--ka", "3.0"]),
+    ], ids=["ka-100", "ka-1.5", "ka-3.0"])
+    def test_stiff_sphere_barrier_verifies(self, tmp_path, capsys,
+                                           monkeypatch, text, args):
+        # no grid candidate falls under the sphere's threshold
+        # 0.65 (1 + |g|): each draw takes its lowest candidate
+        monkeypatch.setenv("CURVINT_SEED", "0")
+        if text is not None:
+            args = ["--config", write(tmp_path, text)]
+        out = tmp_path / "report.csv"
+        assert main(["verify", *args, "--t-end", "1",
+                     "--out", str(out)]) == 0
+        assert "15/15 checks passed" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 16
 
     def test_singular_check_state_after_a_run_exit_2(self, capsys,
                                                       monkeypatch):

@@ -1,4 +1,5 @@
-"""Exact oracles: the PW system's brackets, proved with sympy.
+"""Exact oracles: the PW system's brackets, and those of the Kepler and VC
+quadratic integrals, proved with sympy.
 
 For F = (k_a + k_b cos(m phi)) / sin^2(m phi) and
 
@@ -14,9 +15,11 @@ A_r B_pr - A_pr B_r + A_phi B_pphi - A_pphi B_phi, under which dA/dt =
 {A, H}, the tests reduce {H, J2}, {M_r, H} - i lambda M_r,
 {N_phi, H} - i m lambda N_phi, {K, H} for K = M_r^p conj(N_phi)^q
 (m = p/q) and the moduli identities |M_r|^2 = (2 H - kappa J2) J2 + g^2
-and |N_phi|^2 = J2^2 - 2 k_a J2 + k_b^2 to 0.  None of them reads curvint's
-arithmetic; `test_formulas_are_curvints` checks that the formulas proved
-are the ones curvint evaluates.
+and |N_phi|^2 = J2^2 - 2 k_a J2 + k_b^2 to 0, and so {I3, H} and {I4, H}
+of the curved Runge-Lenz pair (F = 0) and {I3, H} of VC (m = 1).  None of
+them reads curvint's arithmetic; `test_formulas_are_curvints` and
+`test_quadratic_integrals_are_curvints` check that the formulas proved are
+the ones curvint evaluates.
 
 A reduced expression is a polynomial in sqrt(J2), C and sin(m phi) of
 degree at most 1 in each, by sqrt(J2)^2 = J2, C^2 = 1 - kappa S^2 and
@@ -31,8 +34,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from curvint import hamiltonian, j2, lambda_k, m_r, n_phi
-from conftest import pw_spec, random_interior_states
+from curvint import (SystemKind, SystemSpec, hamiltonian, j2, lambda_k, m_r,
+                     n_phi, runge_lenz, vc_integrals)
+from conftest import kepler_spec, pw_spec, random_interior_states
 
 M_VALUES = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 2))
 
@@ -151,6 +155,24 @@ def test_k_of_the_wrong_power_does_not_commute():
     assert reduced(bracket(K, H), m, J2) != 0
 
 
+def float_functions(spec, exprs):
+    """exprs as one float function of (r, phi, p_r, p_phi) at spec's
+    constants, S and C from sin/cos (sinh/cosh, or r and 1)."""
+    sqrt_k = math.sqrt(abs(spec.kappa))
+    if spec.kappa > 0:
+        S_of, C_of = (lambda x: sp.sin(sqrt_k * x) / sqrt_k,
+                      lambda x: sp.cos(sqrt_k * x))
+    elif spec.kappa < 0:
+        S_of, C_of = (lambda x: sp.sinh(sqrt_k * x) / sqrt_k,
+                      lambda x: sp.cosh(sqrt_k * x))
+    else:
+        S_of, C_of = (lambda x: x), (lambda x: sp.Integer(1))
+    values = {kappa: spec.kappa, g: spec.g, k_a: spec.k_a, k_b: spec.k_b}
+    return sp.lambdify((r, phi, p_r, p_phi),
+                       [e.replace(S_, S_of).replace(C_, C_of).subs(values)
+                        for e in exprs], "math")
+
+
 @pytest.mark.parametrize("kappa_value", [-1.0, 0.0, 1.0])
 def test_formulas_are_curvints(kappa_value):
     """The proved formulas, evaluated in floats with S and C from sin/cos
@@ -158,20 +180,8 @@ def test_formulas_are_curvints(kappa_value):
     for m in M_VALUES:
         spec = pw_spec(kappa=kappa_value, m=m)
         _, H, J2, M, N, lam = system(m)
-        sqrt_k = math.sqrt(abs(kappa_value))
-        if kappa_value > 0:
-            S_of, C_of = (lambda x: sp.sin(sqrt_k * x) / sqrt_k,
-                          lambda x: sp.cos(sqrt_k * x))
-        elif kappa_value < 0:
-            S_of, C_of = (lambda x: sp.sinh(sqrt_k * x) / sqrt_k,
-                          lambda x: sp.cosh(sqrt_k * x))
-        else:
-            S_of, C_of = (lambda x: x), (lambda x: sp.Integer(1))
-        values = {kappa: kappa_value, g: spec.g, k_a: spec.k_a,
-                  k_b: spec.k_b}
-        exprs = [e.subs(W_(phi, p_phi), sp.sqrt(J2)).replace(S_, S_of)
-                 .replace(C_, C_of).subs(values) for e in (H, J2, M, N, lam)]
-        fns = sp.lambdify((r, phi, p_r, p_phi), exprs, "math")
+        fns = float_functions(spec, [e.subs(W_(phi, p_phi), sp.sqrt(J2))
+                                     for e in (H, J2, M, N, lam)])
         for state in random_interior_states(spec, 5, seed=13):
             got = fns(*state.as_tuple())
             want = [hamiltonian(state, spec), j2(state, spec),
@@ -180,3 +190,68 @@ def test_formulas_are_curvints(kappa_value):
             assert np.allclose(np.array(got, dtype=complex),
                                np.array(want, dtype=complex),
                                rtol=1e-12, atol=1e-12), (m, state)
+
+
+def quadratic_integrals():
+    """H and the Runge-Lenz pair (I3, I4) of Kepler (F = 0, J2 = p_phi^2),
+    and H, J2 and I3 of VC (PW at m = 1), I3 with its k_a and k_b terms
+    scaled by a and b (1 for curvint's)."""
+    m, H, J2, M, N, lam = system(Fraction(1))
+    Sr, Cr = S_(r), C_(r)
+    p1 = sp.cos(phi) * p_r - Cr / Sr * sp.sin(phi) * p_phi
+    p2 = sp.sin(phi) * p_r + Cr / Sr * sp.cos(phi) * p_phi
+    kepler = (H.subs({k_a: 0, k_b: 0}), p2 * p_phi - g * sp.cos(phi),
+              p1 * p_phi + g * sp.sin(phi))
+
+    def vc_i3(a=1, b=1):
+        return (p2 * p_phi - g * sp.cos(phi)
+                + a * 2 * k_a * Cr / Sr * sp.cos(phi) / sp.sin(phi) ** 2
+                + b * k_b * Cr / Sr * (1 + sp.cos(phi) ** 2)
+                / sp.sin(phi) ** 2)
+    return m, kepler, (H, J2, vc_i3)
+
+
+class TestQuadraticIntegrals:
+    """{I3, H} = {I4, H} = 0 for Kepler and {I3, H} = 0 for VC, kappa a
+    symbol; reduced as the PW brackets are, at m = 1."""
+
+    def test_runge_lenz_commutes_with_h(self):
+        m, (H, I3, I4), _ = quadratic_integrals()
+        assert reduced(bracket(I3, H), m, p_phi ** 2) == 0
+        assert reduced(bracket(I4, H), m, p_phi ** 2) == 0
+
+    def test_runge_lenz_with_a_wrong_sign_does_not_commute(self):
+        # the negative control: the g terms' signs flipped
+        m, (H, I3, I4), _ = quadratic_integrals()
+        I3 += 2 * g * sp.cos(phi)
+        I4 -= 2 * g * sp.sin(phi)
+        assert reduced(bracket(I3, H), m, p_phi ** 2) != 0
+        assert reduced(bracket(I4, H), m, p_phi ** 2) != 0
+
+    def test_vc_i3_commutes_with_h(self):
+        m, _, (H, J2, vc_i3) = quadratic_integrals()
+        assert reduced(bracket(vc_i3(), H), m, J2) == 0
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (1, 0)])
+    def test_vc_i3_with_a_wrong_term_does_not_commute(self, a, b):
+        # the negative control: a k_a or k_b term of the wrong sign, or
+        # left out
+        m, _, (H, J2, vc_i3) = quadratic_integrals()
+        assert reduced(bracket(vc_i3(a, b), H), m, J2) != 0
+
+
+@pytest.mark.parametrize("kappa_value", [-1.0, 0.0, 1.0])
+def test_quadratic_integrals_are_curvints(kappa_value):
+    """The proved I3, I4 of Kepler and I3 of VC, evaluated in floats, equal
+    runge_lenz's and vc_integrals' at interior states."""
+    _, (H, I3, I4), (vc_H, vc_J2, vc_i3) = quadratic_integrals()
+    for spec, exprs, curvints in (
+            (kepler_spec(kappa=kappa_value), [H, I3, I4],
+             lambda s, spec: (hamiltonian(s, spec), *runge_lenz(s, spec))),
+            (SystemSpec(kind=SystemKind.VC, kappa=kappa_value, g=1.0,
+                        k_a=0.8, k_b=0.3), [vc_H, vc_J2, vc_i3()],
+             lambda s, spec: (hamiltonian(s, spec), *vc_integrals(s, spec)))):
+        fns = float_functions(spec, exprs)
+        for state in random_interior_states(spec, 5, seed=13):
+            assert np.allclose(fns(*state.as_tuple()), curvints(state, spec),
+                               rtol=1e-12, atol=1e-12), (spec, state)

@@ -596,11 +596,11 @@ def per_try_sampler(spec, rng, max_tries=2000):
         except CurvintError:
             continue
         if kap > 0:
-            if H < 0.65 * (1.0 + abs(spec.g)):
-                return state
-            continue
-        escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
-        if H < escape - 0.02:
+            threshold = 0.65 * (1.0 + abs(spec.g))
+        else:
+            escape = 0.0 if kap == 0 else -spec.g * math.sqrt(-kap)
+            threshold = escape - 0.02
+        if H < threshold:
             return state
         if H < best_H:
             best, best_H = state, H
@@ -720,8 +720,8 @@ class TestChunkedSampler:
     # One draw: 1, 5 and 21 end its chunks of 1, 4 and 16; 17 ends inside
     # the chunk of 16, cut to 12, and 40 inside the next.  A grid of 20
     # that accepts nothing ends draws inside its first chunk of 20 at 1, 5
-    # and 17, and inside its chunks of 80 and 320 at 21 and 40.  At kappa
-    # <= 0 each of these chunks is screened, on the sphere none.
+    # and 17, and inside its chunks of 80 and 320 at 21 and 40.  Each of
+    # these chunks is screened, but for GENERIC_F.
     @pytest.mark.parametrize("max_tries", [1, 5, 17, 21, 40])
     def test_same_draws_at_chunk_boundaries(self, monkeypatch, max_tries):
         for spec in SAMPLER_SPECS.values():
@@ -786,20 +786,14 @@ class TestChunkedSampler:
         assert rng_state(rng) == rng_state(oracle_rng)
         assert rng.integers(2 ** 40) == oracle_rng.integers(2 ** 40)
 
-    def test_sampling_error_inside_a_grid(self, monkeypatch):
-        # a budget of 1 try on the sphere: the first rejected candidate ends
-        # the grid, here at draw 15 of 20, inside the first chunk
-        spec = SAMPLER_SPECS["kepler-1.0"]
+    def test_sampling_error_inside_a_grid(self):
+        # every candidate on the radial pole: the grid's first draw takes
+        # all 2000 tries, from its chunks of 20, 80, 320 and the first 1580
+        # of the next, finds no candidate to fall back to, and raises
+        spec = SAMPLER_SPECS["kepler-pole"]
         oracle_rng = np.random.default_rng(3)
-        failed_at = None
-        for k in range(20):
-            try:
-                per_try_sampler(spec, oracle_rng, 1)
-            except RuntimeError:
-                failed_at = k
-                break
-        assert failed_at == 15
-        monkeypatch.setattr(verify, "_MAX_TRIES", 1)
+        with pytest.raises(RuntimeError):
+            per_try_sampler(spec, oracle_rng)
         rng = np.random.default_rng(3)
         with pytest.raises(SamplingError):
             random_bounded_states(spec, rng, 20)
@@ -854,17 +848,22 @@ class TestChunkedSampler:
                                      np.random.default_rng(2), 2)
 
     @pytest.mark.parametrize("name, seed, n, screens", [
-        ("kepler-1.0", 4, 20, []),
-        # the first draw accepts nothing and raises
-        ("pw-stiff", 4, 20, []),
+        ("kepler-1.0", 4, 20, [20, 80]),
+        # every draw falls back after its 2000 tries, in chunks of 20, 80,
+        # 320 and then _MAX_CHUNK; the last of these is cut to the 40000
+        # tries of the grid
+        ("pw-stiff", 4, 20, [20, 80, 320] + [2048] * 19 + [668]),
         # one draw, the fallback after its chunks of 1, 4, 16 and 1979
         ("free--1.0", 2, 1, [1, 4, 16, 1979]),
         ("kepler--1.0", 4, 1, [1, 4]),
         ("kepler-0.0", 4, 20, [20]),
-        ("pw-0.0-m3/2", 4, 20, [20, 80])])
-    def test_screens_only_where_a_draw_can_fall_back(self, monkeypatch, name,
-                                                      seed, n, screens):
-        # one array hamiltonian a chunk at kappa <= 0, none on the sphere
+        ("pw-0.0-m3/2", 4, 20, [20, 80]),
+        # the user's callables are never called on a screen
+        ("generic-1.0", 4, 20, []),
+        ("generic--1.0", 4, 1, [])])
+    def test_screens_every_kind_but_generic(self, monkeypatch, name, seed, n,
+                                            screens):
+        # one array hamiltonian a chunk, at every kappa, but for GENERIC_F
         spec = SAMPLER_SPECS[name]
         calls = []
 
@@ -874,13 +873,8 @@ class TestChunkedSampler:
             return hamiltonian(state, system)
         monkeypatch.setattr(verify, "hamiltonian", spy)
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
-        try:
-            expected = [per_try_sampler(spec, oracle_rng) for _ in range(n)]
-        except RuntimeError:
-            with pytest.raises(SamplingError):
-                random_bounded_states(spec, rng, n)
-        else:
-            assert random_bounded_states(spec, rng, n) == expected
+        expected = [per_try_sampler(spec, oracle_rng) for _ in range(n)]
+        assert random_bounded_states(spec, rng, n) == expected
         assert rng_state(rng) == rng_state(oracle_rng)
         assert calls == screens
 
