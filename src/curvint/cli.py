@@ -205,10 +205,12 @@ def cmd_simulate(args) -> int:
     out = args.out or "trajectory.csv"
     evals = evaluators_for(spec)
     batch = PhaseState(*traj.states.T)
+    # rows of Python floats, to which %.17g gives np.float64's bytes: no
+    # numpy scalar is made per field
     _write_csv(out, dict.fromkeys(["t", "r", "phi", "p_r", "p_phi", *evals],
                                   _FLOAT),
-               zip(traj.times, *traj.states.T,
-                   *(fn(batch) for fn in evals.values())))
+               zip(traj.times.tolist(), *traj.states.T.tolist(),
+                   *(fn(batch).tolist() for fn in evals.values())))
     with _output(None) as fh:
         fh.write(f"{traj.termination.value}: {len(traj)} samples -> {out}\n")
     return _EXIT_BY_TERMINATION[traj.termination]
@@ -273,8 +275,9 @@ def cmd_potential_curve(args) -> int:
             from None
     _write_csv(out, dict.fromkeys(["r", "U_plus", "U_flat", "U_minus"],
                                   _FLOAT),
-               zip(r, *(potential(PhaseState(r, 0.0, 0.0, 0.0), spec)
-                        for spec in specs)))
+               zip(r.tolist(),
+                   *(potential(PhaseState(r, 0.0, 0.0, 0.0), spec).tolist()
+                     for spec in specs)))
     with _output(None) as fh:
         fh.write(f"{args.samples} samples -> {out}\n")
     return EXIT_OK

@@ -35,15 +35,19 @@ infinities; a run ends with a tag after MAX_STEPS accepted steps, too.
 The 7th-order dense output of a step is built when a read first touches
 it, from the stages the stepper kept.
 
-Each stage, B and error sum of the stepper is one BLAS gemv that writes
-into a (4,) buffer made once per solve, read back as four floats through
-a memoryview: an attempted step allocates no array, and h, t, the stage
-arguments and the error norm are Python floats, not numpy scalars, on
-which each RHS call would take about 40 % longer.  An accepted one
-appends its t, h, state and 52 stage doubles to flat float buffers, which
-the trajectory and its dense output view as arrays: ~490 B a step in all.
-A PW attempt costs ~24.3 us on a 2-core VM (BENCH_30.json): 10.1 in 12 RHS
-calls, 4.7 in 14 gemvs and 2 dots, 8.9 in Python; guards 0.66 an accepted step.
+Each stage sum from stage 2 on, B and error sum of the stepper is one BLAS
+gemv that writes into a (4,) buffer made once per solve, read back as four
+floats through a memoryview; stage 1's sum of one term is the float product
+that gemv rounds to, made once a step.  An attempted step allocates no
+array, and h, t, the stage arguments and the error norm are Python floats,
+not numpy scalars, on which each RHS call would take about 40 % longer.  An
+accepted one appends its t, h, state and 52 stage doubles to flat float
+buffers, which the trajectory and its dense output view as arrays: ~490 B a
+step in all.  On a 2-core VM (BENCH_32.json, medians of 8 runs) an attempt
+of a PW orbit at kappa = 1 costs ~30.9 us: 10.9 in 12 RHS calls, 3.8 in 13
+gemvs and 2 dots, 15.5 in Python; one of a Kepler orbit at kappa = -1, with
+the F-free RHS, ~23.9 us: 4.4, 3.8 and 14.4.  Guards add 0.5-0.7 us an
+accepted step.
 """
 
 import math
@@ -57,7 +61,7 @@ import numpy as np
 from . import _dop853
 from .errors import CurvintError, DomainError, PoleError
 from .kappa_trig import sin_k
-from .systems import PhaseState, SystemSpec
+from .systems import PhaseState, SystemKind, SystemSpec
 
 EPS = 2.220446049250313e-16         # float64 machine epsilon
 # step-size controller: new |h| = old |h| * SAFETY * err^(-1/8), the factor
@@ -219,9 +223,24 @@ def _rhs_for(spec: SystemSpec, array: bool = False) -> Callable:
     """Hamilton's equations of spec as a function of r, phi, p_r and p_phi,
     four positional floats or with array four arrays, that returns the
     4-tuple of their rates, built from spec's closures, in which every
-    choice that depends on spec is already made."""
+    choice that depends on spec is already made.
+
+    The float equations of a spec with F = 0 (the free geodesic, Kepler,
+    and VC or PW with k_a = k_b = 0) leave out the angular profile: the
+    same rates, bit for bit, without F's call and arithmetic."""
     f = spec.array_formulas if array else spec.float_formulas
     sin_cos, profile, g = f.sin_cos_k, f.profile, spec.coupling
+
+    if not (array or spec.has_F_m or spec.kind is SystemKind.GENERIC_F):
+        def central_rhs(r, phi, p_r, p_phi):
+            S, C = sin_cos(r)
+            S2 = S * S
+            # dU/dr = g/S^2 - 2*0*C/S^3 is g/S^2 up to a zero's sign, and
+            # with + 0.0 the rate p_phi^2 C/S^3 - dU/dr is the same bits at
+            # g/S^2 = -0.0 too; -0/S^2 is -0.0
+            return (p_r, p_phi / S2, p_phi * p_phi * C / (S2 * S)
+                    - (g / S2 + 0.0), -0.0)
+        return central_rhs
 
     def rhs(r, phi, p_r, p_phi):
         S, C = sin_cos(r)
@@ -332,12 +351,16 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     # a dot method of K[:s].T, bound once: np.dot's BLAS gemv without its
     # Python-level dispatch, written into buf and read back through bv.  A
     # sum in Python floats would not do: BLAS rounds with fused multiply-adds.
+    # Stage 1's sum has one term, which the gemv rounds as fma(a10, k, +0.0):
+    # the float product a10 * k, or +0.0 at k = +-0.0, made once a step from
+    # k_end, the floats of K[0]: fun's return at the end of the last step.
     flat = memoryview(K).cast("B").cast("d")
     buf = np.empty(4)
     bv = memoryview(buf)
     dots = [K[:s].T.dot for s in range(_N_STAGES + 2)]
+    a10 = float(_A_ROWS[1][0])
     stages_plan = [(*range(4 * s, 4 * s + 4), dots[s], _A_ROWS[s])
-                   for s in range(1, _N_STAGES)]
+                   for s in range(2, _N_STAGES)]
     last = 4 * _N_STAGES                # K[_N_STAGES] in flat
     b_dot, err_dot = dots[_N_STAGES], dots[_N_STAGES + 1]
     B, E3, E5 = _dop853.B, _dop853.E3, _dop853.E5
@@ -345,9 +368,14 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
     errors = np.empty((2, 4))
     err_flat = memoryview(errors).cast("B").cast("d")
     err5, err3 = errors
+    # their squared lengths, each a ddot into a 0-d array read as a float
+    square = np.empty(())
+    square_v = memoryview(square).cast("B").cast("d")
+    err5_dot, err3_dot = err5.dot, err3.dot
     # The state is kept as 4 floats: each stage's y + h * sum(a K) is the
     # same IEEE arithmetic as with arrays, with no numpy call per operation.
     t, y = 0.0, y.tolist()      # y: where the last accepted step ended
+    k_end = f.tolist()
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
     k_bytes = memoryview(K).cast("B")
     rejected = 0
@@ -359,6 +387,11 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
         step_rejected = False
         y0, y1, y2, y3 = y
         a0, a1, a2, a3 = abs(y0), abs(y1), abs(y2), abs(y3)
+        k0, k1, k2, k3 = k_end
+        c0 = a10 * k0 if k0 else 0.0
+        c1 = a10 * k1 if k1 else 0.0
+        c2 = a10 * k2 if k2 else 0.0
+        c3 = a10 * k3 if k3 else 0.0
         while True:
             if h_abs < min_step:
                 termination = Termination.STEP_UNDERFLOW
@@ -372,6 +405,8 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
 
             nfev += _N_STAGES
             try:
+                flat[4], flat[5], flat[6], flat[7] = fun(
+                    y0 + c0 * h, y1 + c1 * h, y2 + c2 * h, y3 + c3 * h)
                 for i0, i1, i2, i3, stage_dot, a in stages_plan:
                     stage_dot(a, buf)
                     d0, d1, d2, d3 = bv
@@ -380,8 +415,9 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 b_dot(B, buf)
                 d0, d1, d2, d3 = bv
                 y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3]
+                k_end = fun(*y_new)
                 flat[last], flat[last + 1], flat[last + 2], flat[last + 3] = (
-                    fun(*y_new))
+                    k_end)
             except _RAISES:     # SciPy's error norm is nan: rejected
                 error_norm = math.nan
             else:
@@ -405,8 +441,10 @@ def solve_ivp(fun: Callable, fun_array: Callable, t_end: float, y0,
                 err_flat[4], err_flat[5], err_flat[6], err_flat[7] = (
                     e0 / s0, e1 / s1, e2 / s2, e3 / s3)
                 # np.linalg.norm(x) ** 2, which is sqrt(x.dot(x)) ** 2
-                err5_2 = math.sqrt(err5.dot(err5)) ** 2
-                err3_2 = math.sqrt(err3.dot(err3)) ** 2
+                err5_dot(err5, square)
+                err5_2 = math.sqrt(square_v[0]) ** 2
+                err3_dot(err3, square)
+                err3_2 = math.sqrt(square_v[0]) ** 2
                 if err5_2 == 0 and err3_2 == 0:
                     error_norm = 0.0
                 elif err5_2 == math.inf or err3_2 == math.inf:

@@ -440,9 +440,13 @@ def random_bounded_states(spec: SystemSpec, rng: np.random.Generator,
         rewind = rng.bit_generator.state
         batch = _candidates(spec, *_draw(rng, size, rewind))
         # a generic profile is never screened: the screen would call the
-        # user's callables on candidates the per-try loop never reaches
-        screen = (hamiltonian(batch, spec)
-                  if spec.kind is not SystemKind.GENERIC_F else None)
+        # user's callables on candidates the per-try loop never reaches.
+        # Its nan and inf, where a candidate overflows, settle nothing
+        # (_undecided): numpy's warnings about them are not the caller's.
+        screen = None
+        if spec.kind is not SystemKind.GENERIC_F:
+            with np.errstate(all="ignore"):
+                screen = hamiltonian(batch, spec)
         start = 0               # the draw under way's first candidate here
         while start < size and len(states) < n:
             stop = min(size, start + max_tries - tries)

@@ -18,12 +18,17 @@ from curvint import _dop853, dynamics
 from curvint.kappa_trig import _SERIES_CUTOFF, sin_cos_k_for
 from curvint.systems import _ANGULAR_EPS
 from curvint.cli import main
+from curvint.invariants import evaluators_for
 from curvint.verify import drift, random_bounded_state
 from conftest import (assert_same_bits, kepler_spec, pw_spec,
                       random_interior_states, reference_cos_k,
                       reference_sin_k, run_python)
 
 DEFAULTS = IntegratorConfig()
+# the start of the benchmark's first exported orbit, Kepler at kappa = -1:
+# at the default tolerances about 28 % of its attempted steps are rejected
+ECCENTRIC_KEPLER_START = PhaseState(1.0185794147989062, 1.8754751666228542,
+                                    0.21995801841599616, -0.2005537681743033)
 
 
 def all_kind_specs(kappa):
@@ -33,6 +38,8 @@ def all_kind_specs(kappa):
         kepler_spec(kappa=kappa),
         SystemSpec(kind=SystemKind.VC, kappa=kappa, g=1.0, k_a=0.8, k_b=0.3),
         pw_spec(kappa=kappa, m=Fraction(3, 2)),
+        # F = 0: the float RHS of the central kinds serves it
+        pw_spec(kappa=kappa, m=Fraction(3, 2), k_a=0.0, k_b=0.0),
         SystemSpec(kind=SystemKind.GENERIC_F, kappa=kappa, g=1.0,
                    generic_F=generic),
     ]
@@ -644,6 +651,27 @@ class TestCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:5], traj.states)
+        # the bytes: every field of every line, invariant columns too, is
+        # "%.17g" of the np.float64 the trajectory and its evaluators hold
+        s0 = ECCENTRIC_KEPLER_START
+        config = tmp_path / "kepler.cfg"
+        config.write_text(f"kind = kepler\nkappa = -1\nr0 = {s0.r!r}\n"
+                          f"phi0 = {s0.phi!r}\np_r0 = {s0.p_r!r}\n"
+                          f"p_phi0 = {s0.p_phi!r}\nt_end = 20\n")
+        path = tmp_path / "kepler.csv"
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(path)]) == 0
+        spec = kepler_spec(kappa=-1.0)
+        traj = integrate(s0, spec, 20.0)
+        evals = evaluators_for(spec)
+        batch = PhaseState(*traj.states.T)
+        columns = [traj.times, *traj.states.T,
+                   *(fn(batch) for fn in evals.values())]
+        assert all(type(v) is np.float64 for v in columns[-1])
+        expected = [",".join(["t,r,phi,p_r,p_phi", *evals])] + [
+            ",".join("%.17g" % v for v in row) for row in zip(*columns)]
+        assert path.read_text().splitlines() == expected
+        assert len(expected) == len(traj) + 1 > 500
 
 
 # --- scipy's solve_ivp as the oracle of the in-house DOP853 driver ---
@@ -702,9 +730,14 @@ def start_for(spec):
     return s0
 
 
+def case_id(spec):
+    central_pw = spec.kind is SystemKind.PW and not spec.has_F_m
+    return (f"{spec.kind.value}-m{spec.m}-kappa{spec.kappa:g}"
+            + ("-F0" if central_pw else ""))
+
+
 ORACLE_CASES = [
-    pytest.param(spec, start_for(spec), 20.0, DEFAULTS,
-                 id=f"{spec.kind.value}-m{spec.m}-kappa{kappa:g}")
+    pytest.param(spec, start_for(spec), 20.0, DEFAULTS, id=case_id(spec))
     for kappa in (-1.0, 0.0, 1.0)
     for spec in all_kind_specs(kappa) + [pw_spec(kappa=kappa, m=2)]
 ] + [
@@ -719,6 +752,9 @@ ORACLE_CASES = [
     # 3390 accepted steps and 1009 rejected ones
     pytest.param(pw_spec(kappa=1.0, m=3), start_for(pw_spec(kappa=1.0, m=3)),
                  100.0, DEFAULTS, id="long-pw-m3"),
+    # 1554 accepted steps and 608 rejected ones
+    pytest.param(kepler_spec(kappa=-1.0), ECCENTRIC_KEPLER_START, 50.0,
+                 DEFAULTS, id="eccentric-kepler-kappa-1"),
 ]
 
 def reference_central_rhs_array(t, y, spec):
@@ -817,6 +853,26 @@ class TestScipyOracle:
         assert traj.termination is Termination.STEP_UNDERFLOW
         assert abs(traj.times[-1] - sol.t[-1]) <= 1e-12 * (1 + abs(sol.t[-1]))
         assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("t_end", [1.0, -1.0])
+    def test_stage_one_sum_is_scipys_gemv(self, t_end):
+        # On a central orbit dp_phi/dt is -0.0.  SciPy's one-term gemv sums
+        # it to +0.0, where the product A[1, 0] * -0.0 is -0.0: at p_phi =
+        # -0.0 stage 1 evaluates at p_phi = -0.0 + 0.0 * h, +0.0 forward
+        # and -0.0 backward.
+        spec, y0 = kepler_spec(kappa=-1.0), (1.0, 0.5, 2.0, -0.0)
+        rhs, calls = dynamics._rhs_for(spec), []
+
+        def fun(*y):
+            calls.append(y)
+            return rhs(*y)
+        dynamics.solve_ivp(fun, dynamics._rhs_for(spec, array=True), t_end,
+                           y0, DEFAULTS, {})
+        K = np.array([rhs(*y0)])
+        assert bits(K[0, 3:]) == bits([-0.0])
+        dy = np.dot(K.T, dynamics._A_ROWS[1])   # SciPy's stage-1 sum
+        # calls: y0, the initial step's probe, then stage 1 of attempt 1
+        assert bits([calls[2][3]]) == bits([y0[3] + dy[3] * t_end])
 
     def test_rel_tol_below_scipys_floor_is_a_domain_error(self):
         # solve_ivp once raised such an rtol to 100 EPS with a warning, as
@@ -930,6 +986,23 @@ class TestRhsFactory:
                 # numpy's sin/sinh may differ from math's in the last ulp
                 assert np.all(np.abs(column - got)
                               <= 1e-14 * (1.0 + np.abs(got))), (spec, y)
+
+    @pytest.mark.parametrize("kappa", RHS_KAPPAS)
+    def test_zero_rates_keep_their_sign(self, kappa):
+        # g = -0.0 makes g/S^2 -0.0; with p_phi = 0 and C/S^3 < 0 (r < 0,
+        # or beyond the equator of the sphere) the general equations give
+        # dp_r/dt = -0.0 - (-0.0 - -0.0) = -0.0, and so must the F = 0 ones
+        specs = [kepler_spec(kappa=kappa, g=-0.0),
+                 pw_spec(kappa=kappa, g=-0.0, k_a=0.0, k_b=0.0),
+                 SystemSpec(kind=SystemKind.FREE_GEODESIC, kappa=kappa)]
+        radii = [-0.4, 0.7] + ([2.0] if kappa > 0.5 else [])
+        states = [(r, 0.3, p_r, p_phi) for r in radii
+                  for p_r in (0.0, -0.0, 0.1) for p_phi in (0.0, -0.0)]
+        for spec in specs:
+            rhs = dynamics._rhs_for(spec)
+            for y in states:
+                assert bits(rhs(*y)) == bits(
+                    reference_rhs(0.0, np.array(y), spec)), (spec, y)
 
     @pytest.mark.parametrize("kappa", RHS_KAPPAS)
     def test_non_finite_r_raises_domain_error(self, kappa):

@@ -799,6 +799,14 @@ class TestChunkedSampler:
             random_bounded_states(spec, rng, 20)
         assert rng_state(rng) == rng_state(oracle_rng)
 
+    def test_overflowing_candidates_raise_only_sampling_error(self):
+        # at kappa = -1e7 Sin_k overflows at every candidate radius: the
+        # array screen's overflow and nan raised no numpy warning to the
+        # caller (pytest makes warnings errors), only SamplingError
+        spec = kepler_spec(kappa=-1e7)
+        with pytest.raises(SamplingError):
+            random_bounded_states(spec, np.random.default_rng(0), 2)
+
     @staticmethod
     def chunk_sizes(monkeypatch):
         sizes = []
